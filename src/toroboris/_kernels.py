@@ -1,129 +1,164 @@
 """Compiled step loop for the closed-form toroidal field family.
 
-The kernel is the hot path for long-horizon runs (reference solutions need
-1e7+ steps).  With numba present it runs at ~30 ns/step; without numba the
-same function executes as plain Python, so either way one code path defines
-the arithmetic.
+Reference solutions need 1e7+ steps, so the two-step loop for the family
+b = a0 + a1 r + a2 z^2, E_r = c z, E_z = c r runs as C (``_kernel.c``).
+The C source is a line-for-line transcription of boris._generic_loop,
+which stays the single Python definition of the step; a test pins the two
+bitwise.
 
-The recursion is carried in summed form: the increment d^n = x^n - x^{n-1}
-is the solver variable and positions accumulate as x += d.  This is the
-same closed-form solve as in position variables but keeps round-off at the
-scale of the increments, which matters over 1e7 steps.
+The library is built with the system compiler on the first call of
+``compiled_loop`` (the first integrate on a closed-form model), never at
+import.  It is cached as ``$XDG_CACHE_HOME/toroboris/kernel-<key>.so``
+(``~/.cache/toroboris`` when the variable is unset), where the key is a
+CRC-32 of the source, the flags and the machine type.  When that directory
+cannot be written, the library is built in a private directory under
+``tempfile.gettempdir()`` and removed once loaded.  Without a working
+compiler the package falls back to the Python loop and says so once per
+process with a RuntimeWarning.
 
-Expression shapes here must stay aligned with boris._generic_loop (which
-handles arbitrary field models); equality of the two paths is pinned by a
-test.
+BACKEND is ``"c"`` or ``"python"`` once the first closed-form run has
+resolved it, ``None`` before; FALLBACK_REASON explains a ``"python"``
+backend.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+import ctypes
+import os
+import platform
+import warnings
+import zlib
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
+import numpy as np
 
 STATUS_OK = 0
 STATUS_AXIS = 1
 STATUS_DOMAIN = 2
 STATUS_RUNAWAY = 3
 
+# The package uses no numba; benchmark environment records still read this.
+HAVE_NUMBA = False
 
-@njit(cache=False)
-def two_step_loop(
-    n_steps,
-    sample_every,
-    h,
-    eps,
-    mu0,
-    a0,
-    a1,
-    a2,
-    c_e,
-    r_min,
-    b_min,
-    v_max,
-    x_arr,
-    d_arr,
-    out_t,
-    out_x,
-    out_v,
-):
-    """Iterate the two-step recursion from x^1 = x_arr, d^1 = d_arr.
+BACKEND: str | None = None
+FALLBACK_REASON: str | None = None
+_loop = None
 
-    Step i advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
-    (d^i + d^{i+1}) / (2h) is recorded whenever i is a multiple of
-    sample_every.  Sample row 0 (the initial state) is filled by the
-    caller.  Returns (status, rows_written, steps_completed).
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+
+class KernelUnavailable(Exception):
+    """The C kernel could not be built or loaded."""
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "toroboris")
+
+
+def _compile(target: str) -> None:
+    import subprocess  # only on a cache miss: keeps it out of warm start-up
+
+    cmd = [_CC, *_CFLAGS, "-o", target, _SOURCE, "-lm"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.SubprocessError) as e:
+        raise KernelUnavailable(f"cannot run {_CC}: {e}") from e
+    if proc.returncode != 0:
+        raise KernelUnavailable(f"{_CC} exited with {proc.returncode}: {proc.stderr.strip()}")
+
+
+def _build(path: str) -> None:
+    """Compile into a temporary file beside path, then move it into place.
+
+    Concurrent builders each write their own file; os.replace makes the
+    last one win atomically.  Raises OSError when the directory is not
+    writable.
     """
-    x1, x2, x3 = x_arr[0], x_arr[1], x_arr[2]
-    d1, d2, d3 = d_arr[0], d_arr[1], d_arr[2]
-    half_h = 0.5 * h
-    h2 = h * h
-    inv_2h = 1.0 / (2.0 * h)
-    inv_eps = 1.0 / eps
-    bound = abs(h) * v_max
-    k = 1
-    for i in range(1, n_steps + 1):
-        r = sqrt(x1 * x1 + x2 * x2)
-        if r < r_min:
-            return STATUS_AXIS, k, i - 1
-        z = x3
-        inv_r = 1.0 / r
-        er1 = x1 * inv_r
-        er2 = x2 * inv_r
-        bb = a0 + a1 * r + a2 * z * z
-        if bb <= b_min:
-            return STATUS_DOMAIN, k, i - 1
-        scale = bb * inv_eps
-        B1 = -scale * er2
-        B2 = scale * er1
-        B3 = 0.0
-        gr = a1 * inv_eps * mu0
-        gz = 2.0 * a2 * z * inv_eps * mu0
-        em_r = c_e * z - gr
-        em1 = em_r * er1
-        em2 = em_r * er2
-        em3 = c_e * r - gz
-        cx1 = half_h * B1
-        cx2 = half_h * B2
-        cx3 = half_h * B3
-        q1 = d2 * B3 - d3 * B2
-        q2 = d3 * B1 - d1 * B3
-        q3 = d1 * B2 - d2 * B1
-        r1 = d1 + half_h * q1 + h2 * em1
-        r2 = d2 + half_h * q2 + h2 * em2
-        r3 = d3 + half_h * q3 + h2 * em3
-        dot = cx1 * r1 + cx2 * r2 + cx3 * r3
-        den = 1.0 / (1.0 + cx1 * cx1 + cx2 * cx2 + cx3 * cx3)
-        dn1 = (r1 - (cx2 * r3 - cx3 * r2) + dot * cx1) * den
-        dn2 = (r2 - (cx3 * r1 - cx1 * r3) + dot * cx2) * den
-        dn3 = (r3 - (cx1 * r2 - cx2 * r1) + dot * cx3) * den
-        if sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) > bound:
-            return STATUS_RUNAWAY, k, i - 1
-        if i % sample_every == 0:
-            out_t[k] = i * h
-            out_x[k, 0] = x1
-            out_x[k, 1] = x2
-            out_x[k, 2] = x3
-            out_v[k, 0] = (d1 + dn1) * inv_2h
-            out_v[k, 1] = (d2 + dn2) * inv_2h
-            out_v[k, 2] = (d3 + dn3) * inv_2h
-            k += 1
-        x1 = x1 + dn1
-        x2 = x2 + dn2
-        x3 = x3 + dn3
-        d1 = dn1
-        d2 = dn2
-        d3 = dn3
-    return STATUS_OK, k, n_steps
+    import tempfile
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        _compile(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _bind(path: str):
+    """Load the library at path and return a checked Python entry point."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as e:
+        raise KernelUnavailable(f"cannot load {path}: {e}") from e
+    vec3 = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(3,), flags="C_CONTIGUOUS")
+    out1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    out3 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    fn = lib.toroboris_two_step_loop
+    fn.restype = ctypes.c_int
+    fn.argtypes = (
+        [ctypes.c_int64, ctypes.c_int64]
+        + [ctypes.c_double] * 10
+        + [vec3, vec3, out1, out3, out3, ctypes.POINTER(ctypes.c_int64)]
+    )
+
+    def two_step_loop(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
+                      v_max, x_arr, d_arr, out_t, out_x, out_v):
+        """Run the C loop; same arguments and (status, rows, steps) as _generic_loop."""
+        if sample_every < 1 or n_steps < 0 or len(out_t) <= n_steps // sample_every:
+            raise ValueError(f"bad loop sizes: n={n_steps}, every={sample_every}, rows={len(out_t)}")
+        if out_x.shape != (len(out_t), 3) or out_v.shape != out_x.shape:
+            raise ValueError("out_x and out_v must have shape (len(out_t), 3)")
+        result = (ctypes.c_int64 * 2)()
+        status = fn(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min, v_max,
+                    x_arr, d_arr, out_t, out_x, out_v, result)
+        return status, result[0], result[1]
+
+    return two_step_loop
+
+
+def _load_library():
+    """Build the C loop on a cache miss, then load and bind it."""
+    try:
+        with open(_SOURCE, "rb") as f:
+            source = f.read()
+    except OSError as e:
+        raise KernelUnavailable(f"cannot read {_SOURCE}: {e}") from e
+    tag = b"\0".join([source, " ".join(_CFLAGS).encode(), platform.machine().encode()])
+    path = os.path.join(_cache_dir(), f"kernel-{zlib.crc32(tag):08x}.so")
+    if not os.path.exists(path):
+        try:
+            _build(path)
+        except OSError:
+            # Cache not writable: build privately and drop the file once loaded.
+            import tempfile
+
+            with tempfile.TemporaryDirectory(prefix="toroboris-") as private:
+                path = os.path.join(private, os.path.basename(path))
+                _compile(path)
+                return _bind(path)
+    return _bind(path)
+
+
+def compiled_loop():
+    """The C two-step loop, built on first use; None when running in Python.
+
+    Resolves BACKEND (and FALLBACK_REASON) once per process.
+    """
+    global BACKEND, FALLBACK_REASON, _loop
+    if BACKEND is None:
+        try:
+            _loop = _load_library()
+            BACKEND = "c"
+        except KernelUnavailable as e:
+            BACKEND, FALLBACK_REASON = "python", str(e)
+            warnings.warn(
+                f"toroboris: C stepping kernel unavailable, using the Python loop ({e})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return _loop

@@ -171,16 +171,31 @@ def one_step_push(state: ParticleState, field_model, config: PusherConfig) -> Pa
     Returns (x^{n+1}, v^{n+1/2}).  The rotation preserves |v| exactly.
     """
     h = config.h
-    mu0 = config.effective_mu0
-    s = eval_field(field_model, state.x)
-    emod = _emod(s, mu0)
-    v_minus = state.v + 0.5 * h * emod
-    tvec = 0.5 * h * s.B
-    v_prime = v_minus + np.cross(v_minus, tvec)
-    v_plus = v_minus + np.cross(v_prime, 2.0 * tvec / (1.0 + tvec @ tvec))
-    v_next = v_plus + 0.5 * h * emod
-    x_next = state.x + h * v_next
-    return ParticleState(t=state.t + h, x=x_next, v=v_next)
+    half_h = 0.5 * h
+    x1, x2, x3 = state.x
+    B1, B2, B3, em1, em2, em3 = field_model.bemod(x1, x2, x3, config.effective_mu0)
+    # half kick
+    vm1, vm2, vm3 = state.v
+    vm1 = vm1 + half_h * em1
+    vm2 = vm2 + half_h * em2
+    vm3 = vm3 + half_h * em3
+    # rotation about t = (h/2) B
+    t1 = half_h * B1
+    t2 = half_h * B2
+    t3 = half_h * B3
+    vp1 = vm1 + (vm2 * t3 - vm3 * t2)
+    vp2 = vm2 + (vm3 * t1 - vm1 * t3)
+    vp3 = vm3 + (vm1 * t2 - vm2 * t1)
+    den = 1.0 + t1 * t1 + t2 * t2 + t3 * t3
+    s1 = 2.0 * t1 / den
+    s2 = 2.0 * t2 / den
+    s3 = 2.0 * t3 / den
+    # rotated velocity plus the second half kick
+    v1 = vm1 + (vp2 * s3 - vp3 * s2) + half_h * em1
+    v2 = vm2 + (vp3 * s1 - vp1 * s3) + half_h * em2
+    v3 = vm3 + (vp1 * s2 - vp2 * s1) + half_h * em3
+    v_next = np.array((v1, v2, v3))
+    return ParticleState(t=state.t + h, x=state.x + h * v_next, v=v_next)
 
 
 def initialize(x0, v0_raw, field_model, config: PusherConfig):
@@ -244,10 +259,19 @@ _ERROR_TAGS = {
 
 
 def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out_t, out_x, out_v):
-    """Pure-Python twin of the compiled loop for arbitrary field models.
+    """Iterate the two-step recursion from x^1 = x_arr, d^1 = d_arr.
 
-    Expression shapes must stay aligned with _kernels.two_step_loop so both
-    paths produce equal floating-point values on the closed-form family.
+    This is the reference definition of the step, for any field model with
+    a scalar bemod.  Step i advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the
+    centered velocity (d^i + d^{i+1}) / (2h) is recorded whenever i is a
+    multiple of sample_every.  Sample row 0 (the initial state) is filled
+    by the caller.  Returns (status, rows_written, steps_completed).
+
+    The recursion is carried in summed form: the increment d^n = x^n -
+    x^{n-1} is the solver variable and positions accumulate as x += d,
+    which keeps round-off at the scale of the increments over 1e7 steps.
+    _kernel.c transcribes this loop line for line for the closed-form
+    family; keep the expression shapes of both aligned.
     """
     x1, x2, x3 = x_arr
     d1, d2, d3 = d_arr
@@ -318,7 +342,7 @@ def integrate(
     is returned with the matching error tag instead of raising.
     """
     n = int(round(t_final / config.h))
-    if abs(n * config.h - t_final) > 0.5 * config.h:
+    if abs(n * config.h - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a multiple of h={config.h}")
     if n < 2:
         raise ValueError(f"need at least 2 steps, got n={n}")
@@ -337,9 +361,12 @@ def integrate(
 
     mu0 = config.effective_mu0
     d1 = window.x_curr - window.x_prev
+    loop = None
     if isinstance(field_model, ToroidalFieldModel) and field_model.poly is not None:
+        loop = _kernels.compiled_loop()
+    if loop is not None:
         a0, a1, a2, c_e = field_model.poly
-        status, k, steps = _kernels.two_step_loop(
+        status, k, steps = loop(
             n,
             sample_every,
             config.h,

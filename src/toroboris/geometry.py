@@ -98,8 +98,9 @@ class ToroidalFieldModel:
     def bemod(self, x1: float, x2: float, x3: float, mu0: float):
         """B and the modified electric field E - mu0 grad|B| at a point.
 
-        Scalar fast path used by the step loop; mirrors the compiled kernel
-        arithmetic operation for operation.
+        Scalar path used by the Python step loop and the one-step pusher;
+        _kernel.c inlines this arithmetic for the closed-form family
+        operation for operation.
         """
         r = sqrt(x1 * x1 + x2 * x2)
         if r < self.r_min:
@@ -109,23 +110,12 @@ class ToroidalFieldModel:
         er1 = x1 * inv_r
         er2 = x2 * inv_r
         inv_eps = 1.0 / self.epsilon
-        if self.poly is not None:
-            a0, a1, a2, c = self.poly
-            bb = a0 + a1 * r + a2 * z * z
-            if bb <= self.b_min:
-                raise DomainError(bb, self.b_min)
-            scale = bb * inv_eps
-            gr = a1 * inv_eps * mu0
-            gz = 2.0 * a2 * z * inv_eps * mu0
-            em_r = c * z - gr
-            em_z = c * r - gz
-        else:
-            bb = self.b(r, z)
-            if bb <= self.b_min:
-                raise DomainError(bb, self.b_min)
-            scale = bb * inv_eps
-            em_r = self.E_r(r, z) - self.db_dr(r, z) * inv_eps * mu0
-            em_z = self.E_z(r, z) - self.db_dz(r, z) * inv_eps * mu0
+        bb = self.b(r, z)
+        if bb <= self.b_min:
+            raise DomainError(bb, self.b_min)
+        scale = bb * inv_eps
+        em_r = self.E_r(r, z) - self.db_dr(r, z) * inv_eps * mu0
+        em_z = self.E_z(r, z) - self.db_dz(r, z) * inv_eps * mu0
         return (-scale * er2, scale * er1, 0.0, em_r * er1, em_r * er2, em_z)
 
     def sample(self, x) -> FieldSample:

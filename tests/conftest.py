@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import toroboris as tb
+from toroboris import _kernels
 
 # Benchmark initial data used across the suite.
 X0 = (1 / 3, 1 / 4, 1 / 2)
@@ -29,9 +30,17 @@ def mu0_1e3(model_1e3):
     return tb.magnetic_moment(X0, V0, model_1e3)
 
 
+def pytest_report_header(config):
+    _kernels.compiled_loop()
+    line = f"toroboris stepping kernel: {_kernels.BACKEND}"
+    if _kernels.FALLBACK_REASON:
+        line += f" (fallback: {_kernels.FALLBACK_REASON})"
+    return line
+
+
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel(model_1e3):
-    """Compile the stepping kernel once so timed tests see steady state."""
+    """Build or load the stepping kernel once so timed tests see steady state."""
     cfg = tb.PusherConfig(h=0.04, variant="standard")
     tb.integrate(X0, V0, model_1e3, cfg, 0.08, sample_every=1)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import shutil
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
+from toroboris import _kernels
 from toroboris.errors import AxisSingularity
 
 from conftest import X0, V0
@@ -241,6 +243,9 @@ def test_compiled_and_generic_paths_identical(model_1e3, mu0_1e3):
     cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0_1e3)
     generic_model = dataclasses.replace(model_1e3, poly=None)
     a = tb.integrate(X0, V0, model_1e3, cfg, 200.0, sample_every=1)
+    # with a compiler on PATH the closed-form side must have run the C kernel
+    if shutil.which("cc"):
+        assert _kernels.BACKEND == "c", _kernels.FALLBACK_REASON
     b = tb.integrate(X0, V0, generic_model, cfg, 200.0, sample_every=1)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.v, b.v)
@@ -347,6 +352,14 @@ def test_integrate_rejects_short_runs(model_1e3):
         tb.integrate(X0, V0, model_1e3, cfg, 0.0)
     with pytest.raises(ValueError):
         tb.integrate(X0, V0, model_1e3, cfg, 0.04)
+
+
+def test_integrate_rejects_t_final_off_the_step_grid(model_1e3):
+    # 0.09 / 0.04 rounds to 2 steps, which would silently stop at t = 0.08
+    cfg = tb.PusherConfig(h=0.04, variant="standard")
+    with pytest.raises(ValueError, match="multiple"):
+        tb.integrate(X0, V0, model_1e3, cfg, 0.09)
+    assert tb.integrate(X0, V0, model_1e3, cfg, 0.12).t[-1] == pytest.approx(0.12)
 
 
 def test_integrate_axis_abort_tags_partial_trajectory():
