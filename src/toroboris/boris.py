@@ -273,8 +273,9 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
     _kernel.c transcribes this loop line for line for the closed-form
     family; keep the expression shapes of both aligned.
     """
-    x1, x2, x3 = x_arr
-    d1, d2, d3 = d_arr
+    # Python floats: arithmetic on numpy scalars would double the cost of each step
+    x1, x2, x3 = map(float, x_arr)
+    d1, d2, d3 = map(float, d_arr)
     half_h = 0.5 * h
     h2 = h * h
     inv_2h = 1.0 / (2.0 * h)

@@ -6,53 +6,34 @@ byte-identical outputs.  All file writes go through a temp-file rename, so
 a failing run never leaves a partial file behind.
 
 Exit codes: 0 success, 2 configuration or schema error, 3 runtime domain
-error (axis singularity, field domain, runaway guard, budget), 4 a scaling
-gate failed (converge / theorem1).  Diagnostics go to stderr as a single
-JSON line.
+error (axis singularity, field domain, runaway guard, budget, arithmetic
+overflow, memory), 4 a scaling gate failed (converge / theorem1).
+Diagnostics go to stderr as a single JSON line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boris import Trajectory, magnetic_moment
-from .drift import DriftConfig, DriftTrajectory, drift_init, drift_integrate
-from .errors import (
-    AxisSingularity,
-    BudgetExceeded,
-    DomainError,
-    GridMismatch,
-    SanityGuard,
-    SchemaError,
-    ToroborisError,
-)
+from .drift import DriftConfig, drift_init, drift_integrate
+from .errors import SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
 from .harness import (
-    DEFAULT_BUDGET,
-    ErrorSeries,
-    ExperimentSpec,
-    convergence_study,
-    error_vs_drift,
-    error_vs_reference,
-    observables,
-    run_drift,
-    run_reference,
-    run_trajectory,
-    theorem1_suite,
+    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _check_grid, convergence_study, error_vs_drift,
+    error_vs_reference, observables, run_drift, run_reference, run_trajectory, theorem1_suite,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_GATE = 4
-
-_RUNTIME_ERRORS = (AxisSingularity, DomainError, SanityGuard, BudgetExceeded, GridMismatch)
 
 
 def _fmt(x: float) -> str:
@@ -73,252 +54,212 @@ def _diag(name: str, message: str, **extra) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
+#
+# A check takes (value, path), returns the parsed value and raises
+# SchemaError at the JSON-pointer-style path otherwise.  A schema table maps
+# each key to (check, default): _REQUIRED keys must be present; a default of
+# None makes the key optional with no value (an explicit null is accepted);
+# any other default goes through the check when the key is absent, which
+# fills the defaults of nested objects.
+
+_REQUIRED = object()
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
+def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the binary64 range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, "number must be finite")
+    return number
 
 
-def _check_keys(obj: dict, path: str, required: set, optional: set) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{path}/{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{path}/{key}", "missing required key")
+def _typed(kind: type, name: str):
+    """Accept instances of kind; bool, a subclass of int, is not an integer."""
+    def check(value, path: str):
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise SchemaError(path, f"expected {name}")
+        return value
+
+    return check
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise SchemaError(f"{path}/{key}", "missing required key")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}/{key}", "expected a number")
-    v = float(v)
-    if not np.isfinite(v):
-        raise SchemaError(f"{path}/{key}", "number must be finite")
-    return v
+_INTEGER = _typed(int, "an integer")
+_STRING = _typed(str, "a string")
+_BOOLEAN = _typed(bool, "a boolean")
 
 
-def _integer(obj: dict, key: str, path: str, default=None) -> int:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}/{key}", "expected an integer")
-    return v
+def _bounded(check, accept, message: str):
+    """check, then reject a parsed value v unless accept(v); message may format v."""
+    def bounded(value, path: str):
+        parsed = check(value, path)
+        if not accept(parsed):
+            raise SchemaError(path, message.format(parsed))
+        return parsed
+
+    return bounded
 
 
-def _string(obj: dict, key: str, path: str, default=None, choices=None) -> str:
-    if key not in obj:
-        if default is None:
-            raise SchemaError(f"{path}/{key}", "missing required key")
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        raise SchemaError(f"{path}/{key}", "expected a string")
-    if choices is not None and v not in choices:
-        raise SchemaError(f"{path}/{key}", f"expected one of {sorted(choices)}, got {v!r}")
-    return v
+def _choice(*options: str):
+    message = f"expected one of {sorted(options)}, got {{!r}}"
+    return _bounded(_STRING, lambda v: v in options, message)
 
 
-def _vec3(obj: dict, key: str, path: str) -> tuple[float, float, float]:
-    if key not in obj:
-        raise SchemaError(f"{path}/{key}", "missing required key")
-    v = obj[key]
-    if not isinstance(v, list) or len(v) != 3:
-        raise SchemaError(f"{path}/{key}", "expected an array of 3 numbers")
-    out = []
-    for i, comp in enumerate(v):
-        if isinstance(comp, bool) or not isinstance(comp, (int, float)):
-            raise SchemaError(f"{path}/{key}/{i}", "expected a number")
-        if not np.isfinite(float(comp)):
-            raise SchemaError(f"{path}/{key}/{i}", "number must be finite")
-        out.append(float(comp))
-    return tuple(out)
+def _array(item, what: str, size: int | None = None, min_size: int = 0):
+    """A JSON array of item values (exactly size, or at least min_size) as a tuple."""
+    def check(value, path: str) -> tuple:
+        if not isinstance(value, list) or len(value) < min_size or size not in (None, len(value)):
+            raise SchemaError(path, f"expected {what}")
+        return tuple(item(v, f"{path}/{i}") for i, v in enumerate(value))
+
+    return check
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    preset: str
-    a0: float
-    a1: float
-    a2: float
-    c: float
+def _object(table: dict):
+    """A JSON object checked against table: unknown keys, then missing ones, then values."""
+    def check(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise SchemaError(path, f"expected an object, got {type(value).__name__}")
+        for key in value:
+            if key not in table:
+                raise SchemaError(f"{path}/{key}", "unknown key")
+        for key, (_, default) in table.items():
+            if default is _REQUIRED and key not in value:
+                raise SchemaError(f"{path}/{key}", "missing required key")
+        out = {}
+        for key, (check_key, default) in table.items():
+            given = value.get(key, default)
+            keep_null = given is None and default is None
+            out[key] = None if keep_null else check_key(given, f"{path}/{key}")
+        return out
 
-    def build(self, epsilon: float, r_min: float) -> ToroidalFieldModel:
-        return toroidal_model(
-            epsilon, a0=self.a0, a1=self.a1, a2=self.a2, c=self.c, r_min=r_min
-        )
-
-    def to_dict(self) -> dict:
-        return {"preset": self.preset, "a0": self.a0, "a1": self.a1, "a2": self.a2, "c": self.c}
-
-
-def _parse_field(obj: dict, path: str) -> FieldConfig:
-    field = _expect_object(obj, path)
-    _check_keys(field, path, {"preset"}, {"a0", "a1", "a2", "c"})
-    preset = _string(field, "preset", path, choices={PRESET_NAME})
-    return FieldConfig(
-        preset=preset,
-        a0=_number(field, "a0", path, default=0.0),
-        a1=_number(field, "a1", path, default=1.0),
-        a2=_number(field, "a2", path, default=1.0),
-        c=_number(field, "c", path, default=0.1),
-    )
+    return check
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated simulate/drift/compare configuration with defaults filled."""
+_POSITIVE = _bounded(_finite, lambda v: v > 0, "must be positive")
+_NONNEGATIVE = _bounded(_finite, lambda v: v >= 0, "must be nonnegative")
+# 2**53 keeps step budgets exact as binary64 and probe counts in numpy's size range.
+_COUNT = _bounded(_INTEGER, lambda v: 0 < v <= 2**53, "must lie in [1, 2**53]")
+_UNIT = _bounded(_finite, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {}")
+_PAIR = _array(_finite, "[low, high]", size=2)
+_VEC3 = _array(_finite, "an array of 3 numbers", size=3)
 
-    epsilon: float
-    h: float
-    t_final: float
-    variant: str
-    field: FieldConfig
-    x0: tuple[float, float, float]
-    v0: tuple[float, float, float]
-    output_path: str
-    stride: float
-    summary_path: str | None
-    r_min: float
-    budget_steps: int
-    c: float
-    dtau: float
-    against: str
-    ref_h_factor: float
-    ref_filtered: bool
+# Entries shared by the tables below.
+_FIELD = _object({
+    "preset": (_choice(PRESET_NAME), _REQUIRED),
+    "a0": (_finite, 0.0), "a1": (_finite, 1.0), "a2": (_finite, 1.0), "c": (_finite, 0.1),
+})
+_ORBIT = {"field": (_FIELD, _REQUIRED), "x0": (_VEC3, _REQUIRED), "v0": (_VEC3, _REQUIRED)}
+_LIMITS = {
+    "c": (_POSITIVE, 0.5), "dtau": (_POSITIVE, 1e-4),
+    "budget_steps": (_COUNT, DEFAULT_BUDGET),
+}
+_R_MIN = (_POSITIVE, 1e-9)
+_STUDY_OUTPUT = _object({"path": (_STRING, _REQUIRED), "csv_dir": (_STRING, None)})
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "h": self.h,
-            "t_final": self.t_final,
-            "variant": self.variant,
-            "field": self.field.to_dict(),
-            "x0": list(self.x0),
-            "v0": list(self.v0),
-            "output": {
-                "path": self.output_path,
-                "stride": self.stride,
-                **({"summary_path": self.summary_path} if self.summary_path else {}),
-            },
-            "r_min": self.r_min,
-            "budget_steps": self.budget_steps,
-            "c": self.c,
-            "dtau": self.dtau,
-            "against": self.against,
-            "reference": {"h_factor": self.ref_h_factor, "filtered": self.ref_filtered},
-        }
+# simulate, drift and compare; parse_config fills the stride default max(h, 0.5).
+_RUN = _object({
+    "epsilon": (_UNIT, _REQUIRED),
+    "h": (_POSITIVE, _REQUIRED),
+    "t_final": (_NONNEGATIVE, _REQUIRED),
+    "variant": (_choice("standard", "modified"), _REQUIRED),
+    **_ORBIT,
+    "output": (_object({
+        "path": (_STRING, _REQUIRED),
+        "stride": (_POSITIVE, None),
+        "summary_path": (_STRING, None),
+    }), _REQUIRED),
+    "r_min": _R_MIN,
+    **_LIMITS,
+    "against": (_choice("reference", "drift"), "reference"),
+    "reference": (_object({"h_factor": (_UNIT, 0.05), "filtered": (_BOOLEAN, False)}), {}),
+})
 
-    def model(self) -> ToroidalFieldModel:
-        return self.field.build(self.epsilon, self.r_min)
+# converge: scaled_pairs mode needs pairs, fixed_eps mode epsilon and h_list.
+_CONVERGE = _object({
+    "mode": (_choice("scaled_pairs", "fixed_eps"), _REQUIRED),
+    **_ORBIT,
+    "output": (_STUDY_OUTPUT, _REQUIRED),
+    "pairs": (_array(_array(_POSITIVE, "[epsilon, h]", size=2),
+                     "a list of at least 2 [epsilon, h] pairs", min_size=2), None),
+    "h_list": (_array(_POSITIVE, "a list of at least 2 step sizes", min_size=2), None),
+    "epsilon": (_UNIT, None),
+    "stride": (_POSITIVE, None),
+    "order_band": (_PAIR, [1.7, 2.3]),
+    **_LIMITS,
+})
 
-    def spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            field=self.model(),
-            x0=self.x0,
-            v0=self.v0,
-            h=self.h,
-            t_final=self.t_final,
-            variant=self.variant,
-            dt_out=self.stride,
-            ref_h_factor=self.ref_h_factor,
-            ref_filtered_init=self.ref_filtered,
-            c=self.c,
-            budget_steps=self.budget_steps,
-            dtau=self.dtau,
-        )
+_THEOREM1 = _object({
+    "eps_list": (_array(_UNIT, "a non-empty list of numbers", min_size=1), _REQUIRED),
+    **_ORBIT,
+    "output": (_STUDY_OUTPUT, _REQUIRED),
+    "stride": (_POSITIVE, 0.5),
+    **_LIMITS,
+})
+
+_CHECK_FIELD = _object({
+    "epsilon": (_UNIT, _REQUIRED),
+    "field": (_FIELD, _REQUIRED),
+    "probes": (_object({
+        "count": (_COUNT, 50),
+        "seed": (_bounded(_INTEGER, lambda v: v >= 0, "must be nonnegative"), 0),
+        "r_range": (_PAIR, [0.25, 1.0]),
+        "z_range": (_PAIR, [-0.75, 0.75]),
+    }), {}),
+    "delta": (_finite, 1e-6),
+    "output": (_object({"path": (_STRING, _REQUIRED)}), None),
+    "r_min": _R_MIN,
+})
 
 
-def parse_config(text: str) -> RunConfig:
+def _decode(text: str, schema) -> dict:
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise SchemaError("", f"invalid JSON: {e}") from e
+    return schema(raw, "")
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as f:
+        return f.read()
+
+
+def parse_config(text: str) -> dict:
     """Parse and validate a run configuration, filling defaults.
 
     Unknown keys are rejected; errors carry a JSON-pointer-style path to
-    the offending key.
+    the offending key.  The result is a dict shaped like the JSON.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("", f"invalid JSON: {e}") from e
-    obj = _expect_object(raw, "")
-    _check_keys(
-        obj,
-        "",
-        {"epsilon", "h", "t_final", "variant", "field", "x0", "v0", "output"},
-        {"r_min", "budget_steps", "c", "dtau", "against", "reference"},
-    )
-    epsilon = _number(obj, "epsilon", "")
-    if not 0.0 < epsilon <= 1.0:
-        raise SchemaError("/epsilon", f"must lie in (0, 1], got {epsilon}")
-    h = _number(obj, "h", "")
-    if h <= 0.0:
-        raise SchemaError("/h", "must be positive")
-    t_final = _number(obj, "t_final", "")
-    if t_final < 0.0:
-        raise SchemaError("/t_final", "must be nonnegative")
-    variant = _string(obj, "variant", "", choices={"standard", "modified"})
-    field = _parse_field(obj.get("field"), "/field")
-    x0 = _vec3(obj, "x0", "")
-    v0 = _vec3(obj, "v0", "")
-    output = _expect_object(obj.get("output"), "/output")
-    _check_keys(output, "/output", {"path"}, {"stride", "summary_path"})
-    output_path = _string(output, "path", "/output")
-    stride = _number(output, "stride", "/output", default=max(h, 0.5))
-    if stride <= 0.0:
-        raise SchemaError("/output/stride", "must be positive")
-    summary_path = output.get("summary_path")
-    if summary_path is not None and not isinstance(summary_path, str):
-        raise SchemaError("/output/summary_path", "expected a string")
-    r_min = _number(obj, "r_min", "", default=1e-9)
-    if r_min <= 0.0:
-        raise SchemaError("/r_min", "must be positive")
-    budget = _integer(obj, "budget_steps", "", default=DEFAULT_BUDGET)
-    if budget <= 0:
-        raise SchemaError("/budget_steps", "must be positive")
-    c = _number(obj, "c", "", default=0.5)
-    if c <= 0.0:
-        raise SchemaError("/c", "must be positive")
-    dtau = _number(obj, "dtau", "", default=1e-4)
-    against = _string(obj, "against", "", default="reference", choices={"reference", "drift"})
-    ref = obj.get("reference", {})
-    ref = _expect_object(ref, "/reference")
-    _check_keys(ref, "/reference", set(), {"h_factor", "filtered"})
-    ref_h_factor = _number(ref, "h_factor", "/reference", default=0.05)
-    if not 0.0 < ref_h_factor <= 1.0:
-        raise SchemaError("/reference/h_factor", "must lie in (0, 1]")
-    ref_filtered = ref.get("filtered", False)
-    if not isinstance(ref_filtered, bool):
-        raise SchemaError("/reference/filtered", "expected a boolean")
-    return RunConfig(
-        epsilon=epsilon,
-        h=h,
-        t_final=t_final,
-        variant=variant,
-        field=field,
-        x0=x0,
-        v0=v0,
-        output_path=output_path,
-        stride=stride,
-        summary_path=summary_path,
-        r_min=r_min,
-        budget_steps=budget,
-        c=c,
-        dtau=dtau,
-        against=against,
-        ref_h_factor=ref_h_factor,
-        ref_filtered=ref_filtered,
+    config = _decode(text, _RUN)
+    if config["output"]["stride"] is None:
+        config["output"]["stride"] = max(config["h"], 0.5)
+    return config
+
+
+def serialize_config(config: dict) -> str:
+    return json.dumps(config, indent=2)
+
+
+def _model(field: dict, epsilon: float, r_min: float = 1e-9) -> ToroidalFieldModel:
+    return toroidal_model(
+        epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], r_min=r_min
     )
 
 
-def serialize_config(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2)
+def _run_spec(config: dict) -> ExperimentSpec:
+    return ExperimentSpec(
+        field=_model(config["field"], config["epsilon"], config["r_min"]),
+        x0=config["x0"], v0=config["v0"], h=config["h"], t_final=config["t_final"],
+        variant=config["variant"], dt_out=config["output"]["stride"],
+        ref_h_factor=config["reference"]["h_factor"],
+        ref_filtered_init=config["reference"]["filtered"],
+        c=config["c"], budget_steps=config["budget_steps"], dtau=config["dtau"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,43 +270,23 @@ DRIFT_HEADER = "t,r,z,vpar,rv_invariant"
 ERROR_HEADER = "t,err_r,err_z,err_vpar"
 
 
+def _columns_csv(header: str, *columns) -> str:
+    """One line per sample, one field per column array."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     obs = observables(traj)
-    lines = [TRAJECTORY_HEADER]
-    for i in range(len(traj)):
-        row = (
-            traj.t[i],
-            traj.x[i, 0],
-            traj.x[i, 1],
-            traj.x[i, 2],
-            traj.v[i, 0],
-            traj.v[i, 1],
-            traj.v[i, 2],
-            obs.r[i],
-            obs.z[i],
-            obs.vpar[i],
-            obs.mu[i],
-            obs.energy[i],
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def drift_csv(traj: DriftTrajectory) -> str:
-    lines = [DRIFT_HEADER]
-    rv = traj.rv_invariant
-    for i in range(len(traj)):
-        row = (traj.t[i], traj.r[i], traj.z[i], traj.vpar[i], rv[i])
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _columns_csv(
+        TRAJECTORY_HEADER, traj.t, *traj.x.T, *traj.v.T, obs.r, obs.z, obs.vpar, obs.mu, obs.energy
+    )
 
 
 def error_csv(err: ErrorSeries) -> str:
-    lines = [ERROR_HEADER]
-    for i in range(len(err.t)):
-        row = (err.t[i], err.err_r[i], err.err_z[i], err.err_vpar[i])
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _columns_csv(ERROR_HEADER, err.t, err.err_r, err.err_z, err.err_vpar)
 
 
 def read_series_csv(path: str, columns: tuple[str, ...]):
@@ -377,12 +298,15 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
             raise SchemaError(f"/{path}", f"CSV lacks columns {missing}")
         idx = [header.index(c) for c in columns]
         rows = []
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
+            if len(parts) != len(header):
+                raise SchemaError(f"/{path}", f"line {lineno}: expected {len(header)} fields")
             rows.append([float(parts[i]) for i in idx])
+    if not rows:
+        raise SchemaError(f"/{path}", "CSV has no data rows")
     data = np.asarray(rows, dtype=float)
     return {c: data[:, k] for k, c in enumerate(columns)}
 
@@ -391,26 +315,10 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
 # subcommands
 
 
-def _load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("", f"invalid JSON: {e}") from e
-    return _expect_object(raw, "")
-
-
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    spec = config.spec()
-    traj = run_trajectory(spec)
-    _atomic_write(config.output_path, trajectory_csv(traj))
+    config = parse_config(_read(args.config))
+    traj = run_trajectory(_run_spec(config))
+    _atomic_write(config["output"]["path"], trajectory_csv(traj))
     if traj.error is not None:
         _diag("RuntimeDomainError", f"run aborted: {traj.error}", tag=traj.error,
               steps=traj.steps_completed)
@@ -419,13 +327,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    config = _load_config(args.config)
-    model = config.model()
-    s0 = drift_init(config.x0, config.v0, model)
-    mu0 = magnetic_moment(config.x0, config.v0, model)
-    dconf = DriftConfig(epsilon=config.epsilon, mu0=mu0, dtau=config.dtau, dt_out=config.stride)
-    traj = drift_integrate(s0, model, dconf, config.t_final)
-    _atomic_write(config.output_path, drift_csv(traj))
+    config = parse_config(_read(args.config))
+    model = _model(config["field"], config["epsilon"], config["r_min"])
+    s0 = drift_init(config["x0"], config["v0"], model)
+    mu0 = magnetic_moment(config["x0"], config["v0"], model)
+    dconf = DriftConfig(epsilon=config["epsilon"], mu0=mu0, dtau=config["dtau"],
+                        dt_out=config["output"]["stride"], budget_steps=config["budget_steps"])
+    traj = drift_integrate(s0, model, dconf, config["t_final"])
+    columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
+    _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
     return EXIT_OK
 
 
@@ -433,16 +343,17 @@ def _compare_from_csvs(path_a: str, path_b: str) -> ErrorSeries:
     cols = ("t", "r", "z", "vpar")
     a = read_series_csv(path_a, cols)
     b = read_series_csv(path_b, cols)
-    if len(a["t"]) != len(b["t"]) or np.max(np.abs(a["t"] - b["t"])) > 1e-12:
-        raise GridMismatch(
-            float(np.max(np.abs(a["t"] - b["t"]))) if len(a["t"]) == len(b["t"]) else float("inf")
-        )
-    return ErrorSeries(
-        t=a["t"],
-        err_r=np.abs(a["r"] - b["r"]),
-        err_z=np.abs(a["z"] - b["z"]),
-        err_vpar=np.abs(a["vpar"] - b["vpar"]),
-    )
+    _check_grid(a["t"], b["t"])
+    return ErrorSeries(a["t"], *(np.abs(a[c] - b[c]) for c in cols[1:]))
+
+
+def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) -> int:
+    _atomic_write(path, error_csv(err))
+    if summary_path:
+        _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
+    else:
+        print(json.dumps(summary))
+    return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
@@ -452,25 +363,19 @@ def _cmd_compare(args) -> int:
             return EXIT_CONFIG
         err = _compare_from_csvs(args.csv_a, args.csv_b)
         summary = {"max_err": err.max_by_component(), "n_samples": len(err.t)}
-        _atomic_write(args.out, error_csv(err))
-        if args.summary:
-            _atomic_write(args.summary, json.dumps(summary, indent=2) + "\n")
-        else:
-            print(json.dumps(summary))
-        return EXIT_OK
+        return _report_compare(err, summary, args.out, args.summary)
     if not args.config:
         _diag("ConfigError", "compare needs either --config or --csv-a/--csv-b/--out")
         return EXIT_CONFIG
-    config = _load_config(args.config)
-    spec = config.spec()
+    config = parse_config(_read(args.config))
+    spec = _run_spec(config)
     traj = run_trajectory(spec)
     if traj.error is not None:
         _diag("RuntimeDomainError", f"run aborted: {traj.error}", tag=traj.error)
         return EXIT_RUNTIME
     obs = observables(traj)
-    if config.against == "drift":
-        comparator = run_drift(spec, sample_times=traj.t)
-        err = error_vs_drift(obs, comparator)
+    if config["against"] == "drift":
+        err = error_vs_drift(obs, run_drift(spec, sample_times=traj.t))
         ref_steps = None
     else:
         ref = run_reference(spec)
@@ -482,187 +387,90 @@ def _cmd_compare(args) -> int:
     summary = {
         "max_err": err.max_by_component(),
         "n_samples": len(err.t),
-        "against": config.against,
-        "epsilon": config.epsilon,
-        "h": config.h,
-        "variant": config.variant,
+        "against": config["against"],
+        "epsilon": config["epsilon"],
+        "h": config["h"],
+        "variant": config["variant"],
         "steps": {"run": traj.steps_completed, "reference": ref_steps},
         "sigma_min": traj.sigma_min,
         "warnings": traj.warnings,
     }
-    _atomic_write(config.output_path, error_csv(err))
-    if config.summary_path:
-        _atomic_write(config.summary_path, json.dumps(summary, indent=2) + "\n")
-    else:
-        print(json.dumps(summary))
+    output = config["output"]
+    return _report_compare(err, summary, output["path"], output["summary_path"])
+
+
+def _report_study(output: dict, report, csv_names: list, message: str, **extra) -> int:
+    """Write a study's error CSVs (when csv_dir is set) and report; exit 4 on a failed gate."""
+    csv_dir = output["csv_dir"]
+    if csv_dir is not None:
+        os.makedirs(csv_dir, exist_ok=True)
+        for name, err in zip(csv_names, report.series):
+            _atomic_write(os.path.join(csv_dir, name), error_csv(err))
+    _atomic_write(output["path"], json.dumps(report.to_dict(), indent=2) + "\n")
+    if not report.passed:
+        _diag("GateFailure", message, **extra)
+        return EXIT_GATE
     return EXIT_OK
-
-
-def _parse_converge_config(obj: dict):
-    _check_keys(
-        obj,
-        "",
-        {"mode", "field", "x0", "v0", "output"},
-        {"pairs", "h_list", "epsilon", "c", "stride", "dtau", "budget_steps", "order_band"},
-    )
-    mode = _string(obj, "mode", "", choices={"scaled_pairs", "fixed_eps"})
-    field = _parse_field(obj.get("field"), "/field")
-    x0 = _vec3(obj, "x0", "")
-    v0 = _vec3(obj, "v0", "")
-    output = _expect_object(obj.get("output"), "/output")
-    _check_keys(output, "/output", {"path"}, {"csv_dir"})
-    c = _number(obj, "c", "", default=0.5)
-    dtau = _number(obj, "dtau", "", default=1e-4)
-    budget = _integer(obj, "budget_steps", "", default=DEFAULT_BUDGET)
-    band = obj.get("order_band", [1.7, 2.3])
-    if not isinstance(band, list) or len(band) != 2:
-        raise SchemaError("/order_band", "expected [low, high]")
-    pairs = None
-    h_list = None
-    epsilon = None
-    if mode == "scaled_pairs":
-        raw_pairs = obj.get("pairs")
-        if not isinstance(raw_pairs, list) or len(raw_pairs) < 2:
-            raise SchemaError("/pairs", "expected a list of at least 2 [epsilon, h] pairs")
-        pairs = []
-        for i, p in enumerate(raw_pairs):
-            if not isinstance(p, list) or len(p) != 2:
-                raise SchemaError(f"/pairs/{i}", "expected [epsilon, h]")
-            pairs.append((float(p[0]), float(p[1])))
-    else:
-        epsilon = _number(obj, "epsilon", "")
-        raw_h = obj.get("h_list")
-        if not isinstance(raw_h, list) or len(raw_h) < 2:
-            raise SchemaError("/h_list", "expected a list of at least 2 step sizes")
-        h_list = [float(v) for v in raw_h]
-    stride = obj.get("stride")
-    return {
-        "mode": mode,
-        "field": field,
-        "x0": x0,
-        "v0": v0,
-        "output_path": _string(output, "path", "/output"),
-        "csv_dir": output.get("csv_dir"),
-        "c": c,
-        "dtau": dtau,
-        "budget": budget,
-        "band": (float(band[0]), float(band[1])),
-        "pairs": pairs,
-        "h_list": h_list,
-        "epsilon": epsilon,
-        "stride": stride,
-    }
 
 
 def _cmd_converge(args) -> int:
-    cfg = _parse_converge_config(_load_json(args.config))
-    if cfg["mode"] == "scaled_pairs":
-        eps0, h0 = cfg["pairs"][0]
-    else:
-        eps0, h0 = cfg["epsilon"], cfg["h_list"][0]
-    base_model = cfg["field"].build(eps0, 1e-9)
+    cfg = _decode(_read(args.config), _CONVERGE)
+    scaled = cfg["mode"] == "scaled_pairs"
+    for key in ("pairs",) if scaled else ("epsilon", "h_list"):
+        if cfg[key] is None:
+            raise SchemaError(f"/{key}", "missing required key")
+    eps0, h0 = cfg["pairs"][0] if scaled else (cfg["epsilon"], cfg["h_list"][0])
     base_spec = ExperimentSpec(
-        field=base_model,
-        x0=cfg["x0"],
-        v0=cfg["v0"],
-        h=h0,
-        t_final=cfg["c"] / eps0,
-        variant="modified",
-        dt_out=cfg["stride"],
-        c=cfg["c"],
-        budget_steps=cfg["budget"],
-        dtau=cfg["dtau"],
+        field=_model(cfg["field"], eps0), x0=cfg["x0"], v0=cfg["v0"], h=h0,
+        t_final=cfg["c"] / eps0, variant="modified", dt_out=cfg["stride"], c=cfg["c"],
+        budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
-    csv_dir = cfg["csv_dir"]
     report = convergence_study(
-        base_spec,
-        cfg["mode"],
-        h_list=cfg["h_list"],
-        pairs=cfg["pairs"],
-        order_band=cfg["band"],
-        keep_series=csv_dir is not None,
+        base_spec, cfg["mode"], h_list=cfg["h_list"], pairs=cfg["pairs"],
+        order_band=cfg["order_band"], keep_series=cfg["output"]["csv_dir"] is not None,
     )
-    if csv_dir is not None:
-        os.makedirs(csv_dir, exist_ok=True)
-        for point, err in zip(report.points, report.series):
-            name = f"errors_eps{point.epsilon:g}_h{point.h:g}.csv"
-            _atomic_write(os.path.join(csv_dir, name), error_csv(err))
-    _atomic_write(cfg["output_path"], json.dumps(report.to_dict(), indent=2) + "\n")
-    if not report.passed:
-        _diag("GateFailure", "convergence order gate failed", slopes=report.slopes)
-        return EXIT_GATE
-    return EXIT_OK
+    names = [f"errors_eps{p.epsilon:g}_h{p.h:g}.csv" for p in report.points]
+    return _report_study(
+        cfg["output"], report, names, "convergence order gate failed", slopes=report.slopes
+    )
 
 
 def _cmd_theorem1(args) -> int:
-    obj = _load_json(args.config)
-    _check_keys(
-        obj,
-        "",
-        {"eps_list", "field", "x0", "v0", "output"},
-        {"c", "stride", "dtau", "budget_steps"},
-    )
-    raw_eps = obj.get("eps_list")
-    if not isinstance(raw_eps, list) or not raw_eps:
-        raise SchemaError("/eps_list", "expected a non-empty list of numbers")
-    eps_list = [float(v) for v in raw_eps]
-    field = _parse_field(obj.get("field"), "/field")
-    x0 = _vec3(obj, "x0", "")
-    v0 = _vec3(obj, "v0", "")
-    output = _expect_object(obj.get("output"), "/output")
-    _check_keys(output, "/output", {"path"}, {"csv_dir"})
-    c = _number(obj, "c", "", default=0.5)
-    stride = _number(obj, "stride", "", default=0.5)
-    dtau = _number(obj, "dtau", "", default=1e-4)
-    budget = _integer(obj, "budget_steps", "", default=DEFAULT_BUDGET)
-    csv_dir = output.get("csv_dir")
+    cfg = _decode(_read(args.config), _THEOREM1)
     report = theorem1_suite(
-        lambda eps: field.build(eps, 1e-9),
-        eps_list,
-        c,
-        x0,
-        v0,
-        dt_out=stride,
-        budget_steps=budget,
-        dtau=dtau,
-        keep_series=csv_dir is not None,
+        lambda eps: _model(cfg["field"], eps), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
+        dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
+        keep_series=cfg["output"]["csv_dir"] is not None,
     )
-    if csv_dir is not None:
-        os.makedirs(csv_dir, exist_ok=True)
-        for eps, err in zip(report.eps_list, report.series):
-            _atomic_write(os.path.join(csv_dir, f"errors_eps{eps:g}.csv"), error_csv(err))
-    _atomic_write(_string(output, "path", "/output"), json.dumps(report.to_dict(), indent=2) + "\n")
-    if not report.passed:
-        _diag("GateFailure", "epsilon scaling gate failed", ratios=report.ratios)
-        return EXIT_GATE
-    return EXIT_OK
+    names = [f"errors_eps{eps:g}.csv" for eps in report.eps_list]
+    return _report_study(
+        cfg["output"], report, names, "epsilon scaling gate failed", ratios=report.ratios
+    )
 
 
 def _cmd_check_field(args) -> int:
-    obj = _load_json(args.config)
-    _check_keys(obj, "", {"epsilon", "field"}, {"probes", "delta", "output", "r_min"})
-    epsilon = _number(obj, "epsilon", "")
-    field = _parse_field(obj.get("field"), "/field")
-    r_min = _number(obj, "r_min", "", default=1e-9)
-    probes_cfg = _expect_object(obj.get("probes", {}), "/probes")
-    _check_keys(probes_cfg, "/probes", set(), {"count", "seed", "r_range", "z_range"})
-    count = _integer(probes_cfg, "count", "/probes", default=50)
-    seed = _integer(probes_cfg, "seed", "/probes", default=0)
-    r_range = tuple(probes_cfg.get("r_range", (0.25, 1.0)))
-    z_range = tuple(probes_cfg.get("z_range", (-0.75, 0.75)))
-    delta = _number(obj, "delta", "", default=1e-6)
-    model = field.build(epsilon, r_min)
-    probes = toroidal_probes(count, seed=seed, r_range=r_range, z_range=z_range)
-    report = check_field(model, probes, delta=delta)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    output = obj.get("output")
-    if output is not None:
-        output = _expect_object(output, "/output")
-        _check_keys(output, "/output", {"path"}, set())
-        _atomic_write(_string(output, "path", "/output"), text)
-    else:
+    cfg = _decode(_read(args.config), _CHECK_FIELD)
+    probes = cfg["probes"]
+    points = toroidal_probes(
+        probes["count"], seed=probes["seed"], r_range=probes["r_range"], z_range=probes["z_range"]
+    )
+    model = _model(cfg["field"], cfg["epsilon"], cfg["r_min"])
+    text = json.dumps(check_field(model, points, delta=cfg["delta"]).to_dict(), indent=2) + "\n"
+    if cfg["output"] is None:
         print(text, end="")
+    else:
+        _atomic_write(cfg["output"]["path"], text)
     return EXIT_OK
+
+
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run a pusher and write the trajectory CSV"),
+    "drift": (_cmd_drift, "integrate the slow system and write its CSV"),
+    "compare": (_cmd_compare, "error series of a run against reference or drift"),
+    "converge": (_cmd_converge, "order-of-accuracy study (exit 4 on gate failure)"),
+    "theorem1": (_cmd_theorem1, "epsilon-scaling study (exit 4 on gate failure)"),
+    "check-field": (_cmd_check_field, "numerical field self-validation report"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,35 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Large-stepsize Boris pushers and slow-drift studies in toroidal fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a pusher and write the trajectory CSV")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("drift", help="integrate the slow system and write its CSV")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_drift)
-
-    p = sub.add_parser("compare", help="error series of a run against reference or drift")
-    p.add_argument("--config")
-    p.add_argument("--csv-a")
-    p.add_argument("--csv-b")
-    p.add_argument("--out")
-    p.add_argument("--summary")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("converge", help="order-of-accuracy study (exit 4 on gate failure)")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("theorem1", help="epsilon-scaling study (exit 4 on gate failure)")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_theorem1)
-
-    p = sub.add_parser("check-field", help="numerical field self-validation report")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_check_field)
-
+    for name, (func, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", required=name != "compare")
+        if name == "compare":
+            for flag in ("--csv-a", "--csv-b", "--out", "--summary"):
+                p.add_argument(flag)
     return parser
 
 
@@ -710,17 +496,16 @@ def cli_main(argv) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # numpy overflow becomes FloatingPointError (exit 3), not a warning on stderr
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except SchemaError as e:
         _diag("SchemaError", str(e), path=e.path)
         return EXIT_CONFIG
     except (OSError, ValueError) as e:
         _diag("ConfigError", str(e))
         return EXIT_CONFIG
-    except _RUNTIME_ERRORS as e:
-        _diag(type(e).__name__, str(e))
-        return EXIT_RUNTIME
-    except (ToroborisError, RuntimeError) as e:
+    except (ToroborisError, RuntimeError, ArithmeticError, MemoryError) as e:
         _diag(type(e).__name__, str(e))
         return EXIT_RUNTIME
 

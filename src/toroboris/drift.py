@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisSingularity
+from .errors import AxisSingularity, BudgetExceeded
 from .geometry import ToroidalFieldModel, eval_field, frame
+
+DEFAULT_BUDGET = int(5e8)
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,15 @@ class DriftConfig:
     epsilon must equal the field model's epsilon; mu0 is the frozen
     magnetic moment of the initial data (as produced by magnetic_moment).
     dtau is the fixed RK4 step in slow time; dt_out the output stride in
-    physical time (None lets the caller's default apply).
+    physical time (None lets the caller's default apply).  budget_steps caps
+    the RK4 steps a run may need.
     """
 
     epsilon: float
     mu0: float
     dtau: float = 1e-4
     dt_out: float | None = None
+    budget_steps: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if not 0.0 < self.dtau <= 1e-2:
@@ -126,7 +130,10 @@ def drift_integrate(
     explicitly supplied sample_times); within each output interval the
     integrator takes steps of config.dtau, shortening the final substep to
     land on the sample time, so no interpolation is ever involved.
-    Deterministic: identical inputs give bit-identical outputs.
+    Deterministic: identical inputs give bit-identical outputs.  Raises
+    BudgetExceeded before doing any work if the run needs more than
+    config.budget_steps steps: one per dtau of slow time, and at least one
+    per output interval.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -135,10 +142,14 @@ def drift_integrate(
             f"config epsilon {config.epsilon} does not match model epsilon {model.epsilon}"
         )
     eps = config.epsilon
+    dt_out = config.dt_out
+    if dt_out is None:
+        dt_out = t_final / 1000.0 if t_final > 0.0 else 1.0
+    intervals = t_final / dt_out if sample_times is None else len(sample_times) - 1
+    steps = max(eps * t_final / config.dtau, intervals)
+    if steps > config.budget_steps:
+        raise BudgetExceeded(steps, config.budget_steps)
     if sample_times is None:
-        dt_out = config.dt_out
-        if dt_out is None:
-            dt_out = t_final / 1000.0 if t_final > 0.0 else 1.0
         m = int(np.floor(t_final / dt_out + 1e-9))
         times = [k * dt_out for k in range(m + 1)]
         if times[-1] < t_final - 1e-9 * max(1.0, t_final):

@@ -13,19 +13,17 @@ interpolation anywhere in the error path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from math import ceil
 from typing import Callable
 
 import numpy as np
 
 from .boris import PusherConfig, Trajectory, initialize, integrate, magnetic_moment
-from .drift import DriftConfig, DriftTrajectory, drift_init, drift_integrate
+from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
 from .errors import BudgetExceeded, GridMismatch
 from .geometry import ToroidalFieldModel, frame, potential
 from .errors import Unsupported
-
-DEFAULT_BUDGET = int(5e8)
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,8 @@ class ExperimentSpec:
     then be a multiple of dt_out so that every comparison grid contains
     the final time.  The reference step is ref_h_factor * epsilon, rounded
     down so that it divides dt_out exactly.  t_final may not exceed c
-    divided by epsilon.
+    divided by epsilon, and the run at step h may not take more than
+    budget_steps steps (BudgetExceeded).
     """
 
     field: ToroidalFieldModel
@@ -62,7 +61,11 @@ class ExperimentSpec:
         if self.t_final == 0.0:
             object.__setattr__(self, "dt_out", self.dt_out or max(self.h, 0.5))
             return
-        n = round(self.t_final / self.h)
+        # checked before rounding: a tiny h overflows round() or stalls _aligned_dt_out
+        steps = self.t_final / self.h
+        if steps > self.budget_steps + 0.5:
+            raise BudgetExceeded(steps, self.budget_steps)
+        n = round(steps)
         if n < 2 or abs(n * self.h - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
         object.__setattr__(self, "dt_out", self._aligned_dt_out())
@@ -74,8 +77,8 @@ class ExperimentSpec:
 
     def _aligned_dt_out(self) -> float:
         want = self.dt_out if self.dt_out is not None else max(self.h, 0.5)
-        k = max(1, round(want / self.h))
         n = round(self.t_final / self.h)
+        k = min(max(1, round(want / self.h)), n)
         while n % k != 0:
             k -= 1
         return k * self.h
@@ -153,7 +156,9 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
 def run_drift(spec: ExperimentSpec, sample_times=None) -> DriftTrajectory:
     """Slow-system solution on the experiment's output grid (or a supplied grid)."""
     s0 = drift_init(spec.x0, spec.v0, spec.field)
-    config = DriftConfig(epsilon=spec.epsilon, mu0=spec.mu0(), dtau=spec.dtau)
+    config = DriftConfig(
+        epsilon=spec.epsilon, mu0=spec.mu0(), dtau=spec.dtau, budget_steps=spec.budget_steps
+    )
     if sample_times is None:
         m = round(spec.t_final / spec.dt_out)
         sample_times = np.arange(m + 1) * spec.dt_out
@@ -343,36 +348,10 @@ def build_convergence_report(
 
 
 def _respec(base: ExperimentSpec, epsilon: float, h: float) -> ExperimentSpec:
-    fld = base.field
-    if fld.poly is None:
+    if base.field.poly is None:
         raise ValueError("convergence studies need the closed-form field family")
-    a0, a1, a2, c_e = fld.poly
-    model = type(fld)(
-        epsilon=epsilon,
-        b=fld.b,
-        db_dr=fld.db_dr,
-        db_dz=fld.db_dz,
-        E_r=fld.E_r,
-        E_z=fld.E_z,
-        phi=fld.phi,
-        r_min=fld.r_min,
-        b_min=fld.b_min,
-        poly=fld.poly,
-    )
-    return ExperimentSpec(
-        field=model,
-        x0=base.x0,
-        v0=base.v0,
-        h=h,
-        t_final=base.c / epsilon,
-        variant="modified",
-        dt_out=base.dt_out,
-        ref_h_factor=base.ref_h_factor,
-        ref_filtered_init=base.ref_filtered_init,
-        c=base.c,
-        budget_steps=base.budget_steps,
-        dtau=base.dtau,
-    )
+    model = replace(base.field, epsilon=epsilon)
+    return replace(base, field=model, h=h, t_final=base.c / epsilon, variant="modified")
 
 
 def convergence_study(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import toroboris as tb
 from toroboris.drift import DriftState
-from toroboris.errors import AxisSingularity, DomainError
+from toroboris.errors import AxisSingularity, BudgetExceeded, DomainError
 
 from conftest import X0, V0
 
@@ -184,6 +185,22 @@ def test_default_sampling_lands_on_t_final(model_1e3, mu0_1e3):
     assert tr.t[0] == 0.0
     assert tr.t[-1] == 100.0
     assert np.all(np.diff(tr.t) > 0)
+
+
+def test_budget_fires_before_running(model_1e3, mu0_1e3):
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    # 10 * 1e-3 / 1e-4 = 100 RK4 steps, one per output interval of 0.1: at the
+    # budget it runs, below it it is refused
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dt_out=0.1, budget_steps=100)
+    assert len(tb.drift_integrate(s0, model_1e3, cfg, 10.0)) == 101
+    with pytest.raises(BudgetExceeded):
+        tb.drift_integrate(s0, model_1e3, dataclasses.replace(cfg, budget_steps=99), 10.0)
+    # tau + dtau == tau once tau > 1e-284: this loop used to never finish
+    with pytest.raises(BudgetExceeded):
+        tb.drift_integrate(s0, model_1e3, tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-300), 10.0)
+    # every output interval takes a step, so 1e301 intervals are over budget too
+    with pytest.raises(BudgetExceeded):
+        tb.drift_integrate(s0, model_1e3, tb.DriftConfig(1e-3, mu0_1e3, dt_out=1e-300), 10.0)
 
 
 # ---------------------------------------------------------------------------

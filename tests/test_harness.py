@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
 import toroboris as tb
 from toroboris.drift import DriftState, DriftTrajectory
 from toroboris.errors import BudgetExceeded, GridMismatch
-from toroboris.harness import ConvergencePoint
+from toroboris.harness import ConvergencePoint, _respec
 
 from conftest import X0, V0
 
@@ -55,6 +58,38 @@ def test_budget_check_fires_before_running():
     assert spec.reference_steps == pytest.approx(2e9, rel=1e-6)
     with pytest.raises(BudgetExceeded):
         tb.run_reference(spec)
+
+
+def test_spec_tiny_step_aligns_without_counting_down():
+    # the stride search started at round(0.5 / h) = 5e8 and counted down to n = 8e7
+    t0 = time.perf_counter()
+    spec = make_spec(eps=1e-2, h=1e-9, t_final=0.08)
+    assert time.perf_counter() - t0 < 0.5
+    assert spec.sample_stride == 80_000_000
+    assert spec.dt_out == 80_000_000 * 1e-9
+
+
+def test_run_trajectory_respects_budget():
+    # 1000 pusher steps: refused below the budget (it used to run), run at it
+    with pytest.raises(BudgetExceeded):
+        tb.run_trajectory(make_spec(eps=1e-2, h=0.05, t_final=50.0, budget_steps=999))
+    spec = make_spec(eps=1e-2, h=0.05, t_final=50.0, budget_steps=1000)
+    assert tb.run_trajectory(spec).steps_completed == 1000
+    # a subnormal step overflowed round() instead
+    with pytest.raises(BudgetExceeded):
+        make_spec(eps=1e-2, h=5e-324, t_final=50.0)
+
+
+def test_respec_changes_only_epsilon_step_and_horizon():
+    base = make_spec(eps=1e-3, h=0.04, dt_out=0.4, sigma_stride=5, ref_h_factor=0.1)
+    spec = _respec(base, 2.5e-4, 0.02)
+    assert (spec.epsilon, spec.h, spec.t_final) == (2.5e-4, 0.02, base.c / 2.5e-4)
+    assert spec.field == dataclasses.replace(base.field, epsilon=2.5e-4)
+    kept = ("x0", "v0", "dt_out", "ref_h_factor", "c", "budget_steps", "dtau", "sigma_stride")
+    assert all(getattr(spec, name) == getattr(base, name) for name in kept)
+    generic = dataclasses.replace(base, field=dataclasses.replace(base.field, poly=None))
+    with pytest.raises(ValueError, match="closed-form"):
+        _respec(generic, 2.5e-4, 0.02)
 
 
 def test_reference_completes_at_moderate_scale():
