@@ -71,7 +71,8 @@ int toroboris_two_step_loop(
         double dn1 = (r1 - (cx2 * r3 - cx3 * r2) + dot * cx1) * den;
         double dn2 = (r2 - (cx3 * r1 - cx1 * r3) + dot * cx2) * den;
         double dn3 = (r3 - (cx1 * r2 - cx2 * r1) + dot * cx3) * den;
-        if (sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) > bound) {
+        /* written so that a NaN step fails the guard too */
+        if (!(sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) <= bound)) {
             result[0] = k;
             result[1] = i - 1;
             return STATUS_RUNAWAY;

@@ -18,14 +18,13 @@ drift motion be resolved with steps h far above the gyroperiod.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import AxisSingularity, DomainError, SanityGuard
+from .errors import AxisSingularity, DomainError
 from .geometry import ToroidalFieldModel, eval_field
 
 VARIANTS = ("standard", "modified")
@@ -42,21 +41,17 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class PusherConfig:
-    """Step size, scheme variant and monitoring options for a run.
+    """Step size, scheme variant and runaway bound for a run.
 
     mu0 is only used by the modified variant and is expected to come from
-    magnetic_moment at the initial state.  nondegeneracy_check_stride
-    counts recorded samples (0 disables the monitor); sigma values below
-    sigma_warn are collected as structured warnings, never aborts.  v_max
-    bounds the velocity for the runaway guard; None means integrate picks
-    10 (|v0| + 1) at initialization.
+    magnetic_moment at the initial state.  v_max bounds the velocity for
+    the runaway guard; None means integrate picks 10 (|v0| + 1) at
+    initialization.
     """
 
     h: float
     variant: str = "standard"
     mu0: float = 0.0
-    nondegeneracy_check_stride: int = 0
-    sigma_warn: float = 0.1
     v_max: float | None = None
 
     def __post_init__(self):
@@ -66,8 +61,6 @@ class PusherConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.mu0 < 0.0:
             raise ValueError("mu0 must be nonnegative")
-        if self.nondegeneracy_check_stride < 0:
-            raise ValueError("nondegeneracy_check_stride must be >= 0")
 
     @property
     def effective_mu0(self) -> float:
@@ -80,7 +73,6 @@ class TwoStepWindow:
 
     x_prev: np.ndarray
     x_curr: np.ndarray
-    t_curr: float
 
 
 @dataclass
@@ -103,14 +95,9 @@ class Trajectory:
     field: object
     steps_completed: int
     error: str | None = None
-    sigma_min: float | None = None
-    warnings: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def state(self, i: int) -> ParticleState:
-        return ParticleState(t=float(self.t[i]), x=self.x[i].copy(), v=self.v[i].copy())
 
 
 def magnetic_moment(x, v, field_model) -> float:
@@ -131,38 +118,6 @@ def filter_initial_velocity(x, v, field_model) -> np.ndarray:
 
 def _emod(sample, mu0: float) -> np.ndarray:
     return sample.E - mu0 * sample.gradAbsB
-
-
-def solve_rotation(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact solution u of u + c x u = rhs (rational cross-product inverse)."""
-    return (rhs - np.cross(c, rhs) + (c @ rhs) * c) / (1.0 + c @ c)
-
-
-def two_step_advance(window: TwoStepWindow, field_model, config: PusherConfig) -> np.ndarray:
-    """One advance of the two-step recursion; returns x^{n+1}.
-
-    x^{n+1} solves the implicit centered-velocity relation
-
-        x^{n+1} - 2 x^n + x^{n-1} = h^2 (v^n x B(x^n) + E_mod(x^n)),
-        v^n = (x^{n+1} - x^{n-1}) / (2h),
-
-    in closed form via the rotation solve u + c x u = rhs with
-    c = (h/2) B(x^n), which is exact for any |c|.  The solve is carried in
-    the increment variable d = x^n - x^{n-1} (rhs = d - c x d + h^2 E_mod,
-    x^{n+1} = x^n + u), keeping round-off at the increment scale.
-    """
-    h = config.h
-    mu0 = config.effective_mu0
-    s = eval_field(field_model, window.x_curr)
-    c = 0.5 * h * s.B
-    d = window.x_curr - window.x_prev
-    rhs = d - np.cross(c, d) + h * h * _emod(s, mu0)
-    d_next = solve_rotation(c, rhs)
-    if config.v_max is not None:
-        step = float(np.linalg.norm(d_next))
-        if step > h * config.v_max:
-            raise SanityGuard(step, h * config.v_max, t=window.t_curr)
-    return window.x_curr + d_next
 
 
 def one_step_push(state: ParticleState, field_model, config: PusherConfig) -> ParticleState:
@@ -221,7 +176,7 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     acc = np.cross(v0, s.B) + _emod(s, config.effective_mu0)
     x1 = x0 + h * v0 + 0.5 * h * h * acc
     seed = ParticleState(t=h, x=x1, v=(x1 - x0) / h)
-    return TwoStepWindow(x_prev=x0, x_curr=x1, t_curr=h), seed, v0
+    return TwoStepWindow(x_prev=x0, x_curr=x1), seed, v0
 
 
 def _perp_basis(e: np.ndarray):
@@ -262,10 +217,13 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
     """Iterate the two-step recursion from x^1 = x_arr, d^1 = d_arr.
 
     This is the reference definition of the step, for any field model with
-    a scalar bemod.  Step i advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the
-    centered velocity (d^i + d^{i+1}) / (2h) is recorded whenever i is a
-    multiple of sample_every.  Sample row 0 (the initial state) is filled
-    by the caller.  Returns (status, rows_written, steps_completed).
+    a scalar bemod.  The increment d^{n+1} = x^{n+1} - x^n solves the
+    rotation u + c x u = rhs with c = (h/2) B(x^n) and rhs = d^n - c x d^n
+    + h^2 E_mod(x^n), in closed form and exactly for any |c|.  Step i
+    advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
+    (d^i + d^{i+1}) / (2h) is recorded whenever i is a multiple of
+    sample_every.  Sample row 0 (the initial state) is filled by the
+    caller.  Returns (status, rows_written, steps_completed).
 
     The recursion is carried in summed form: the increment d^n = x^n -
     x^{n-1} is the solver variable and positions accumulate as x += d,
@@ -302,7 +260,8 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
         dn1 = (r1 - (cx2 * r3 - cx3 * r2) + dot * cx1) * den
         dn2 = (r2 - (cx3 * r1 - cx1 * r3) + dot * cx2) * den
         dn3 = (r3 - (cx1 * r2 - cx2 * r1) + dot * cx3) * den
-        if sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) > bound:
+        # written so that a NaN step fails the guard too
+        if not (sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) <= bound):
             return _kernels.STATUS_RUNAWAY, k, i - 1
         if i % sample_every == 0:
             out_t[k] = i * h
@@ -328,19 +287,18 @@ def integrate(
     field_model,
     config: PusherConfig,
     t_final: float,
-    observers: Sequence[Callable[[ParticleState], None]] = (),
     sample_every: int = 1,
 ) -> Trajectory:
     """Run the two-step pusher from t = 0 to t_final = n h (n >= 2).
 
     Positions are sampled every sample_every-th step together with the
     centered velocity; the run performs one lookahead advance so the final
-    sample is centered too.  Observers are invoked once per recorded
-    sample, in time order, after stepping finishes.  Identical inputs give
-    bit-identical trajectories.
+    sample is centered too.  Identical inputs give bit-identical
+    trajectories.
 
-    On AxisSingularity, DomainError or SanityGuard the partial trajectory
-    is returned with the matching error tag instead of raising.
+    When a step reaches the axis, leaves the field domain or fails the
+    runaway guard (a step longer than h v_max, or not finite), the partial
+    trajectory is returned with the matching error tag instead of raising.
     """
     n = int(round(t_final / config.h))
     if abs(n * config.h - t_final) > 1e-9 * max(1.0, t_final):
@@ -401,7 +359,7 @@ def integrate(
             out_v,
         )
 
-    traj = Trajectory(
+    return Trajectory(
         t=out_t[:k],
         x=out_x[:k],
         v=out_v[:k],
@@ -412,27 +370,3 @@ def integrate(
         steps_completed=steps,
         error=_ERROR_TAGS.get(status),
     )
-    _monitor_nondegeneracy(traj, config)
-    for obs in observers:
-        for i in range(len(traj)):
-            obs(traj.state(i))
-    return traj
-
-
-def _monitor_nondegeneracy(traj: Trajectory, config: PusherConfig) -> None:
-    stride = config.nondegeneracy_check_stride
-    if stride <= 0 or len(traj) == 0:
-        return
-    sigma_min = np.inf
-    for i in range(0, len(traj), stride):
-        try:
-            sig = nondegeneracy_sigma(traj.x[i], traj.v[i], config.h, traj.field)
-        except (AxisSingularity, DomainError):
-            continue
-        sigma_min = min(sigma_min, sig)
-        if sig < config.sigma_warn:
-            traj.warnings.append(
-                {"kind": "nondegeneracy", "t": float(traj.t[i]), "sigma": sig}
-            )
-    if np.isfinite(sigma_min):
-        traj.sigma_min = float(sigma_min)

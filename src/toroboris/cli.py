@@ -27,7 +27,8 @@ from .errors import SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
 from .harness import (
     DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _check_grid, convergence_study, error_vs_drift,
-    error_vs_reference, observables, run_drift, run_reference, run_trajectory, theorem1_suite,
+    error_vs_reference, monitor_nondegeneracy, observables, run_drift, run_reference,
+    run_trajectory, theorem1_suite,
 )
 
 EXIT_OK = 0
@@ -290,12 +291,16 @@ def error_csv(err: ErrorSeries) -> str:
 
 
 def read_series_csv(path: str, columns: tuple[str, ...]):
-    """Read named columns from a CSV produced by this tool."""
+    """Read named columns from a CSV produced by this tool.
+
+    A malformed file is a SchemaError at path "" (the whole document) whose
+    message names the file.
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         missing = [c for c in columns if c not in header]
         if missing:
-            raise SchemaError(f"/{path}", f"CSV lacks columns {missing}")
+            raise SchemaError("", f"{path}: CSV lacks columns {missing}")
         idx = [header.index(c) for c in columns]
         rows = []
         for lineno, line in enumerate(f, start=2):
@@ -303,10 +308,10 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
             if parts == [""]:
                 continue
             if len(parts) != len(header):
-                raise SchemaError(f"/{path}", f"line {lineno}: expected {len(header)} fields")
+                raise SchemaError("", f"{path}: line {lineno}: expected {len(header)} fields")
             rows.append([float(parts[i]) for i in idx])
     if not rows:
-        raise SchemaError(f"/{path}", "CSV has no data rows")
+        raise SchemaError("", f"{path}: CSV has no data rows")
     data = np.asarray(rows, dtype=float)
     return {c: data[:, k] for k, c in enumerate(columns)}
 
@@ -373,6 +378,7 @@ def _cmd_compare(args) -> int:
     if traj.error is not None:
         _diag("RuntimeDomainError", f"run aborted: {traj.error}", tag=traj.error)
         return EXIT_RUNTIME
+    sigma_min, warnings = monitor_nondegeneracy(traj)
     obs = observables(traj)
     if config["against"] == "drift":
         err = error_vs_drift(obs, run_drift(spec, sample_times=traj.t))
@@ -392,8 +398,8 @@ def _cmd_compare(args) -> int:
         "h": config["h"],
         "variant": config["variant"],
         "steps": {"run": traj.steps_completed, "reference": ref_steps},
-        "sigma_min": traj.sigma_min,
-        "warnings": traj.warnings,
+        "sigma_min": sigma_min,
+        "warnings": warnings,
     }
     output = config["output"]
     return _report_compare(err, summary, output["path"], output["summary_path"])

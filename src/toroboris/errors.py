@@ -33,20 +33,6 @@ class DomainError(ToroborisError):
         super().__init__(f"field profile b={b:.6g} is not above b_min={b_min:.6g}{where}")
 
 
-class SanityGuard(ToroborisError):
-    """Raised when the per-step displacement exceeds h times the velocity bound."""
-
-    def __init__(self, displacement: float, bound: float, t: float | None = None):
-        self.displacement = displacement
-        self.bound = bound
-        self.t = t
-        where = f" at t={t}" if t is not None else ""
-        super().__init__(
-            f"step displacement {displacement:.6g} exceeds h*V_max={bound:.6g}{where}; "
-            "the orbit is running away"
-        )
-
-
 class Unsupported(ToroborisError):
     """Raised when an optional model capability (e.g. a scalar potential) is absent."""
 

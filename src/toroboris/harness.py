@@ -14,16 +14,20 @@ interpolation anywhere in the error path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from math import ceil
+from math import ceil, isqrt
 from typing import Callable
 
 import numpy as np
 
-from .boris import PusherConfig, Trajectory, initialize, integrate, magnetic_moment
+from .boris import (
+    PusherConfig, Trajectory, initialize, integrate, magnetic_moment, nondegeneracy_sigma,
+)
 from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
-from .errors import BudgetExceeded, GridMismatch
+from .errors import AxisSingularity, BudgetExceeded, DomainError, GridMismatch, Unsupported
 from .geometry import ToroidalFieldModel, frame, potential
-from .errors import Unsupported
+
+# A sample whose nondegeneracy sigma falls below this is reported as a warning.
+_SIGMA_WARN = 0.1
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class ExperimentSpec:
     c: float = 0.5
     budget_steps: int = DEFAULT_BUDGET
     dtau: float = 1e-4
-    sigma_stride: int = 1
 
     def __post_init__(self):
         eps = self.field.epsilon
@@ -79,8 +82,10 @@ class ExperimentSpec:
         want = self.dt_out if self.dt_out is not None else max(self.h, 0.5)
         n = round(self.t_final / self.h)
         k = min(max(1, round(want / self.h)), n)
-        while n % k != 0:
-            k -= 1
+        if n % k:
+            # the largest divisor of n below k, from the divisor pairs (d, n // d)
+            pairs = ((d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0)
+            k = max(q for pair in pairs for q in pair if q <= k)
         return k * self.h
 
     @property
@@ -107,12 +112,7 @@ class ExperimentSpec:
 def run_trajectory(spec: ExperimentSpec) -> Trajectory:
     """The experiment's main run (standard or modified variant at step h)."""
     mu0 = spec.mu0() if spec.variant == "modified" else 0.0
-    config = PusherConfig(
-        h=spec.h,
-        variant=spec.variant,
-        mu0=mu0,
-        nondegeneracy_check_stride=spec.sigma_stride,
-    )
+    config = PusherConfig(h=spec.h, variant=spec.variant, mu0=mu0)
     return integrate(
         spec.x0, spec.v0, spec.field, config, spec.t_final, sample_every=spec.sample_stride
     )
@@ -163,6 +163,28 @@ def run_drift(spec: ExperimentSpec, sample_times=None) -> DriftTrajectory:
         m = round(spec.t_final / spec.dt_out)
         sample_times = np.arange(m + 1) * spec.dt_out
     return drift_integrate(s0, spec.field, config, spec.t_final, sample_times=sample_times)
+
+
+def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
+    """Check the large-step nondegeneracy condition on every sample of a run.
+
+    Returns (sigma_min, warnings): the smallest nondegeneracy_sigma over the
+    samples (None when no sample could be evaluated), and one warning dict
+    {"kind": "nondegeneracy", "t", "sigma"} per sample whose sigma is below
+    0.1.  Samples on the axis or outside the field domain are skipped.  A
+    low sigma is reported, never an abort.
+    """
+    sigma_min = np.inf
+    warnings = []
+    for t, x, v in zip(traj.t, traj.x, traj.v):
+        try:
+            sig = nondegeneracy_sigma(x, v, traj.h, traj.field)
+        except (AxisSingularity, DomainError):
+            continue
+        sigma_min = min(sigma_min, sig)
+        if sig < _SIGMA_WARN:
+            warnings.append({"kind": "nondegeneracy", "t": float(t), "sigma": sig})
+    return (float(sigma_min) if np.isfinite(sigma_min) else None), warnings
 
 
 @dataclass
@@ -372,57 +394,45 @@ def convergence_study(
     the fine reference.  The reference carries an order-eps gyration
     floor, so this mode is qualitative.
     """
-    points = []
-    series = []
     if mode == "scaled_pairs":
         if not pairs or len(pairs) < 2:
             raise ValueError("scaled_pairs mode needs at least 2 (epsilon, h) pairs")
         ratios = [h * h / eps for eps, h in pairs]
         if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise ValueError(f"h^2/eps must be constant across pairs, got {ratios}")
-        for eps, h in pairs:
-            spec = _respec(base_spec, eps, h)
-            traj = run_trajectory(spec)
-            if traj.error is not None:
-                raise RuntimeError(f"run (eps={eps}, h={h}) aborted: {traj.error}")
-            dr = run_drift(spec, sample_times=traj.t)
-            err = error_vs_drift(observables(traj), dr)
-            if keep_series:
-                series.append(err)
-            points.append(
-                ConvergencePoint(
-                    h=h,
-                    epsilon=eps,
-                    max_err=err.max_by_component(),
-                    steps=traj.steps_completed,
-                    sigma_min=traj.sigma_min,
-                    warnings=len(traj.warnings),
-                )
-            )
+        runs = [(eps, h, f"eps={eps}, h={h}") for eps, h in pairs]
     elif mode == "fixed_eps":
         if not h_list or len(h_list) < 2:
             raise ValueError("fixed_eps mode needs at least 2 step sizes")
-        for h in h_list:
-            spec = _respec(base_spec, base_spec.epsilon, h)
-            traj = run_trajectory(spec)
-            if traj.error is not None:
-                raise RuntimeError(f"run (h={h}) aborted: {traj.error}")
-            ref = run_reference(spec)
-            err = error_vs_reference(observables(traj), observables(ref))
-            if keep_series:
-                series.append(err)
-            points.append(
-                ConvergencePoint(
-                    h=h,
-                    epsilon=spec.epsilon,
-                    max_err=err.max_by_component(),
-                    steps=traj.steps_completed,
-                    sigma_min=traj.sigma_min,
-                    warnings=len(traj.warnings),
-                )
-            )
+        runs = [(base_spec.epsilon, h, f"h={h}") for h in h_list]
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    points = []
+    series = []
+    for eps, h, label in runs:
+        spec = _respec(base_spec, eps, h)
+        traj = run_trajectory(spec)
+        if traj.error is not None:
+            raise RuntimeError(f"run ({label}) aborted: {traj.error}")
+        sigma_min, warnings = monitor_nondegeneracy(traj)
+        if mode == "scaled_pairs":
+            dr = run_drift(spec, sample_times=traj.t)
+            err = error_vs_drift(observables(traj), dr)
+        else:
+            ref = run_reference(spec)
+            err = error_vs_reference(observables(traj), observables(ref))
+        if keep_series:
+            series.append(err)
+        points.append(
+            ConvergencePoint(
+                h=h,
+                epsilon=eps,
+                max_err=err.max_by_component(),
+                steps=traj.steps_completed,
+                sigma_min=sigma_min,
+                warnings=len(warnings),
+            )
+        )
     report = build_convergence_report(mode, points, order_band)
     report.series = series
     return report

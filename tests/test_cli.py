@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroboris import cli
+from toroboris import boris, cli
 from toroboris.errors import SchemaError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -177,6 +178,28 @@ def test_simulate_runtime_abort_exit_3(tmp_path, capsys):
     assert (tmp_path / "out.csv").exists()  # partial trajectory is kept
 
 
+def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
+    # c=1e300 throws x^1 past 1e296, so r*r overflows and the first step is NaN;
+    # the runaway guard used to let a NaN step through
+    cfg = base_config(tmp_path, variant="standard", t_final=0.4, against="drift",
+                      field={"preset": "paper-toroidal", "c": 1e300})
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert (diag["error"], diag["tag"], diag["steps"]) == ("RuntimeDomainError", "sanity_guard", 0)
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 2  # header and t = 0
+    # at eps 1e-160 and 1e-300, (h/2)|B| squared overflows in the first step
+    for eps in (1e-160, 1e-300):
+        cfg = base_config(tmp_path, variant="standard", t_final=0.4, against="drift", epsilon=eps)
+        path = write_config(tmp_path, cfg)
+        assert cli.cli_main(["compare", "--config", path]) == 3
+        diag = json.loads(capsys.readouterr().err)
+        assert (diag["error"], diag["tag"]) == ("RuntimeDomainError", "sanity_guard")
+        # simulate aborts too, but the mu column of the t = 0 row, |v x B|^2 /
+        # (2 |B|^3), overflows before the abort is reported
+        assert cli.cli_main(["simulate", "--config", path]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert cli.cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -244,6 +267,65 @@ def test_compare_config_mode_against_drift(tmp_path):
     assert summary["against"] == "drift"
     assert 0 < summary["max_err"]["z"] < 0.05
     assert summary["steps"]["run"] == 2500
+    assert summary["sigma_min"] == pytest.approx(0.9996463583457076, rel=1e-12)
+    assert summary["warnings"] == []
+
+
+# (t, sigma) of every sample below the 0.1 threshold in a standard run at
+# eps=1e-3, h=0.04, sampled every step to t=20
+STANDARD_WARNINGS = [
+    (13.0, 0.06805989193710002),
+    (13.200000000000001, 0.08795824417930931),
+    (13.24, 0.019588917969697348),
+    (14.8, 0.026111291136084076),
+    (14.84, 0.07554086566690987),
+    (16.4, 0.0544824708909697),
+    (19.240000000000002, 0.011617128991569019),
+    (19.44, 0.021553410496018766),
+]
+
+
+def test_compare_reports_nondegeneracy_warnings(tmp_path):
+    cfg = base_config(tmp_path, variant="standard", t_final=20.0, against="drift")
+    cfg["output"].update(stride=0.04, summary_path=str(tmp_path / "summary.json"))
+    assert cli.cli_main(["compare", "--config", write_config(tmp_path, cfg)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_samples"] == 501
+    assert summary["sigma_min"] == pytest.approx(0.011617128991569019, rel=1e-12)
+    got = [(w["kind"], w["t"], w["sigma"]) for w in summary["warnings"]]
+    want = [("nondegeneracy", pytest.approx(t, rel=1e-12), pytest.approx(sig, rel=1e-12))
+            for t, sig in STANDARD_WARNINGS]
+    assert got == want
+
+
+def count_sigma_calls(monkeypatch) -> list:
+    """Record the arguments of every nondegeneracy_sigma call in the package."""
+    original = boris.nondegeneracy_sigma
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toroboris" and vars(module).get("nondegeneracy_sigma") is original:
+            monkeypatch.setattr(module, "nondegeneracy_sigma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("against", ["drift", "reference"])
+def test_only_compare_monitors_and_only_the_main_run(tmp_path, monkeypatch, against):
+    calls = count_sigma_calls(monkeypatch)
+    cfg = base_config(tmp_path, epsilon=1e-2, h=0.05, t_final=20.0, against=against)
+    cfg["output"]["summary_path"] = str(tmp_path / "summary.json")
+    path = write_config(tmp_path, cfg)
+    assert cli.cli_main(["simulate", "--config", path]) == 0
+    assert calls == []
+    assert cli.cli_main(["compare", "--config", path]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    # one call per sample of the main run, at its step; none for the comparator
+    assert len(calls) == summary["n_samples"] == 41
+    assert {args[2] for args in calls} == {0.05}
 
 
 def test_compare_config_mode_against_reference(tmp_path):
@@ -280,6 +362,9 @@ def test_converge_scaled_pairs_gate_passes(tmp_path):
     assert report["passed"]
     for slope in report["slopes"].values():
         assert 1.7 <= slope <= 2.3
+    sigma_min = [0.9996463583457076, 0.9999112831493899]
+    assert [p["sigma_min"] for p in report["points"]] == pytest.approx(sigma_min, rel=1e-12)
+    assert [p["warnings"] for p in report["points"]] == [0, 0]
     assert len(list((tmp_path / "runs").glob("*.csv"))) == 2
     # the serialized report round-trips losslessly
     assert json.loads(json.dumps(report)) == report
@@ -434,8 +519,9 @@ INPUT_HOLES = [
     ("simulate", {"/epsilon": 10**400}, "/epsilon"),
     ("converge", {"/budget_steps": 10**400}, "/budget_steps"),
     ("check-field", {"/probes/count": 10**400}, "/probes/count"),
-    ("compare", "t,r,z,vpar\n", "/{csv_a}"),
-    ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5\n", "/{csv_a}"),
+    # a bad CSV is reported at the whole document, "", and the message names the file
+    ("compare", "t,r,z,vpar\n", ""),
+    ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5\n", ""),
 ]
 
 
@@ -447,7 +533,6 @@ def test_input_holes_exit_2_with_schema_path(tmp_path, capsys, command, patch, p
         csv_b.write_text(CSV)
         argv = ["compare", "--csv-a", str(csv_a), "--csv-b", str(csv_b),
                 "--out", str(tmp_path / "err.csv")]
-        path = path.format(csv_a=csv_a)
     else:
         cfg = study_config(command, tmp_path)
         for pointer, value in patch.items():
@@ -466,6 +551,8 @@ def test_input_holes_exit_2_with_schema_path(tmp_path, capsys, command, patch, p
     assert len(lines) == 1
     diag = json.loads(lines[0])
     assert (diag["error"], diag["path"]) == ("SchemaError", path)
+    if isinstance(patch, str):
+        assert str(csv_a) in diag["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toroboris as tb
 from toroboris.drift import DriftState, DriftTrajectory
@@ -69,6 +71,26 @@ def test_spec_tiny_step_aligns_without_counting_down():
     assert spec.dt_out == 80_000_000 * 1e-9
 
 
+def test_spec_prime_step_count_aligns_quickly():
+    # n = 9999991 is prime: the stride search counted down from 5e6 to 1 (0.34 s)
+    t0 = time.perf_counter()
+    spec = make_spec(eps=1e-2, h=1e-6, t_final=9999991 * 1e-6, dt_out=5.0)
+    assert time.perf_counter() - t0 < 0.05
+    assert spec.sample_stride == 1
+    assert spec.dt_out == 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4000), k=st.integers(1, 8000))
+def test_spec_stride_is_the_largest_divisor_not_above_the_request(n, k):
+    spec = make_spec(h=0.125, t_final=n * 0.125, dt_out=k * 0.125)
+    want = min(k, n)
+    while n % want:  # the one-at-a-time search the divisor pairs replace
+        want -= 1
+    assert spec.sample_stride == want
+    assert spec.dt_out == want * 0.125
+
+
 def test_run_trajectory_respects_budget():
     # 1000 pusher steps: refused below the budget (it used to run), run at it
     with pytest.raises(BudgetExceeded):
@@ -81,11 +103,11 @@ def test_run_trajectory_respects_budget():
 
 
 def test_respec_changes_only_epsilon_step_and_horizon():
-    base = make_spec(eps=1e-3, h=0.04, dt_out=0.4, sigma_stride=5, ref_h_factor=0.1)
+    base = make_spec(eps=1e-3, h=0.04, dt_out=0.4, ref_h_factor=0.1)
     spec = _respec(base, 2.5e-4, 0.02)
     assert (spec.epsilon, spec.h, spec.t_final) == (2.5e-4, 0.02, base.c / 2.5e-4)
     assert spec.field == dataclasses.replace(base.field, epsilon=2.5e-4)
-    kept = ("x0", "v0", "dt_out", "ref_h_factor", "c", "budget_steps", "dtau", "sigma_stride")
+    kept = ("x0", "v0", "dt_out", "ref_h_factor", "c", "budget_steps", "dtau")
     assert all(getattr(spec, name) == getattr(base, name) for name in kept)
     generic = dataclasses.replace(base, field=dataclasses.replace(base.field, poly=None))
     with pytest.raises(ValueError, match="closed-form"):

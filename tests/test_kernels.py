@@ -99,6 +99,16 @@ def test_both_backends_abort_at_the_same_step(tag):
     assert_bitwise_equal(compiled, python)
 
 
+@pytest.mark.parametrize("eps", [1e-160, 1e-300])
+def test_non_finite_step_trips_the_runaway_guard(eps):
+    # (h/2)|B| squared overflows, so the first step is NaN; "norm > bound" let it
+    # through and the run returned NaN positions with no error
+    cfg = tb.PusherConfig(h=0.04, variant="standard")
+    compiled, python = run_both(X0, V0, tb.toroidal_model(eps), cfg, 0.4)
+    assert (compiled.error, compiled.steps_completed) == ("sanity_guard", 0)
+    assert_bitwise_equal(compiled, python)
+
+
 @needs_cc
 def test_compiled_loop_rejects_bad_buffers():
     loop = _kernels.compiled_loop()
