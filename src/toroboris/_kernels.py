@@ -1,20 +1,25 @@
-"""Compiled step loop for the closed-form toroidal field family.
+"""Compiled loops for the closed-form toroidal field family.
 
-Reference solutions need 1e7+ steps, so the two-step loop for the family
-b = a0 + a1 r + a2 z^2, E_r = c z, E_z = c r runs as C (``_kernel.c``).
-The C source is a line-for-line transcription of boris._generic_loop,
-which stays the single Python definition of the step; a test pins the two
-bitwise.
+Reference solutions need 1e7+ pusher steps and the slow system 1e4+ RK4
+steps per run, so for the family b = a0 + a1 r + a2 z^2, E_r = c z,
+E_z = c r both loops run as C (``_kernel.c``):
+
+- ``two_step_loop`` transcribes boris._generic_loop line for line;
+- ``drift_rk4`` transcribes drift._rk4_loop line for line.
+
+The Python loops stay the single definitions of the step; tests pin each
+C loop to its Python twin bitwise.
 
 The library is built with the system compiler on the first call of
-``compiled_loop`` (the first integrate on a closed-form model), never at
-import.  It is cached as ``$XDG_CACHE_HOME/toroboris/kernel-<key>.so``
-(``~/.cache/toroboris`` when the variable is unset), where the key is a
-CRC-32 of the source, the flags and the machine type.  When that directory
-cannot be written, the library is built in a private directory under
-``tempfile.gettempdir()`` and removed once loaded.  Without a working
-compiler the package falls back to the Python loop and says so once per
-process with a RuntimeWarning.
+``compiled_kernel`` (the first integrate or drift_integrate on a
+closed-form model), never at import.  It is cached as
+``$XDG_CACHE_HOME/toroboris/kernel-<key>.so`` (``~/.cache/toroboris`` when
+the variable is unset), where the key is a CRC-32 of the source, the flags
+and the machine type.  When that directory cannot be written, the library
+is built in a private directory under ``tempfile.gettempdir()`` and removed
+once loaded.  A library that lacks either symbol is unavailable as a whole.
+Without a working compiler the package falls back to the Python loops and
+says so once per process with a RuntimeWarning.
 
 BACKEND is ``"c"`` or ``"python"`` once the first closed-form run has
 resolved it, ``None`` before; FALLBACK_REASON explains a ``"python"``
@@ -28,6 +33,7 @@ import os
 import platform
 import warnings
 import zlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +47,7 @@ HAVE_NUMBA = False
 
 BACKEND: str | None = None
 FALLBACK_REASON: str | None = None
-_loop = None
+_kernel = None
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CC = "cc"
@@ -50,6 +56,13 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 class KernelUnavailable(Exception):
     """The C kernel could not be built or loaded."""
+
+
+class Kernel(NamedTuple):
+    """Checked Python entry points of the loaded library."""
+
+    two_step_loop: Callable
+    drift_rk4: Callable
 
 
 def _cache_dir() -> str:
@@ -89,21 +102,27 @@ def _build(path: str) -> None:
             os.remove(tmp)
 
 
-def _bind(path: str):
-    """Load the library at path and return a checked Python entry point."""
+def _bind(path: str) -> Kernel:
+    """Load the library at path and return its checked Python entry points."""
     try:
         lib = ctypes.CDLL(path)
-    except OSError as e:
+        step_fn = lib.toroboris_two_step_loop
+        rk4_fn = lib.toroboris_drift_rk4
+    except (OSError, AttributeError) as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from e
+    vec1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     vec3 = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(3,), flags="C_CONTIGUOUS")
     out1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     out3 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    fn = lib.toroboris_two_step_loop
-    fn.restype = ctypes.c_int
-    fn.argtypes = (
+    step_fn.restype = ctypes.c_int
+    step_fn.argtypes = (
         [ctypes.c_int64, ctypes.c_int64]
         + [ctypes.c_double] * 10
         + [vec3, vec3, out1, out3, out3, ctypes.POINTER(ctypes.c_int64)]
+    )
+    rk4_fn.restype = ctypes.c_int
+    rk4_fn.argtypes = (
+        [ctypes.c_int64, vec1] + [ctypes.c_double] * 9 + [out3, ctypes.POINTER(ctypes.c_double)]
     )
 
     def two_step_loop(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
@@ -114,15 +133,24 @@ def _bind(path: str):
         if out_x.shape != (len(out_t), 3) or out_v.shape != out_x.shape:
             raise ValueError("out_x and out_v must have shape (len(out_t), 3)")
         result = (ctypes.c_int64 * 2)()
-        status = fn(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min, v_max,
-                    x_arr, d_arr, out_t, out_x, out_v, result)
+        status = step_fn(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
+                         v_max, x_arr, d_arr, out_t, out_x, out_v, result)
         return status, result[0], result[1]
 
-    return two_step_loop
+    def drift_rk4(times, eps, dtau, muhat, a0, a1, a2, c_e, r_min, b_min, out):
+        """Run the C RK4 over times into out (row 0 preset); (status, offending r or b)."""
+        if len(times) < 1 or out.shape != (len(times), 3):
+            raise ValueError("out must have shape (len(times), 3) with len(times) >= 1")
+        bad = ctypes.c_double(0.0)
+        status = rk4_fn(len(times), times, eps, dtau, muhat, a0, a1, a2, c_e, r_min, b_min,
+                        out, bad)
+        return status, bad.value
+
+    return Kernel(two_step_loop, drift_rk4)
 
 
 def _load_library():
-    """Build the C loop on a cache miss, then load and bind it."""
+    """Build the C loops on a cache miss, then load and bind them."""
     try:
         with open(_SOURCE, "rb") as f:
             source = f.read()
@@ -144,21 +172,21 @@ def _load_library():
     return _bind(path)
 
 
-def compiled_loop():
-    """The C two-step loop, built on first use; None when running in Python.
+def compiled_kernel() -> Kernel | None:
+    """The C loops, built on first use; None when running in Python.
 
     Resolves BACKEND (and FALLBACK_REASON) once per process.
     """
-    global BACKEND, FALLBACK_REASON, _loop
+    global BACKEND, FALLBACK_REASON, _kernel
     if BACKEND is None:
         try:
-            _loop = _load_library()
+            _kernel = _load_library()
             BACKEND = "c"
         except KernelUnavailable as e:
             BACKEND, FALLBACK_REASON = "python", str(e)
             warnings.warn(
-                f"toroboris: C stepping kernel unavailable, using the Python loop ({e})",
+                f"toroboris: C kernel unavailable, using the Python loops ({e})",
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return _loop
+    return _kernel

@@ -320,12 +320,12 @@ def integrate(
 
     mu0 = config.effective_mu0
     d1 = window.x_curr - window.x_prev
-    loop = None
+    kernel = None
     if isinstance(field_model, ToroidalFieldModel) and field_model.poly is not None:
-        loop = _kernels.compiled_loop()
-    if loop is not None:
+        kernel = _kernels.compiled_kernel()
+    if kernel is not None:
         a0, a1, a2, c_e = field_model.poly
-        status, k, steps = loop(
+        status, k, steps = kernel.two_step_loop(
             n,
             sample_every,
             config.h,

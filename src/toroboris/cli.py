@@ -14,6 +14,7 @@ Diagnostics go to stderr as a single JSON line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -479,7 +480,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="toroboris",
         description="Large-stepsize Boris pushers and slow-drift studies in toroidal fields",

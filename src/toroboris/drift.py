@@ -21,11 +21,13 @@ dr~ and dv~ cancel exactly, which gives a cheap correctness monitor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisSingularity, BudgetExceeded
+from . import _kernels
+from .errors import AxisSingularity, BudgetExceeded, DomainError
 from .geometry import ToroidalFieldModel, eval_field, frame
 
 DEFAULT_BUDGET = int(5e8)
@@ -60,8 +62,8 @@ class DriftConfig:
     def __post_init__(self):
         if not 0.0 < self.dtau <= 1e-2:
             raise ValueError(f"dtau must lie in (0, 1e-2], got {self.dtau}")
-        if self.mu0 < 0.0:
-            raise ValueError("mu0 must be nonnegative")
+        if not (math.isfinite(self.mu0) and self.mu0 >= 0.0):
+            raise ValueError(f"mu0 must be finite and nonnegative, got {self.mu0}")
 
 
 @dataclass
@@ -83,13 +85,15 @@ class DriftTrajectory:
         return self.r * self.vpar
 
 
-def drift_rhs(s: DriftState, model: ToroidalFieldModel, mu0: float):
-    """Right-hand side of the slow system in slow time tau = epsilon t."""
-    rt, zt, vt = s.r_t, s.z_t, s.v_t
+def _rhs(rt: float, zt: float, vt: float, model: ToroidalFieldModel, muhat: float):
+    """Right-hand side at (r~, z~, v~) for muhat = mu0 / epsilon.
+
+    The single Python definition of the slow system; _kernel.c inlines it
+    for the closed-form family operation for operation.
+    """
     if rt < model.r_min:
         raise AxisSingularity(rt, model.r_min)
     b = model.profile(rt, zt)
-    muhat = mu0 / model.epsilon
     ez = model.E_z(rt, zt)
     er = model.E_r(rt, zt)
     dbr = model.db_dr(rt, zt)
@@ -99,6 +103,11 @@ def drift_rhs(s: DriftState, model: ToroidalFieldModel, mu0: float):
         (vt * vt / rt + er - muhat * dbr) / b,
         (vt / rt) * (ez - muhat * dbz) / b,
     )
+
+
+def drift_rhs(s: DriftState, model: ToroidalFieldModel, mu0: float):
+    """Right-hand side of the slow system in slow time tau = epsilon t."""
+    return _rhs(s.r_t, s.z_t, s.v_t, model, mu0 / model.epsilon)
 
 
 def drift_init(x0, v0_raw, field_model) -> DriftState:
@@ -113,8 +122,49 @@ def drift_init(x0, v0_raw, field_model) -> DriftState:
     return DriftState(r_t=fr.r, z_t=float(fr.z), v_t=float(fr.e_par @ v0))
 
 
-def _rhs_array(y: np.ndarray, model: ToroidalFieldModel, mu0: float) -> np.ndarray:
-    return np.array(drift_rhs(DriftState(y[0], y[1], y[2]), model, mu0))
+def _rk4_loop(times, eps, dtau, model, muhat, out):
+    """Fixed-step RK4 of the slow system over the sample grid times.
+
+    This is the reference definition of the slow-time stepping, for any
+    toroidal model.  Row k of out receives (r~, z~, v~) at times[k]; row 0,
+    the initial state, is filled by the caller.  Each output interval takes
+    steps of dtau in tau = eps t and shortens the last one to land on the
+    sample time.  _kernel.c transcribes this loop line for line for the
+    closed-form family; keep the expression shapes of both aligned.
+    """
+    # Python floats: numpy scalars or arrays per stage would cost several times more
+    r, z, v = map(float, out[0])
+    tau = times[0] * eps
+    for k in range(1, len(times)):
+        target = times[k] * eps
+        while tau < target:
+            step = target - tau
+            if step > dtau:
+                step = dtau
+            half = 0.5 * step
+            k1r, k1z, k1v = _rhs(r, z, v, model, muhat)
+            k2r, k2z, k2v = _rhs(r + half * k1r, z + half * k1z, v + half * k1v, model, muhat)
+            k3r, k3z, k3v = _rhs(r + half * k2r, z + half * k2z, v + half * k2v, model, muhat)
+            k4r, k4z, k4v = _rhs(r + step * k3r, z + step * k3z, v + step * k3v, model, muhat)
+            w = step / 6.0
+            r = r + w * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            z = z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            v = v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            tau += step
+            if target - tau < 1e-15 * max(1.0, abs(target)):
+                tau = target
+        out[k] = r, z, v
+
+
+def _sample_grid(sample_times) -> np.ndarray:
+    times = np.array(sample_times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("sample_times must be a nonempty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ValueError("sample_times must be finite")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("sample_times must be nondecreasing")
+    return times
 
 
 def drift_integrate(
@@ -127,13 +177,19 @@ def drift_integrate(
     """Integrate the slow system with fixed-step RK4 in slow time.
 
     Sampling happens at exact multiples of the output stride (or at the
-    explicitly supplied sample_times); within each output interval the
-    integrator takes steps of config.dtau, shortening the final substep to
-    land on the sample time, so no interpolation is ever involved.
-    Deterministic: identical inputs give bit-identical outputs.  Raises
-    BudgetExceeded before doing any work if the run needs more than
-    config.budget_steps steps: one per dtau of slow time, and at least one
-    per output interval.
+    explicitly supplied sample_times, which must be finite and
+    nondecreasing); within each output interval the integrator takes steps
+    of config.dtau, shortening the final substep to land on the sample time,
+    so no interpolation is ever involved.  Deterministic: identical inputs
+    give bit-identical outputs.  Raises BudgetExceeded before doing any work
+    if the run needs more than config.budget_steps steps: one per dtau of
+    slow time over the sampled span, and at least one per output interval.
+
+    For the closed-form family (model.poly set) the steps run in the C loop
+    of _kernels, bitwise equal to the Python loop _rk4_loop that runs
+    otherwise.  A slow state reaching the axis or leaving the field domain
+    raises AxisSingularity or DomainError, and one that stops being finite
+    raises FloatingPointError.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -145,8 +201,12 @@ def drift_integrate(
     dt_out = config.dt_out
     if dt_out is None:
         dt_out = t_final / 1000.0 if t_final > 0.0 else 1.0
-    intervals = t_final / dt_out if sample_times is None else len(sample_times) - 1
-    steps = max(eps * t_final / config.dtau, intervals)
+    if sample_times is None:
+        intervals, span = t_final / dt_out, t_final
+    else:
+        sample_times = _sample_grid(sample_times)
+        intervals, span = len(sample_times) - 1, sample_times[-1] - sample_times[0]
+    steps = max(eps * span / config.dtau, intervals)
     if steps > config.budget_steps:
         raise BudgetExceeded(steps, config.budget_steps)
     if sample_times is None:
@@ -155,31 +215,31 @@ def drift_integrate(
         if times[-1] < t_final - 1e-9 * max(1.0, t_final):
             times.append(t_final)
         sample_times = np.array(times)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
+    tau_max = eps * max(abs(sample_times[0]), abs(sample_times[-1]))
+    if config.dtau < math.ulp(tau_max):
+        # tau + dtau == tau: the step loop would never reach the sample time
+        raise ValueError(f"dtau={config.dtau} is below the resolution of slow time {tau_max}")
 
-    y = np.array([s0.r_t, s0.z_t, s0.v_t])
     out = np.empty((len(sample_times), 3))
-    out[0] = y
-    dtau = config.dtau
-    tau = sample_times[0] * eps
-    for k in range(1, len(sample_times)):
-        target = sample_times[k] * eps
-        while tau < target:
-            step = target - tau
-            if step > dtau:
-                step = dtau
-            k1 = _rhs_array(y, model, config.mu0)
-            k2 = _rhs_array(y + 0.5 * step * k1, model, config.mu0)
-            k3 = _rhs_array(y + 0.5 * step * k2, model, config.mu0)
-            k4 = _rhs_array(y + step * k3, model, config.mu0)
-            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tau += step
-            if target - tau < 1e-15 * max(1.0, abs(target)):
-                tau = target
-        out[k] = y
+    out[0] = s0.r_t, s0.z_t, s0.v_t
+    muhat = config.mu0 / eps
+    kernel = _kernels.compiled_kernel() if model.poly is not None else None
+    if kernel is None:
+        _rk4_loop(sample_times.tolist(), eps, config.dtau, model, muhat, out)
+    else:
+        a0, a1, a2, c_e = model.poly
+        status, bad = kernel.drift_rk4(sample_times, eps, config.dtau, muhat, a0, a1, a2, c_e,
+                                       model.r_min, model.b_min, out)
+        if status == _kernels.STATUS_AXIS:
+            raise AxisSingularity(bad, model.r_min)
+        if status == _kernels.STATUS_DOMAIN:
+            raise DomainError(bad, model.b_min)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise FloatingPointError(f"slow state is not finite at t={sample_times[k]:.6g}")
     return DriftTrajectory(
-        t=sample_times.copy(),
+        t=sample_times,
         r=out[:, 0],
         z=out[:, 1],
         vpar=out[:, 2],

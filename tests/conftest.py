@@ -31,7 +31,7 @@ def mu0_1e3(model_1e3):
 
 
 def pytest_report_header(config):
-    _kernels.compiled_loop()
+    _kernels.compiled_kernel()
     line = f"toroboris stepping kernel: {_kernels.BACKEND}"
     if _kernels.FALLBACK_REASON:
         line += f" (fallback: {_kernels.FALLBACK_REASON})"

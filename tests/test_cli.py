@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -443,6 +444,29 @@ def test_check_field_cli_writes_file(tmp_path):
 
 def test_unknown_subcommand_exit_2():
     assert cli.cli_main(["frobnicate"]) == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(tmp_path, base_config(tmp_path, t_final=4.0, against="drift"))
+    # a usage error after --csv-a was parsed; a leaked csv_a would send the
+    # next compare into CSV mode
+    assert cli.cli_main(["compare", "--csv-a", str(tmp_path / "a.csv"), "--bogus"]) == 2
+    capsys.readouterr()
+    code = cli.cli_main(["compare", "--config", cfg])
+    out, err = capsys.readouterr()
+    in_process = (code, out, err, (tmp_path / "out.csv").read_bytes())
+    os.remove(tmp_path / "out.csv")
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "from toroboris.cli import main; main()", "compare", "--config", cfg],
+        capture_output=True, text=True, timeout=120,
+        # this process gave its one kernel fallback warning, if any, long ago
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="ignore::RuntimeWarning"),
+    )
+    fresh = (proc.returncode, proc.stdout, proc.stderr, (tmp_path / "out.csv").read_bytes())
+    assert in_process == fresh
+    assert code == 0 and json.loads(out)["against"] == "drift"
 
 
 def test_simulate_budget_exit_3_no_output(tmp_path, capsys):

@@ -176,6 +176,41 @@ def test_drift_config_validation():
         tb.DriftConfig(epsilon=1e-3, mu0=0.0, dtau=0.1)
     with pytest.raises(ValueError):
         tb.DriftConfig(epsilon=1e-3, mu0=-1e-3)
+    for mu0 in (float("nan"), float("inf")):  # "nan < 0" is false: this used to pass
+        with pytest.raises(ValueError, match="mu0"):
+            tb.DriftConfig(epsilon=1e-3, mu0=mu0)
+
+
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([0.0, 5.0, 2.0, 10.0], "nondecreasing"),  # returned the t=5 state stamped t=2
+        ([0.0, float("nan"), 10.0], "finite"),
+        ([0.0, float("inf")], "finite"),
+        ([], "nonempty"),
+        ([[0.0, 1.0]], "1-D"),
+    ],
+)
+def test_drift_integrate_rejects_bad_sample_times(model_1e3, mu0_1e3, times, match):
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3)
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    with pytest.raises(ValueError, match=match):
+        tb.drift_integrate(s0, model_1e3, cfg, 10.0, sample_times=times)
+
+
+def test_drift_integrate_keeps_repeated_sample_times(model_1e3, mu0_1e3):
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3)
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    tr = tb.drift_integrate(s0, model_1e3, cfg, 10.0, sample_times=[0.0, 5.0, 5.0, 10.0])
+    assert (tr.r[1], tr.z[1], tr.vpar[1]) == (tr.r[2], tr.z[2], tr.vpar[2])
+
+
+def test_drift_integrate_rejects_a_step_below_the_resolution_of_tau(model_1e3, mu0_1e3):
+    # within the budget, but tau + dtau == tau at tau = 1e17: the loop never ended
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4)
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    with pytest.raises(ValueError, match="resolution"):
+        tb.drift_integrate(s0, model_1e3, cfg, 0.0, sample_times=[1e20, 1e20 + 1e5])
 
 
 def test_default_sampling_lands_on_t_final(model_1e3, mu0_1e3):
@@ -201,6 +236,18 @@ def test_budget_fires_before_running(model_1e3, mu0_1e3):
     # every output interval takes a step, so 1e301 intervals are over budget too
     with pytest.raises(BudgetExceeded):
         tb.drift_integrate(s0, model_1e3, tb.DriftConfig(1e-3, mu0_1e3, dt_out=1e-300), 10.0)
+
+
+def test_budget_counts_the_sample_grid_not_t_final(model_1e3, mu0_1e3):
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    cfg = tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-4, budget_steps=100)
+    # the grid spans 2000: 20000 RK4 steps, which used to run under a t_final of 1
+    with pytest.raises(BudgetExceeded) as err:
+        tb.drift_integrate(s0, model_1e3, cfg, 1.0, sample_times=[0.0, 2000.0])
+    assert err.value.steps == 20000.0
+    # a grid of 100 steps runs whatever t_final says
+    tr = tb.drift_integrate(s0, model_1e3, cfg, 1e6, sample_times=[990.0, 1000.0])
+    assert list(tr.t) == [990.0, 1000.0]
 
 
 # ---------------------------------------------------------------------------

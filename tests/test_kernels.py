@@ -1,4 +1,4 @@
-"""The C stepping kernel against the Python reference loop, and its loader."""
+"""The C loops against the Python reference loops, and their loader."""
 
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
-from toroboris import _kernels, cli
+from toroboris import _kernels, cli, drift
+from toroboris.drift import DriftState
+from toroboris.errors import AxisSingularity, DomainError
 
 from conftest import X0, V0
 
@@ -111,7 +113,7 @@ def test_non_finite_step_trips_the_runaway_guard(eps):
 
 @needs_cc
 def test_compiled_loop_rejects_bad_buffers():
-    loop = _kernels.compiled_loop()
+    loop = _kernels.compiled_kernel().two_step_loop
     x, d = np.array(X0), np.zeros(3)
     args = (10, 1, 0.04, 1e-3, 0.0, 0.0, 1.0, 1.0, 0.1, 1e-9, 0.0, 10.0, x, d)
     with pytest.raises(ValueError):  # 10 steps sampled every step need 11 rows
@@ -120,21 +122,118 @@ def test_compiled_loop_rejects_bad_buffers():
         loop(*args, np.empty(11), np.empty((11, 3), dtype=np.float32), np.empty((11, 3)))
 
 
+def drift_both(s0, model, cfg, t_final, sample_times=None):
+    """drift_integrate through the C loop and through _rk4_loop: result bytes or error."""
+    outcomes = []
+    for m in (model, dataclasses.replace(model, poly=None)):
+        try:
+            tr = tb.drift_integrate(s0, m, cfg, t_final, sample_times=sample_times)
+        except Exception as e:  # noqa: BLE001 - the two backends must fail alike
+            outcomes.append((type(e), str(e)))
+        else:
+            outcomes.append(tuple(getattr(tr, a).tobytes() for a in ("t", "r", "z", "vpar")))
+        if HAVE_CC:
+            assert _kernels.BACKEND == "c", _kernels.FALLBACK_REASON
+    return outcomes
+
+
+@st.composite
+def sample_grids(draw, eps, dtau):
+    """A regular grid whose stride is a whole number of RK4 steps (so tau's
+    snapping rule decides each interval's end) or a non-integer one (so every
+    interval ends on a shortened substep), or an arbitrary nondecreasing grid."""
+    t0 = draw(st.floats(-50.0, 50.0))
+    if draw(st.booleans()):
+        whole = draw(st.integers(5, 40))
+        frac = draw(st.just(0.0) | st.floats(0.05, 0.95))
+        n = draw(st.integers(3, 10))
+        return t0 + np.arange(n) * ((whole + frac) * dtau / eps)
+    gaps = draw(st.lists(st.floats(0.0, 40.0 * dtau / eps), min_size=3, max_size=8))
+    return t0 + np.cumsum([0.0, *gaps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    eps=st.floats(1e-4, 1e-1),
+    dtau=st.floats(1e-3, 1e-2),
+    coeffs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.5), st.floats(0.0, 3.0), st.floats(-2.0, 2.0)),
+    state=st.tuples(st.floats(0.3, 1.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0)),
+    muhat=st.floats(0.0, 5.0),
+)
+def test_c_drift_matches_python_rk4_loop(data, eps, dtau, coeffs, state, muhat):
+    # A last-bit change in one stage is mostly absorbed by y + w k, so the
+    # ranges favour large right-hand sides, a z^2 term that can dominate b and
+    # tens of steps per example; a2 * (zt * zt) in the C source fails here.
+    model = tb.toroidal_model(eps, *coeffs)
+    cfg = tb.DriftConfig(epsilon=eps, mu0=muhat * eps, dtau=dtau)
+    times = data.draw(sample_grids(eps, dtau))
+    compiled, python = drift_both(DriftState(*state), model, cfg, 1.0, sample_times=times)
+    assert compiled == python
+
+
+def test_c_drift_matches_python_on_the_default_grid(model_1e3, mu0_1e3):
+    # stride 7 over t = 100: the last output interval is shortened to land on t_final
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4, dt_out=7.0)
+    compiled, python = drift_both(tb.drift_init(X0, V0, model_1e3), model_1e3, cfg, 100.0)
+    assert compiled == python
+
+
+def _drift_abort_case(tag):
+    if tag == "axis":
+        # no grad-B force: the electric drift carries r~ inward past r_min
+        model = tb.toroidal_model(1e-3, r_min=0.416)
+        return tb.drift_init(X0, V0, model), model, 0.0, AxisSingularity
+    if tag == "domain":
+        # z~ falls through 0, where b = r~ + z~^2 drops below 0.5
+        model = tb.toroidal_model(1e-3, b_min=0.5)
+        return tb.drift_init(X0, V0, model), model, tb.magnetic_moment(X0, V0, model), DomainError
+    # v~^2 overflows: the slow state stops being finite
+    model = tb.toroidal_model(1e-3)
+    return DriftState(0.5, 0.0, 1e200), model, 0.0, FloatingPointError
+
+
+@pytest.mark.parametrize("tag", ["axis", "domain", "non_finite"])
+def test_both_drift_backends_abort_alike(tag):
+    s0, model, mu0, error = _drift_abort_case(tag)
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0, dtau=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        compiled, python = drift_both(s0, model, cfg, 1000.0)
+    assert compiled[0] is error
+    assert compiled == python
+
+
+@needs_cc
+def test_compiled_drift_rejects_bad_buffers():
+    rk4 = _kernels.compiled_kernel().drift_rk4
+    args = (1e-3, 1e-4, 1.0, 0.0, 1.0, 1.0, 0.1, 1e-9, 0.0)
+    with pytest.raises(ValueError):  # one row per sample time
+        rk4(np.array([0.0, 1.0]), *args, np.zeros((1, 3)))
+    with pytest.raises(ValueError):  # an empty grid has no row 0
+        rk4(np.empty(0), *args, np.zeros((0, 3)))
+    with pytest.raises(ctypes.ArgumentError):  # wrong dtype never reaches C
+        rk4(np.array([0.0, 1.0], dtype=np.float32), *args, np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # fallback and loader
 
 
-def test_forced_fallback_uses_python_loop(monkeypatch, model_1e3, mu0_1e3):
-    cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0_1e3)
-    want = tb.integrate(X0, V0, model_1e3, cfg, 40.0, sample_every=3)
-
+def force_fallback(monkeypatch):
     def unavailable():
         raise _kernels.KernelUnavailable("forced for the test")
 
     monkeypatch.setattr(_kernels, "_load_library", unavailable)
     monkeypatch.setattr(_kernels, "BACKEND", None)
     monkeypatch.setattr(_kernels, "FALLBACK_REASON", None)
-    monkeypatch.setattr(_kernels, "_loop", None)
+    monkeypatch.setattr(_kernels, "_kernel", None)
+
+
+def test_forced_fallback_uses_python_loop(monkeypatch, model_1e3, mu0_1e3):
+    cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0_1e3)
+    want = tb.integrate(X0, V0, model_1e3, cfg, 40.0, sample_every=3)
+    force_fallback(monkeypatch)
     with pytest.warns(RuntimeWarning, match="Python loop"):
         got = tb.integrate(X0, V0, model_1e3, cfg, 40.0, sample_every=3)
     assert _kernels.BACKEND == "python"
@@ -143,6 +242,58 @@ def test_forced_fallback_uses_python_loop(monkeypatch, model_1e3, mu0_1e3):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # one warning per process, not per run
         tb.integrate(X0, V0, model_1e3, cfg, 40.0, sample_every=3)
+
+
+def test_forced_fallback_runs_the_python_rk4_loop(monkeypatch, model_1e3, mu0_1e3):
+    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4, dt_out=7.0)
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    want = tb.drift_integrate(s0, model_1e3, cfg, 50.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_loop(*args)
+
+    rk4_loop = drift._rk4_loop
+    monkeypatch.setattr(drift, "_rk4_loop", counted)
+    force_fallback(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="Python loop"):
+        got = tb.drift_integrate(s0, model_1e3, cfg, 50.0)
+    assert _kernels.BACKEND == "python" and len(calls) == 1
+    for name in ("t", "r", "z", "vpar"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@needs_cc
+def test_library_without_the_drift_symbol_is_unavailable(tmp_path):
+    # an older build of the library: the two-step loop alone is not enough
+    src = tmp_path / "old.c"
+    src.write_text("int toroboris_two_step_loop(void) { return 0; }\n")
+    lib = tmp_path / "old.so"
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
+    with pytest.raises(_kernels.KernelUnavailable, match="toroboris_drift_rk4"):
+        _kernels._bind(str(lib))
+
+
+@needs_cc
+def test_drift_command_builds_the_kernel(monkeypatch, tmp_path):
+    loads = []
+
+    def counted_load():
+        loads.append(1)
+        return load_library()
+
+    load_library = _kernels._load_library
+    monkeypatch.setattr(_kernels, "_load_library", counted_load)
+    monkeypatch.setattr(_kernels, "BACKEND", None)
+    monkeypatch.setattr(_kernels, "_kernel", None)
+    cfg = tmp_path / "drift.json"
+    cfg.write_text(json.dumps({"epsilon": 1e-3, "h": 0.04, "t_final": 10.0, "variant": "modified",
+                               "field": {"preset": "paper-toroidal"},
+                               "x0": list(X0), "v0": list(V0),
+                               "output": {"path": str(tmp_path / "d.csv")}}))
+    assert cli.cli_main(["drift", "--config", str(cfg)]) == 0
+    assert (loads, _kernels.BACKEND) == ([1], "c")
 
 
 @needs_cc
@@ -185,7 +336,7 @@ def test_check_field_never_builds_the_kernel(monkeypatch, tmp_path):
 
     monkeypatch.setattr(_kernels, "_load_library", no_load)
     monkeypatch.setattr(_kernels, "BACKEND", None)
-    monkeypatch.setattr(_kernels, "_loop", None)
+    monkeypatch.setattr(_kernels, "_kernel", None)
     cfg = tmp_path / "check.json"
     cfg.write_text(json.dumps({"epsilon": 1e-3, "field": {"preset": "paper-toroidal"},
                                "probes": {"count": 2}, "output": {"path": str(tmp_path / "f.json")}}))
