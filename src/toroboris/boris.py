@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AxisSingularity, DomainError
-from .geometry import ToroidalFieldModel, eval_field
+from .geometry import ToroidalFieldModel, _scalar, dot3, eval_field
 
 VARIANTS = ("standard", "modified")
 
@@ -100,12 +100,19 @@ class Trajectory:
         return len(self.t)
 
 
-def magnetic_moment(x, v, field_model) -> float:
-    """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|)."""
-    s = eval_field(field_model, x)
-    v = np.asarray(v, dtype=float)
-    w = np.cross(v, s.B)
-    return 0.5 * float(w @ w) / s.absB**3
+def magnetic_moment(x, v, field_model):
+    """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|).
+
+    Takes a point and velocity (3,), or arrays (..., 3) of them, and
+    returns a float or an array of shape (...).
+    """
+    B, absB = field_model.strength(x)
+    w = np.cross(np.asarray(v, dtype=float), B)
+    # per element in Python floats: |B|**3 is libm pow (np.power rounds differently)
+    # and overflows to OverflowError, as the scalar expression always has
+    pairs = zip(np.ravel(dot3(w, w)).tolist(), np.ravel(absB).tolist())
+    mu = [0.5 * ww / b**3 for ww, b in pairs]
+    return _scalar(np.array(mu, dtype=float).reshape(np.shape(absB)))
 
 
 def filter_initial_velocity(x, v, field_model) -> np.ndarray:
@@ -179,31 +186,36 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     return TwoStepWindow(x_prev=x0, x_curr=x1), seed, v0
 
 
+_AXES = np.eye(3)
+
+
 def _perp_basis(e: np.ndarray):
-    a = np.array([1.0, 0.0, 0.0]) if abs(e[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    u1 = a - (a @ e) * e
-    u1 /= np.linalg.norm(u1)
+    """Orthonormal u1, u2 spanning the planes orthogonal to unit vectors e (..., 3)."""
+    a = np.where(np.abs(e[..., :1]) <= 0.9, _AXES[0], _AXES[1])
+    u1 = a - dot3(a, e)[..., None] * e
+    u1 = u1 / np.sqrt(dot3(u1, u1))[..., None]
     u2 = np.cross(e, u1)
     return u1, u2
 
 
-def nondegeneracy_sigma(x, v, h: float, field_model) -> float:
+def nondegeneracy_sigma(x, v, h: float, field_model):
     """Smaller singular value of z -> z + (h^2/4) P_perp (v x B'(x) z).
 
     The map acts on the plane orthogonal to B(x); values near zero signal
-    that the large-step nondegeneracy assumption fails at (x, v).
+    that the large-step nondegeneracy assumption fails at (x, v).  Takes a
+    point and velocity (3,), or arrays (..., 3) of them, and returns a float
+    or an array of shape (...).
     """
     s = eval_field(field_model, x)
     v = np.asarray(v, dtype=float)
-    e = s.B / s.absB
+    e = s.B / np.asarray(s.absB)[..., None]
     u1, u2 = _perp_basis(e)
     quarter_h2 = 0.25 * h * h
-    cols = []
-    for u in (u1, u2):
-        w = u + quarter_h2 * np.cross(v, s.jacB @ u)
-        cols.append((float(u1 @ w), float(u2 @ w)))
-    a = np.array(cols).T
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    w1, w2 = (u + quarter_h2 * np.cross(v, (s.jacB @ u[..., None])[..., 0]) for u in (u1, u2))
+    # rows (u1, u2), columns (w1, w2): the 2x2 matrix of the map in the basis
+    a = np.stack([dot3(u1, w1), dot3(u1, w2), dot3(u2, w1), dot3(u2, w2)], axis=-1)
+    sigma = np.linalg.svd(a.reshape(a.shape[:-1] + (2, 2)), compute_uv=False)[..., -1]
+    return _scalar(sigma)
 
 
 _ERROR_TAGS = {

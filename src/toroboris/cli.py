@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .drift import DriftConfig, drift_init, drift_integrate
 from .errors import SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
 from .harness import (
-    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _check_grid, convergence_study, error_vs_drift,
+    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, convergence_study, error_vs_drift,
     error_vs_reference, monitor_nondegeneracy, observables, run_drift, run_reference,
     run_trajectory, theorem1_suite,
 )
@@ -38,14 +39,11 @@ EXIT_RUNTIME = 3
 EXIT_GATE = 4
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings in chunks to path through a temp file and a rename."""
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -272,30 +270,41 @@ DRIFT_HEADER = "t,r,z,vpar,rv_invariant"
 ERROR_HEADER = "t,err_r,err_z,err_vpar"
 
 
-def _columns_csv(header: str, *columns) -> str:
-    """One line per sample, one field per column array."""
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+# Rows per formatted chunk: large enough to amortise the per-chunk work, small
+# enough that the .tolist() copies stay a few hundred kB.
+_CHUNK_ROWS = 1024
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def _columns_csv(header: str, *columns) -> list[str]:
+    """The CSV text in chunks: the header, then one line per sample, one field per column.
+
+    Fields are %.17g, which round-trips binary64 exactly.
+    """
+    row = ",".join(["%.17g"] * len(columns))
+    chunks = [header + "\n"]
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+        chunks.append("\n".join([row % values for values in rows]) + "\n")
+    return chunks
+
+
+def trajectory_csv(traj: Trajectory) -> list[str]:
     obs = observables(traj)
     return _columns_csv(
         TRAJECTORY_HEADER, traj.t, *traj.x.T, *traj.v.T, obs.r, obs.z, obs.vpar, obs.mu, obs.energy
     )
 
 
-def error_csv(err: ErrorSeries) -> str:
+def error_csv(err: ErrorSeries) -> list[str]:
     return _columns_csv(ERROR_HEADER, err.t, err.err_r, err.err_z, err.err_vpar)
 
 
 def read_series_csv(path: str, columns: tuple[str, ...]):
     """Read named columns from a CSV produced by this tool.
 
-    A malformed file is a SchemaError at path "" (the whole document) whose
-    message names the file.
+    A malformed file, or a field that is not a finite number, is a
+    SchemaError at path "" (the whole document) whose message names the
+    file.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -310,7 +319,10 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
                 continue
             if len(parts) != len(header):
                 raise SchemaError("", f"{path}: line {lineno}: expected {len(header)} fields")
-            rows.append([float(parts[i]) for i in idx])
+            row = [float(parts[i]) for i in idx]
+            if not all(map(math.isfinite, row)):
+                raise SchemaError("", f"{path}: line {lineno}: fields must be finite")
+            rows.append(row)
     if not rows:
         raise SchemaError("", f"{path}: CSV has no data rows")
     data = np.asarray(rows, dtype=float)
@@ -347,16 +359,14 @@ def _cmd_drift(args) -> int:
 
 def _compare_from_csvs(path_a: str, path_b: str) -> ErrorSeries:
     cols = ("t", "r", "z", "vpar")
-    a = read_series_csv(path_a, cols)
-    b = read_series_csv(path_b, cols)
-    _check_grid(a["t"], b["t"])
-    return ErrorSeries(a["t"], *(np.abs(a[c] - b[c]) for c in cols[1:]))
+    a, b = (SimpleNamespace(**read_series_csv(path, cols)) for path in (path_a, path_b))
+    return _error_series(a, b)
 
 
 def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) -> int:
     _atomic_write(path, error_csv(err))
     if summary_path:
-        _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
+        _atomic_write(summary_path, [json.dumps(summary, indent=2) + "\n"])
     else:
         print(json.dumps(summary))
     return EXIT_OK
@@ -413,7 +423,7 @@ def _report_study(output: dict, report, csv_names: list, message: str, **extra) 
         os.makedirs(csv_dir, exist_ok=True)
         for name, err in zip(csv_names, report.series):
             _atomic_write(os.path.join(csv_dir, name), error_csv(err))
-    _atomic_write(output["path"], json.dumps(report.to_dict(), indent=2) + "\n")
+    _atomic_write(output["path"], [json.dumps(report.to_dict(), indent=2) + "\n"])
     if not report.passed:
         _diag("GateFailure", message, **extra)
         return EXIT_GATE
@@ -466,7 +476,7 @@ def _cmd_check_field(args) -> int:
     if cfg["output"] is None:
         print(text, end="")
     else:
-        _atomic_write(cfg["output"]["path"], text)
+        _atomic_write(cfg["output"]["path"], [text])
     return EXIT_OK
 
 

@@ -167,6 +167,32 @@ def _sample_grid(sample_times) -> np.ndarray:
     return times
 
 
+# Unit roundoff of binary64.
+_U = 2.0**-53
+
+
+def _rk4_step_bound(times: np.ndarray, eps: float, dtau: float) -> float:
+    """An upper bound on the RK4 steps _rk4_loop takes over the sample grid times.
+
+    An interval from tau_a to tau_b (tau = eps t) takes full steps of dtau
+    and ends with one step that lands on tau_b or is snapped onto it, so
+    every step but the last leaves at least the snapping threshold s to go.
+    A full step advances tau by dtau less its rounding, at most u max(|tau_a|,
+    |tau_b|), or dtau / 2 once dtau is above the resolution of tau (which
+    drift_integrate checks).  So n steps need n - 1 <= (tau_b - tau_a - s) / d,
+    with d the least advance; each term below is rounded towards more steps.
+    An empty interval takes none.
+    """
+    tau = times * eps
+    a, b = tau[:-1], tau[1:]
+    snap = 1e-15 * np.maximum(1.0, np.abs(b))
+    with np.errstate(over="ignore", divide="ignore"):
+        advance = dtau - np.minimum(2.0 * _U * np.maximum(np.abs(a), np.abs(b)), 0.5 * dtau)
+        q = ((b - a) * (1.0 + 4 * _U) - snap * (1.0 - 4 * _U)) / (advance * (1.0 - 4 * _U))
+        steps = np.where(b > a, np.maximum(1.0, 1.0 + np.floor(q * (1.0 + 8 * _U))), 0.0)
+        return float(np.sum(steps))
+
+
 def drift_integrate(
     s0: DriftState,
     model: ToroidalFieldModel,
@@ -182,8 +208,8 @@ def drift_integrate(
     of config.dtau, shortening the final substep to land on the sample time,
     so no interpolation is ever involved.  Deterministic: identical inputs
     give bit-identical outputs.  Raises BudgetExceeded before doing any work
-    if the run needs more than config.budget_steps steps: one per dtau of
-    slow time over the sampled span, and at least one per output interval.
+    if the run could need more than config.budget_steps steps: about one per
+    dtau of slow time in each output interval, rounded up per interval.
 
     For the closed-form family (model.poly set) the steps run in the C loop
     of _kernels, bitwise equal to the Python loop _rk4_loop that runs
@@ -202,19 +228,22 @@ def drift_integrate(
     if dt_out is None:
         dt_out = t_final / 1000.0 if t_final > 0.0 else 1.0
     if sample_times is None:
-        intervals, span = t_final / dt_out, t_final
-    else:
-        sample_times = _sample_grid(sample_times)
-        intervals, span = len(sample_times) - 1, sample_times[-1] - sample_times[0]
-    steps = max(eps * span / config.dtau, intervals)
-    if steps > config.budget_steps:
-        raise BudgetExceeded(steps, config.budget_steps)
-    if sample_times is None:
-        m = int(np.floor(t_final / dt_out + 1e-9))
+        # refused before the grid is built: every interval takes a step, and a
+        # step covers at most dtau of slow time
+        intervals = t_final / dt_out
+        least = max(intervals, eps * t_final / config.dtau)
+        if least > config.budget_steps:
+            raise BudgetExceeded(least, config.budget_steps)
+        m = int(np.floor(intervals + 1e-9))
         times = [k * dt_out for k in range(m + 1)]
         if times[-1] < t_final - 1e-9 * max(1.0, t_final):
             times.append(t_final)
         sample_times = np.array(times)
+    else:
+        sample_times = _sample_grid(sample_times)
+    steps = _rk4_step_bound(sample_times, eps, config.dtau)
+    if not steps <= config.budget_steps:
+        raise BudgetExceeded(steps, config.budget_steps)
     tau_max = eps * max(abs(sample_times[0]), abs(sample_times[-1]))
     if config.dtau < math.ulp(tau_max):
         # tau + dtau == tau: the step loop would never reach the sample time

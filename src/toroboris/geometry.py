@@ -19,40 +19,89 @@ import numpy as np
 
 from .errors import AxisSingularity, DomainError, Unsupported
 
-E_Z = np.array([0.0, 0.0, 1.0])
-
-
 @dataclass(frozen=True)
 class CylindricalFrame:
-    """Local orthonormal frame (e_r, e_par, e_z) and cylindrical coordinates."""
+    """Local orthonormal frame (e_r, e_par, e_z) and cylindrical coordinates.
 
-    r: float
-    z: float
+    For a single point r and z are floats and each unit vector has shape
+    (3,); for points of shape (..., 3), r and z are arrays of shape (...)
+    and the unit vectors have the shape of the points.
+    """
+
+    r: float | np.ndarray
+    z: float | np.ndarray
     e_r: np.ndarray
     e_par: np.ndarray
     e_z: np.ndarray
 
 
-def frame(x, r_min: float = 1e-9) -> CylindricalFrame:
-    """Cylindrical coordinates and local frame at a Cartesian point.
+def _scalar(a):
+    """A 0-d result as a Python float, as callers of single points expect."""
+    return float(a) if np.ndim(a) == 0 else a
 
-    Raises AxisSingularity when the point is within r_min of the axis.
+
+def _xy(x: np.ndarray):
+    # x[..., k][()] is a numpy scalar for a single point, as in the scalar code this
+    # replaced, so an overflow there still raises naming a scalar operation
+    return x[..., 0][()], x[..., 1][()]
+
+
+def _radius(x: np.ndarray):
+    x1, x2 = _xy(x)
+    return np.sqrt(x1 * x1 + x2 * x2)
+
+
+def dot3(a, b) -> np.ndarray:
+    """Dot products of 3-vectors along the last axis of a and b.
+
+    Each is a (1, 3) @ (3, 1) matmul, the BLAS dot that ``a @ b`` runs on
+    one pair of vectors, so every element has the bits of ``a @ b``; a sum
+    of products, or einsum, rounds differently.
+    """
+    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def _each(f, r, z) -> np.ndarray:
+    """f(r, z) per element, on Python floats: model callables are scalar functions."""
+    values = [f(a, b) for a, b in zip(np.ravel(r).tolist(), np.ravel(z).tolist())]
+    return np.array(values, dtype=float).reshape(np.shape(r))
+
+
+def _frame(x: np.ndarray, r) -> CylindricalFrame:
+    x1, x2 = _xy(x)
+    zero = np.zeros_like(r)
+    return CylindricalFrame(
+        r=_scalar(r),
+        z=_scalar(x[..., 2]),
+        e_r=np.stack([x1 / r, x2 / r, zero], axis=-1),
+        e_par=np.stack([-x2 / r, x1 / r, zero], axis=-1),
+        e_z=np.stack([zero, zero, zero + 1.0], axis=-1),
+    )
+
+
+def frame(x, r_min: float = 1e-9) -> CylindricalFrame:
+    """Cylindrical coordinates and local frame at a point (3,) or points (..., 3).
+
+    Raises AxisSingularity for the first point within r_min of the axis.
     """
     x = np.asarray(x, dtype=float)
-    r = sqrt(x[0] * x[0] + x[1] * x[1])
-    if r < r_min:
-        raise AxisSingularity(r, r_min)
-    e_r = np.array([x[0] / r, x[1] / r, 0.0])
-    e_par = np.array([-x[1] / r, x[0] / r, 0.0])
-    return CylindricalFrame(r=r, z=float(x[2]), e_r=e_r, e_par=e_par, e_z=E_Z.copy())
+    r = _radius(x)
+    near = np.flatnonzero(r < r_min)
+    if len(near):
+        raise AxisSingularity(float(np.ravel(r)[near[0]]), r_min)
+    return _frame(x, r)
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Field quantities at one point: B, |B|, grad|B|, E and the Jacobian of B."""
+    """Field quantities B, |B|, grad|B|, E and the Jacobian of B.
+
+    At a single point absB is a float; at points of shape (..., 3) it has
+    shape (...) and jacB has shape (..., 3, 3).
+    """
 
     B: np.ndarray
-    absB: float
+    absB: float | np.ndarray
     gradAbsB: np.ndarray
     E: np.ndarray
     jacB: np.ndarray
@@ -118,24 +167,54 @@ class ToroidalFieldModel:
         em_z = self.E_z(r, z) - self.db_dz(r, z) * inv_eps * mu0
         return (-scale * er2, scale * er1, 0.0, em_r * er1, em_r * er2, em_z)
 
-    def sample(self, x) -> FieldSample:
-        """Full field sample (B, |B|, grad|B|, E, B') at a Cartesian point."""
-        fr = frame(x, self.r_min)
-        r, z = fr.r, fr.z
-        bb = self.profile(r, z)
-        inv_eps = 1.0 / self.epsilon
-        absB = bb * inv_eps
-        B = absB * fr.e_par
-        grad_b = self.db_dr(r, z) * fr.e_r + self.db_dz(r, z) * fr.e_z
-        gradAbsB = grad_b * inv_eps
-        E = self.E_r(r, z) * fr.e_r + self.E_z(r, z) * fr.e_z
-        jacB = inv_eps * (np.outer(fr.e_par, grad_b) - (bb / r) * np.outer(fr.e_r, fr.e_par))
-        return FieldSample(B=B, absB=absB, gradAbsB=gradAbsB, E=E, jacB=jacB)
+    def _checked(self, x: np.ndarray):
+        """r, z, the frame, B, |B| and b / r at points, checked in order as sample says."""
+        r, z = _radius(x), x[..., 2]
+        r_min, inv_eps = self.r_min, 1.0 / self.epsilon
+        # per point in Python floats: |B| and b/r overflow to inf, not to FloatingPointError
+        absB, b_over_r = [], []
+        for ri, zi in zip(np.ravel(r).tolist(), np.ravel(z).tolist()):
+            if ri < r_min:
+                raise AxisSingularity(ri, r_min)
+            bb = self.profile(ri, zi)
+            absB.append(bb * inv_eps)
+            b_over_r.append(bb / ri)
+        shape = np.shape(r)
+        absB = np.array(absB, dtype=float).reshape(shape)
+        fr = _frame(x, r)
+        B = absB[..., None] * fr.e_par
+        return r, z, fr, B, absB, np.array(b_over_r, dtype=float).reshape(shape)
 
-    def potential_at(self, r: float, z: float) -> float:
-        if self.phi is None:
-            raise Unsupported("field model carries no scalar potential")
-        return self.phi(r, z)
+    def strength(self, x):
+        """B and |B| at a point or at points (..., 3), checked as in sample."""
+        _, _, _, B, absB, _ = self._checked(np.asarray(x, dtype=float))
+        return B, _scalar(absB)
+
+    def sample(self, x) -> FieldSample:
+        """Full field sample (B, |B|, grad|B|, E, B') at a point or at points (..., 3).
+
+        Points are checked in order, so the first one on the axis or off the
+        domain raises, as it would if the points were sampled one by one.
+        """
+        r, z, fr, B, absB, b_over_r = self._checked(np.asarray(x, dtype=float))
+        inv_eps = 1.0 / self.epsilon
+        grad_b = _each(self.db_dr, r, z)[..., None] * fr.e_r
+        grad_b = grad_b + _each(self.db_dz, r, z)[..., None] * fr.e_z
+        gradAbsB = grad_b * inv_eps
+        E = _each(self.E_r, r, z)[..., None] * fr.e_r + _each(self.E_z, r, z)[..., None] * fr.e_z
+        outer_r_par = fr.e_r[..., :, None] * fr.e_par[..., None, :]
+        jacB = inv_eps * (
+            fr.e_par[..., :, None] * grad_b[..., None, :] - b_over_r[..., None, None] * outer_r_par
+        )
+        return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E, jacB=jacB)
+
+    def in_domain(self, x) -> np.ndarray:
+        """Which of the points (..., 3) lie off the axis and where b > b_min."""
+        x = np.asarray(x, dtype=float)
+        r, z = np.asarray(_radius(x)), x[..., 2]
+        ok = ~(r < self.r_min)
+        ok[ok] = ~(_each(self.b, r[ok], z[ok]) <= self.b_min)
+        return ok
 
 
 # Config-file name of the closed-form preset family (see cli module).
@@ -195,27 +274,42 @@ class UniformFieldModel:
         return (b1, b2, b3, e1, e2, e3)
 
     def sample(self, x) -> FieldSample:
+        shape = np.shape(x)[:-1]
         B = np.asarray(self.B0, float)
         return FieldSample(
-            B=B,
-            absB=float(np.linalg.norm(B)),
-            gradAbsB=np.zeros(3),
-            E=np.asarray(self.E0, float),
-            jacB=np.zeros((3, 3)),
+            B=np.broadcast_to(B, shape + (3,)).copy(),
+            absB=_scalar(np.full(shape, float(np.linalg.norm(B)))),
+            gradAbsB=np.zeros(shape + (3,)),
+            E=np.broadcast_to(np.asarray(self.E0, float), shape + (3,)).copy(),
+            jacB=np.zeros(shape + (3, 3)),
         )
+
+    def strength(self, x):
+        """B and |B| at a point or at points (..., 3)."""
+        s = self.sample(x)
+        return s.B, s.absB
+
+    def in_domain(self, x) -> np.ndarray:
+        """A uniform field is defined everywhere."""
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
 def eval_field(model, x) -> FieldSample:
-    """Evaluate a field model at a Cartesian point."""
+    """Evaluate a field model at a Cartesian point (3,) or at points (..., 3)."""
     return model.sample(x)
 
 
-def potential(model, x) -> float:
-    """Scalar potential phi(r(x), z(x)); Unsupported if the model has none."""
+def potential(model, x):
+    """Scalar potential phi(r(x), z(x)) at a point or points (..., 3).
+
+    Unsupported if the model has none.
+    """
     if not isinstance(model, ToroidalFieldModel):
         raise Unsupported("only toroidal models carry a scalar potential")
     fr = frame(x, model.r_min)
-    return model.potential_at(fr.r, fr.z)
+    if model.phi is None:
+        raise Unsupported("field model carries no scalar potential")
+    return _scalar(_each(model.phi, fr.r, fr.z))
 
 
 @dataclass(frozen=True)

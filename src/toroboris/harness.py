@@ -23,8 +23,8 @@ from .boris import (
     PusherConfig, Trajectory, initialize, integrate, magnetic_moment, nondegeneracy_sigma,
 )
 from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
-from .errors import AxisSingularity, BudgetExceeded, DomainError, GridMismatch, Unsupported
-from .geometry import ToroidalFieldModel, frame, potential
+from .errors import BudgetExceeded, GridMismatch, Unsupported
+from .geometry import ToroidalFieldModel, dot3, frame, potential
 
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
 _SIGMA_WARN = 0.1
@@ -174,17 +174,16 @@ def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
     0.1.  Samples on the axis or outside the field domain are skipped.  A
     low sigma is reported, never an abort.
     """
-    sigma_min = np.inf
-    warnings = []
-    for t, x, v in zip(traj.t, traj.x, traj.v):
-        try:
-            sig = nondegeneracy_sigma(x, v, traj.h, traj.field)
-        except (AxisSingularity, DomainError):
-            continue
-        sigma_min = min(sigma_min, sig)
-        if sig < _SIGMA_WARN:
-            warnings.append({"kind": "nondegeneracy", "t": float(t), "sigma": sig})
-    return (float(sigma_min) if np.isfinite(sigma_min) else None), warnings
+    ok = traj.field.in_domain(traj.x)
+    if not ok.any():
+        return None, []
+    sigma = nondegeneracy_sigma(traj.x[ok], traj.v[ok], traj.h, traj.field)
+    low = sigma < _SIGMA_WARN
+    warnings = [
+        {"kind": "nondegeneracy", "t": t, "sigma": sig}
+        for t, sig in zip(traj.t[ok][low].tolist(), sigma[low].tolist())
+    ]
+    return float(sigma.min()), warnings
 
 
 @dataclass
@@ -206,29 +205,21 @@ def observables(traj: Trajectory) -> ObservableSeries:
     """Derive per-sample cylindrical observables from a trajectory.
 
     energy is |v|^2 / 2 plus the scalar potential when the model carries
-    one (kinetic energy only otherwise).
+    one (kinetic energy only otherwise).  The first sample on the axis or
+    off the field domain raises AxisSingularity or DomainError.
     """
     model = traj.field
-    n = len(traj)
-    r = np.empty(n)
-    z = np.empty(n)
-    vpar = np.empty(n)
-    mu = np.empty(n)
-    energy = np.empty(n)
-    r_min = getattr(model, "r_min", 1e-9)
-    for i in range(n):
-        x = traj.x[i]
-        v = traj.v[i]
-        fr = frame(x, r_min)
-        r[i], z[i] = fr.r, fr.z
-        vpar[i] = float(fr.e_par @ v)
-        mu[i] = magnetic_moment(x, v, model)
-        kinetic = 0.5 * float(v @ v)
-        try:
-            energy[i] = kinetic + potential(model, x)
-        except Unsupported:
-            energy[i] = kinetic
-    return ObservableSeries(t=traj.t.copy(), r=r, z=z, vpar=vpar, mu=mu, energy=energy)
+    # first: the field sample raises for the first sample off the domain, in order
+    mu = magnetic_moment(traj.x, traj.v, model)
+    fr = frame(traj.x, getattr(model, "r_min", 1e-9))
+    kinetic = 0.5 * dot3(traj.v, traj.v)
+    try:
+        energy = kinetic + potential(model, traj.x)
+    except Unsupported:
+        energy = kinetic
+    return ObservableSeries(
+        t=traj.t.copy(), r=fr.r, z=fr.z.copy(), vpar=dot3(fr.e_par, traj.v), mu=mu, energy=energy
+    )
 
 
 @dataclass
@@ -261,30 +252,30 @@ def _check_grid(ta, tb) -> None:
         raise GridMismatch(float("inf"))
     if len(ta):
         d = float(np.max(np.abs(np.asarray(ta) - np.asarray(tb))))
-        if d > 1e-12:
+        # written so that a NaN time fails the check too
+        if not (d <= 1e-12):
             raise GridMismatch(d)
+
+
+def _error_series(a, b) -> ErrorSeries:
+    """|r_a - r_b|, |z_a - z_b|, |vpar_a - vpar_b| for series with t, r, z, vpar on one grid."""
+    _check_grid(a.t, b.t)
+    return ErrorSeries(
+        t=a.t.copy(),
+        err_r=np.abs(a.r - b.r),
+        err_z=np.abs(a.z - b.z),
+        err_vpar=np.abs(a.vpar - b.vpar),
+    )
 
 
 def error_vs_drift(obs: ObservableSeries, drift_traj: DriftTrajectory) -> ErrorSeries:
     """Pointwise |r - r~|, |z - z~|, |v_par - v~| on a shared grid."""
-    _check_grid(obs.t, drift_traj.t)
-    return ErrorSeries(
-        t=obs.t.copy(),
-        err_r=np.abs(obs.r - drift_traj.r),
-        err_z=np.abs(obs.z - drift_traj.z),
-        err_vpar=np.abs(obs.vpar - drift_traj.vpar),
-    )
+    return _error_series(obs, drift_traj)
 
 
 def error_vs_reference(obs: ObservableSeries, ref_obs: ObservableSeries) -> ErrorSeries:
     """Pointwise observable errors against a reference trajectory's series."""
-    _check_grid(obs.t, ref_obs.t)
-    return ErrorSeries(
-        t=obs.t.copy(),
-        err_r=np.abs(obs.r - ref_obs.r),
-        err_z=np.abs(obs.z - ref_obs.z),
-        err_vpar=np.abs(obs.vpar - ref_obs.vpar),
-    )
+    return _error_series(obs, ref_obs)
 
 
 def fit_loglog_slope(hs, errs) -> float:

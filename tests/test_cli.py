@@ -258,6 +258,23 @@ def test_compare_csv_mode_grid_mismatch_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("line, column", [(2, "r"), (3, "t")])
+def test_compare_csv_mode_rejects_nan_naming_file_and_line(tmp_path, capsys, line, column):
+    rows = [["0", "0.5", "0.5", "1"], ["0.5", "0.5", "0.5", "1"]]
+    rows[line - 2][["t", "r", "z", "vpar"].index(column)] = "nan"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,r,z,vpar\n" + "".join(",".join(row) + "\n" for row in rows))
+    b.write_text(CSV)
+    argv = ["compare", "--csv-a", str(a), "--csv-b", str(b), "--out", str(tmp_path / "e.csv")]
+    code = cli.cli_main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    diag = json.loads(captured.err)
+    assert diag["error"] == "SchemaError"
+    assert f"{a}: line {line}: " in diag["message"]
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_compare_config_mode_against_drift(tmp_path):
     cfg = base_config(tmp_path, against="drift", t_final=100.0)
     cfg["output"]["path"] = str(tmp_path / "err.csv")
@@ -322,11 +339,15 @@ def test_only_compare_monitors_and_only_the_main_run(tmp_path, monkeypatch, agai
     path = write_config(tmp_path, cfg)
     assert cli.cli_main(["simulate", "--config", path]) == 0
     assert calls == []
+    # the main run's sample positions, as simulate wrote them
+    main_x = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)[:, 1:4]
     assert cli.cli_main(["compare", "--config", path]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    # one call per sample of the main run, at its step; none for the comparator
-    assert len(calls) == summary["n_samples"] == 41
+    # the main run's samples, every one at its step; none of the comparator's
+    assert len(main_x) == summary["n_samples"] == 41
     assert {args[2] for args in calls} == {0.05}
+    seen = np.concatenate([np.reshape(args[0], (-1, 3)) for args in calls])
+    np.testing.assert_array_equal(seen, main_x)
 
 
 def test_compare_config_mode_against_reference(tmp_path):
@@ -546,6 +567,10 @@ INPUT_HOLES = [
     # a bad CSV is reported at the whole document, "", and the message names the file
     ("compare", "t,r,z,vpar\n", ""),
     ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5\n", ""),
+    # non-finite fields: NaN in r printed "r": NaN (not JSON), NaN in t passed the grid check
+    ("compare", "t,r,z,vpar\n0,nan,0.5,1\n0.5,0.5,0.5,1\n", ""),
+    ("compare", "t,r,z,vpar\n0,0.5,0.5,1\nnan,0.5,0.5,1\n", ""),
+    ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5,-inf,1\n", ""),
 ]
 
 

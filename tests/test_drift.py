@@ -7,8 +7,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toroboris as tb
+from toroboris import drift
 from toroboris.drift import DriftState
 from toroboris.errors import AxisSingularity, BudgetExceeded, DomainError
 
@@ -241,13 +244,81 @@ def test_budget_fires_before_running(model_1e3, mu0_1e3):
 def test_budget_counts_the_sample_grid_not_t_final(model_1e3, mu0_1e3):
     s0 = tb.drift_init(X0, V0, model_1e3)
     cfg = tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-4, budget_steps=100)
-    # the grid spans 2000: 20000 RK4 steps, which used to run under a t_final of 1
+    # the grid spans 2000: 20000 steps of dtau, and one more because tau rounds
+    # low over them; it used to run under a t_final of 1
     with pytest.raises(BudgetExceeded) as err:
         tb.drift_integrate(s0, model_1e3, cfg, 1.0, sample_times=[0.0, 2000.0])
-    assert err.value.steps == 20000.0
-    # a grid of 100 steps runs whatever t_final says
+    assert err.value.steps == 20001.0
+    # a grid of 101 steps (100 dtau and one for rounding) runs whatever t_final says
+    cfg = dataclasses.replace(cfg, budget_steps=101)
     tr = tb.drift_integrate(s0, model_1e3, cfg, 1e6, sample_times=[990.0, 1000.0])
     assert list(tr.t) == [990.0, 1000.0]
+
+
+def test_budget_caps_strides_just_above_a_step(model_1e3, mu0_1e3):
+    # each interval of 0.105 is 1.05 dtau of slow time, so it takes 2 steps: 200
+    # in all, which ran under a budget of 105 (the span alone is 105 dtau)
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    cfg = tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-4, dt_out=0.105, budget_steps=105)
+    with pytest.raises(BudgetExceeded) as err:
+        tb.drift_integrate(s0, model_1e3, cfg, 10.5)
+    assert err.value.steps == 200.0
+    tr = tb.drift_integrate(s0, model_1e3, dataclasses.replace(cfg, budget_steps=200), 10.5)
+    assert len(tr) == 101
+
+
+def count_rk4_steps(model, cfg, times) -> int:
+    """RK4 steps of one drift_integrate run, counted on the Python loop (4 rhs calls each)."""
+    calls = [0]
+    rhs = drift._rhs
+
+    def counted(*args):
+        calls[0] += 1
+        return rhs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drift, "_rhs", counted)
+        tb.drift_integrate(tb.drift_init(X0, V0, model), model, cfg, 0.0, sample_times=times)
+    assert calls[0] % 4 == 0
+    return calls[0] // 4
+
+
+@st.composite
+def step_grids(draw):
+    """(eps, dtau, times): strides at, near or between whole steps, from far-off starts."""
+    eps = draw(st.sampled_from([1e-3, 1e-2, 0.37]))
+    dtau = draw(st.sampled_from([1e-4, 3e-4, 1e-3]))
+    step_t = dtau / eps
+    # far from 0, tau rounds by more than the snapping threshold over an interval
+    t0 = draw(st.sampled_from([0.0, 1.0, 123.456, 1e4, 1e5]))
+    kind = draw(st.sampled_from(["whole", "near", "any"]))
+    times = [t0]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 200))
+        if kind == "whole":
+            stride = k * step_t
+        elif kind == "near":
+            nudge = draw(st.sampled_from([-1, 1])) * 10.0 ** -draw(st.integers(9, 16))
+            stride = k * step_t * (1.0 + nudge)
+        else:
+            stride = draw(st.floats(0.0, 200.0)) * step_t
+        times.append(times[-1] + stride)
+    return eps, dtau, times
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=step_grids())
+def test_an_accepted_run_takes_no_more_steps_than_its_budget(grid):
+    eps, dtau, times = grid
+    model = dataclasses.replace(tb.toroidal_model(eps), poly=None)  # the Python loop
+    cfg = tb.DriftConfig(eps, 1e-4 * eps, dtau=dtau)
+    steps = count_rk4_steps(model, cfg, times)
+    # the bound is above the steps taken, by at most one per interval
+    assert steps <= drift._rk4_step_bound(np.array(times), eps, dtau) <= steps + len(times) - 1
+    if steps:
+        short = dataclasses.replace(cfg, budget_steps=steps - 1)
+        with pytest.raises(BudgetExceeded):
+            tb.drift_integrate(tb.drift_init(X0, V0, model), model, short, 0.0, sample_times=times)
 
 
 # ---------------------------------------------------------------------------

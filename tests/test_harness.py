@@ -233,6 +233,11 @@ def test_grid_mismatch_raises():
         tb.error_vs_reference(a, b)
     with pytest.raises(GridMismatch):
         tb.error_vs_reference(a, synth_obs(np.linspace(0, 10, 12), 0.4, 0.5, 0.3))
+    # a NaN time is no match either (NaN > 1e-12 is false)
+    t_nan = np.linspace(0, 10, 11)
+    t_nan[3] = np.nan
+    with pytest.raises(GridMismatch):
+        tb.error_vs_drift(a, synth_obs(t_nan, 0.4, 0.5, 0.3))
 
 
 def test_reference_subset_on_shared_points():
