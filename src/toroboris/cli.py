@@ -25,12 +25,11 @@ import numpy as np
 
 from .boris import Trajectory, magnetic_moment
 from .drift import DriftConfig, drift_init, drift_integrate
-from .errors import SchemaError, ToroborisError
+from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
 from .harness import (
-    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, convergence_study, error_vs_drift,
-    error_vs_reference, monitor_nondegeneracy, observables, run_drift, run_reference,
-    run_trajectory, theorem1_suite,
+    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, compare, convergence_study,
+    monitor_nondegeneracy, observables, run_trajectory, theorem1_suite,
 )
 
 EXIT_OK = 0
@@ -302,9 +301,9 @@ def error_csv(err: ErrorSeries) -> list[str]:
 def read_series_csv(path: str, columns: tuple[str, ...]):
     """Read named columns from a CSV produced by this tool.
 
-    A malformed file, or a field that is not a finite number, is a
-    SchemaError at path "" (the whole document) whose message names the
-    file.
+    A malformed file, or any field (read or not) that is not a finite
+    number, is a SchemaError at path "" (the whole document) whose message
+    names the file.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -319,10 +318,13 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
                 continue
             if len(parts) != len(header):
                 raise SchemaError("", f"{path}: line {lineno}: expected {len(header)} fields")
-            row = [float(parts[i]) for i in idx]
+            try:
+                row = [float(part) for part in parts]
+            except ValueError:
+                raise SchemaError("", f"{path}: line {lineno}: fields must be numbers") from None
             if not all(map(math.isfinite, row)):
                 raise SchemaError("", f"{path}: line {lineno}: fields must be finite")
-            rows.append(row)
+            rows.append([row[i] for i in idx])
     if not rows:
         raise SchemaError("", f"{path}: CSV has no data rows")
     data = np.asarray(rows, dtype=float)
@@ -384,23 +386,12 @@ def _cmd_compare(args) -> int:
         _diag("ConfigError", "compare needs either --config or --csv-a/--csv-b/--out")
         return EXIT_CONFIG
     config = parse_config(_read(args.config))
-    spec = _run_spec(config)
-    traj = run_trajectory(spec)
-    if traj.error is not None:
-        _diag("RuntimeDomainError", f"run aborted: {traj.error}", tag=traj.error)
+    try:
+        traj, err, ref_steps = compare(_run_spec(config), config["against"])
+    except RunAborted as e:
+        _diag("RuntimeDomainError", str(e), tag=e.tag)
         return EXIT_RUNTIME
     sigma_min, warnings = monitor_nondegeneracy(traj)
-    obs = observables(traj)
-    if config["against"] == "drift":
-        err = error_vs_drift(obs, run_drift(spec, sample_times=traj.t))
-        ref_steps = None
-    else:
-        ref = run_reference(spec)
-        if ref.error is not None:
-            _diag("RuntimeDomainError", f"reference aborted: {ref.error}", tag=ref.error)
-            return EXIT_RUNTIME
-        err = error_vs_reference(obs, observables(ref))
-        ref_steps = ref.steps_completed
     summary = {
         "max_err": err.max_by_component(),
         "n_samples": len(err.t),
@@ -444,7 +435,7 @@ def _cmd_converge(args) -> int:
     )
     report = convergence_study(
         base_spec, cfg["mode"], h_list=cfg["h_list"], pairs=cfg["pairs"],
-        order_band=cfg["order_band"], keep_series=cfg["output"]["csv_dir"] is not None,
+        order_band=cfg["order_band"],
     )
     names = [f"errors_eps{p.epsilon:g}_h{p.h:g}.csv" for p in report.points]
     return _report_study(
@@ -457,7 +448,6 @@ def _cmd_theorem1(args) -> int:
     report = theorem1_suite(
         lambda eps: _model(cfg["field"], eps), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
         dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
-        keep_series=cfg["output"]["csv_dir"] is not None,
     )
     names = [f"errors_eps{eps:g}.csv" for eps in report.eps_list]
     return _report_study(

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AxisSingularity, BudgetExceeded, DomainError
-from .geometry import ToroidalFieldModel, eval_field, frame
+from .geometry import ToroidalFieldModel, frame
 
 DEFAULT_BUDGET = int(5e8)
 
@@ -275,15 +275,3 @@ def drift_integrate(
         epsilon=eps,
         mu0=config.mu0,
     )
-
-
-def guiding_center(x, v, field_model) -> np.ndarray:
-    """First-order guiding center x + (v x B) / |B|^2.
-
-    Diagnostic for comparing full orbits against slow orbits; for v
-    parallel to B it returns x itself.
-    """
-    s = eval_field(field_model, x)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return x + np.cross(v, s.B) / (s.absB * s.absB)

@@ -14,23 +14,19 @@ class AxisSingularity(ToroborisError):
     visiting this region has left the modeled domain.
     """
 
-    def __init__(self, r: float, r_min: float, t: float | None = None):
+    def __init__(self, r: float, r_min: float):
         self.r = r
         self.r_min = r_min
-        self.t = t
-        where = f" at t={t}" if t is not None else ""
-        super().__init__(f"distance to axis r={r:.6g} fell below r_min={r_min:.6g}{where}")
+        super().__init__(f"distance to axis r={r:.6g} fell below r_min={r_min:.6g}")
 
 
 class DomainError(ToroborisError):
     """Raised when the field magnitude profile leaves its valid range (b <= b_min)."""
 
-    def __init__(self, b: float, b_min: float, t: float | None = None):
+    def __init__(self, b: float, b_min: float):
         self.b = b
         self.b_min = b_min
-        self.t = t
-        where = f" at t={t}" if t is not None else ""
-        super().__init__(f"field profile b={b:.6g} is not above b_min={b_min:.6g}{where}")
+        super().__init__(f"field profile b={b:.6g} is not above b_min={b_min:.6g}")
 
 
 class Unsupported(ToroborisError):
@@ -47,6 +43,15 @@ class BudgetExceeded(ToroborisError):
             f"run needs {steps:.4g} steps, above the budget of {budget:.4g}; "
             "shrink the horizon constant c or use a larger epsilon"
         )
+
+
+class RunAborted(ToroborisError):
+    """Raised when a compared run ends early: run is "run" or "reference", tag its error tag."""
+
+    def __init__(self, run: str, tag: str):
+        self.run = run
+        self.tag = tag
+        super().__init__(f"{run} aborted: {tag}")
 
 
 class GridMismatch(ToroborisError):

@@ -7,7 +7,8 @@ Drift-based errors measure runs against the slow system integrated by RK4,
 which is the comparator of the quantitative scaling statements: the slow
 error of the modified pusher scales like h^2 in the regime h^2 ~ eps, and
 the slow error of the exact (finely resolved) dynamics scales like eps.
-All comparisons operate on exactly shared time grids; there is no
+compare is the one path that runs an experiment against either
+comparator; it operates on exactly shared time grids, with no
 interpolation anywhere in the error path.
 """
 
@@ -19,11 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .boris import (
-    PusherConfig, Trajectory, initialize, integrate, magnetic_moment, nondegeneracy_sigma,
-)
+from .boris import PusherConfig, Trajectory, integrate, magnetic_moment, nondegeneracy_sigma
 from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
-from .errors import BudgetExceeded, GridMismatch, Unsupported
+from .errors import BudgetExceeded, GridMismatch, RunAborted, Unsupported
 from .geometry import ToroidalFieldModel, dot3, frame, potential
 
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
@@ -34,12 +33,13 @@ _SIGMA_WARN = 0.1
 class ExperimentSpec:
     """One experiment: a field model, initial data, scheme and horizons.
 
-    dt_out is rounded to the nearest positive multiple of h; t_final must
-    then be a multiple of dt_out so that every comparison grid contains
-    the final time.  The reference step is ref_h_factor * epsilon, rounded
-    down so that it divides dt_out exactly.  t_final may not exceed c
-    divided by epsilon, and the run at step h may not take more than
-    budget_steps steps (BudgetExceeded).
+    t_final must be a multiple (>= 2) of h.  dt_out is rounded to the
+    nearest positive multiple of h; t_final must then be a multiple of
+    dt_out so that every comparison grid contains the final time.  The
+    reference step is ref_h_factor * epsilon, rounded down so that it
+    divides dt_out exactly.  t_final may not exceed c divided by epsilon,
+    and the run at step h may not take more than budget_steps steps
+    (BudgetExceeded).
     """
 
     field: ToroidalFieldModel
@@ -61,9 +61,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"t_final={self.t_final} exceeds the horizon c/eps={self.c / eps}"
             )
-        if self.t_final == 0.0:
-            object.__setattr__(self, "dt_out", self.dt_out or max(self.h, 0.5))
-            return
         # checked before rounding: a tiny h overflows round() or stalls _aligned_dt_out
         steps = self.t_final / self.h
         if steps > self.budget_steps + 0.5:
@@ -131,18 +128,6 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
         raise BudgetExceeded(steps, spec.budget_steps)
     variant = "modified" if spec.ref_filtered_init else "standard"
     config = PusherConfig(h=spec.h_ref, variant=variant, mu0=0.0)
-    if spec.t_final == 0.0:
-        window, _seed, v0 = initialize(spec.x0, spec.v0, spec.field, config)
-        return Trajectory(
-            t=np.zeros(1),
-            x=window.x_prev.reshape(1, 3),
-            v=v0.reshape(1, 3),
-            h=spec.h_ref,
-            variant=variant,
-            mu0=0.0,
-            field=spec.field,
-            steps_completed=0,
-        )
     return integrate(
         spec.x0,
         spec.v0,
@@ -153,15 +138,12 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
     )
 
 
-def run_drift(spec: ExperimentSpec, sample_times=None) -> DriftTrajectory:
-    """Slow-system solution on the experiment's output grid (or a supplied grid)."""
+def run_drift(spec: ExperimentSpec, sample_times) -> DriftTrajectory:
+    """Slow-system solution at sample_times, the times of the run it is compared with."""
     s0 = drift_init(spec.x0, spec.v0, spec.field)
     config = DriftConfig(
         epsilon=spec.epsilon, mu0=spec.mu0(), dtau=spec.dtau, budget_steps=spec.budget_steps
     )
-    if sample_times is None:
-        m = round(spec.t_final / spec.dt_out)
-        sample_times = np.arange(m + 1) * spec.dt_out
     return drift_integrate(s0, spec.field, config, spec.t_final, sample_times=sample_times)
 
 
@@ -278,6 +260,29 @@ def error_vs_reference(obs: ObservableSeries, ref_obs: ObservableSeries) -> Erro
     return _error_series(obs, ref_obs)
 
 
+def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries, int | None]:
+    """The experiment's main run and its error series against a comparator.
+
+    against is "drift", the slow solution at the run's sample times, or
+    "reference", the fine reference on the same output grid.  Returns the
+    run, the errors and the reference's step count (None against the
+    drift).  Raises RunAborted("run" or "reference", tag) when either run
+    ends early.  The nondegeneracy monitor is left to the caller.
+    """
+    if against not in ("drift", "reference"):
+        raise ValueError(f"against must be 'drift' or 'reference', got {against!r}")
+    run = run_trajectory(spec)
+    if run.error is not None:
+        raise RunAborted("run", run.error)
+    obs = observables(run)
+    if against == "drift":
+        return run, error_vs_drift(obs, run_drift(spec, run.t)), None
+    ref = run_reference(spec)
+    if ref.error is not None:
+        raise RunAborted("reference", ref.error)
+    return run, error_vs_reference(obs, observables(ref)), ref.steps_completed
+
+
 def fit_loglog_slope(hs, errs) -> float:
     """Least-squares slope of log(err) against log(h) over all points."""
     hs = np.asarray(hs, dtype=float)
@@ -373,7 +378,6 @@ def convergence_study(
     h_list=None,
     pairs=None,
     order_band: tuple[float, float] = (1.7, 2.3),
-    keep_series: bool = False,
 ) -> ConvergenceReport:
     """Modified-Boris convergence study in one of two modes.
 
@@ -392,28 +396,23 @@ def convergence_study(
         if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise ValueError(f"h^2/eps must be constant across pairs, got {ratios}")
         runs = [(eps, h, f"eps={eps}, h={h}") for eps, h in pairs]
+        against = "drift"
     elif mode == "fixed_eps":
         if not h_list or len(h_list) < 2:
             raise ValueError("fixed_eps mode needs at least 2 step sizes")
         runs = [(base_spec.epsilon, h, f"h={h}") for h in h_list]
+        against = "reference"
     else:
         raise ValueError(f"unknown mode {mode!r}")
     points = []
     series = []
     for eps, h, label in runs:
-        spec = _respec(base_spec, eps, h)
-        traj = run_trajectory(spec)
-        if traj.error is not None:
-            raise RuntimeError(f"run ({label}) aborted: {traj.error}")
+        try:
+            traj, err, _ = compare(_respec(base_spec, eps, h), against)
+        except RunAborted as e:
+            raise RuntimeError(f"{e.run} ({label}) aborted: {e.tag}") from e
         sigma_min, warnings = monitor_nondegeneracy(traj)
-        if mode == "scaled_pairs":
-            dr = run_drift(spec, sample_times=traj.t)
-            err = error_vs_drift(observables(traj), dr)
-        else:
-            ref = run_reference(spec)
-            err = error_vs_reference(observables(traj), observables(ref))
-        if keep_series:
-            series.append(err)
+        series.append(err)
         points.append(
             ConvergencePoint(
                 h=h,
@@ -465,14 +464,14 @@ def theorem1_suite(
     dt_out: float = 0.5,
     budget_steps: int = DEFAULT_BUDGET,
     dtau: float = 1e-4,
-    keep_series: bool = False,
 ) -> Theorem1Report:
     """Linear-in-epsilon scaling of the fine reference against the drift.
 
-    For each epsilon the fine reference (standard Boris, step 0.05 eps,
-    raw initial velocity) is compared with the slow solution over the
-    horizon c / epsilon; the maxima across consecutive epsilon values must
-    shrink proportionally to epsilon within a factor-3 band.
+    For each epsilon the fine reference (standard Boris, step 0.05 eps
+    rounded down to divide the output stride, raw initial velocity) is the
+    main run of a spec compared with the slow solution over the horizon
+    c / epsilon; the maxima across consecutive epsilon values must shrink
+    proportionally to epsilon within a factor-3 band.
     """
     eps_list = list(eps_list)
     if not eps_list:
@@ -481,9 +480,8 @@ def theorem1_suite(
     steps = []
     series = []
     for eps in eps_list:
-        model = make_model(eps)
         spec = ExperimentSpec(
-            field=model,
+            field=make_model(eps),
             x0=tuple(x0),
             v0=tuple(v0),
             h=0.05 * eps,
@@ -494,13 +492,11 @@ def theorem1_suite(
             budget_steps=budget_steps,
             dtau=dtau,
         )
-        ref = run_reference(spec)
-        if ref.error is not None:
-            raise RuntimeError(f"reference run (eps={eps}) aborted: {ref.error}")
-        dr = run_drift(spec, sample_times=ref.t)
-        err = error_vs_drift(observables(ref), dr)
-        if keep_series:
-            series.append(err)
+        try:
+            ref, err, _ = compare(replace(spec, h=spec.h_ref), "drift")
+        except RunAborted as e:
+            raise RuntimeError(f"reference run (eps={eps}) aborted: {e.tag}") from e
+        series.append(err)
         maxima.append(err.max_by_component())
         steps.append(ref.steps_completed)
     ratios = []

@@ -194,7 +194,8 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         path = write_config(tmp_path, cfg)
         assert cli.cli_main(["compare", "--config", path]) == 3
         diag = json.loads(capsys.readouterr().err)
-        assert (diag["error"], diag["tag"]) == ("RuntimeDomainError", "sanity_guard")
+        assert diag == {"error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
+                        "tag": "sanity_guard"}
         # simulate aborts too, but the mu column of the t = 0 row, |v x B|^2 /
         # (2 |B|^3), overflows before the abort is reported
         assert cli.cli_main(["simulate", "--config", path]) == 3
@@ -258,12 +259,18 @@ def test_compare_csv_mode_grid_mismatch_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("line, column", [(2, "r"), (3, "t")])
-def test_compare_csv_mode_rejects_nan_naming_file_and_line(tmp_path, capsys, line, column):
-    rows = [["0", "0.5", "0.5", "1"], ["0.5", "0.5", "0.5", "1"]]
-    rows[line - 2][["t", "r", "z", "vpar"].index(column)] = "nan"
+@pytest.mark.parametrize("line, column, value", [
+    pytest.param(2, "r", "nan", id="2-r"),
+    pytest.param(3, "t", "nan", id="3-t"),
+    # a column compare does not read is checked all the same (it used to exit 0)
+    pytest.param(2, "mu", "abc", id="2-mu-abc"),
+    pytest.param(3, "mu", "", id="3-mu-empty"),
+])
+def test_compare_csv_mode_rejects_nan_naming_file_and_line(tmp_path, capsys, line, column, value):
+    rows = [["0", "0.5", "0.5", "1", "0"], ["0.5", "0.5", "0.5", "1", "0"]]
+    rows[line - 2][["t", "r", "z", "vpar", "mu"].index(column)] = value
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_text("t,r,z,vpar\n" + "".join(",".join(row) + "\n" for row in rows))
+    a.write_text("t,r,z,vpar,mu\n" + "".join(",".join(row) + "\n" for row in rows))
     b.write_text(CSV)
     argv = ["compare", "--csv-a", str(a), "--csv-b", str(b), "--out", str(tmp_path / "e.csv")]
     code = cli.cli_main(argv)
@@ -420,6 +427,31 @@ def test_converge_rejects_inconsistent_pairs(tmp_path, capsys):
     assert cli.cli_main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
 
 
+def test_an_aborted_reference_is_reported(tmp_path, capsys):
+    # the main runs complete and the fine reference leaves the field domain; in
+    # converge this used to surface as a grid mismatch of its shortened series
+    field = {"preset": "paper-toroidal", "a0": -0.2}
+    cfg = base_config(tmp_path, epsilon=0.05, h=0.1, t_final=10.0, field=field)
+    assert cli.cli_main(["compare", "--config", write_config(tmp_path, cfg)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "RuntimeDomainError", "message": "reference aborted: domain_error",
+                    "tag": "domain_error"}
+    cfg = {
+        "mode": "fixed_eps",
+        "epsilon": 0.05,
+        "h_list": [0.1, 0.05],
+        "field": field,
+        "x0": [1 / 3, 1 / 4, 1 / 2],
+        "v0": [2 / 5, 2 / 3, 1],
+        "c": 0.5,
+        "output": {"path": str(tmp_path / "report.json")},
+    }
+    assert cli.cli_main(["converge", "--config", write_config(tmp_path, cfg)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "RuntimeError", "message": "reference (h=0.1) aborted: domain_error"}
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_theorem1_cli(tmp_path):
     cfg = {
         "eps_list": [1e-2, 1e-3],
@@ -571,6 +603,8 @@ INPUT_HOLES = [
     ("compare", "t,r,z,vpar\n0,nan,0.5,1\n0.5,0.5,0.5,1\n", ""),
     ("compare", "t,r,z,vpar\n0,0.5,0.5,1\nnan,0.5,0.5,1\n", ""),
     ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5,-inf,1\n", ""),
+    # text and nothing in a column compare does not read
+    ("compare", "t,r,z,vpar,mu\n0,0.5,0.5,1,abc\n0.5,0.5,0.5,1,\n", ""),
 ]
 
 

@@ -319,31 +319,3 @@ def test_an_accepted_run_takes_no_more_steps_than_its_budget(grid):
         short = dataclasses.replace(cfg, budget_steps=steps - 1)
         with pytest.raises(BudgetExceeded):
             tb.drift_integrate(tb.drift_init(X0, V0, model), model, short, 0.0, sample_times=times)
-
-
-# ---------------------------------------------------------------------------
-# guiding center
-
-
-def test_guiding_center_parallel_velocity(model_1e3):
-    fr = tb.frame(X0)
-    v = 0.7 * fr.e_par
-    gc = tb.guiding_center(X0, v, model_1e3)
-    np.testing.assert_allclose(gc, X0, rtol=0, atol=1e-15)
-
-
-def test_guiding_center_uniform_field():
-    eps = 1e-3
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 1.0 / eps))
-    gc = tb.guiding_center((0.0, 0.0, 0.0), (2.0, 0.0, 3.0), m)
-    np.testing.assert_allclose(gc, [0.0, -eps * 2.0, 0.0], rtol=0, atol=1e-18)
-
-
-def test_guiding_center_benchmark(model_1e3):
-    gc = tb.guiding_center(X0, V0, model_1e3)
-    want = [
-        float(F(1, 3) + F(-12, 10) * F(1, 1000)),
-        float(F(1, 4) + F(-9, 10) * F(1, 1000)),
-        float(F(1, 2) + F(108, 100) * F(1, 1000)),
-    ]
-    np.testing.assert_allclose(gc, want, rtol=1e-12)

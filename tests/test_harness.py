@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
+from toroboris import harness
 from toroboris.drift import DriftState, DriftTrajectory
 from toroboris.errors import BudgetExceeded, GridMismatch
 from toroboris.harness import ConvergencePoint, _respec
@@ -122,19 +123,18 @@ def test_reference_completes_at_moderate_scale():
     assert ref.t[-1] == pytest.approx(50.0, abs=1e-9)
 
 
-def test_reference_zero_horizon_single_sample():
-    spec = make_spec(t_final=0.0)
-    ref = tb.run_reference(spec)
-    assert len(ref) == 1
-    assert ref.t[0] == 0.0
-    np.testing.assert_allclose(ref.x[0], X0, rtol=0, atol=0)
-
-
 def test_reference_filtered_flag(model_1e3):
-    spec = make_spec(eps=1e-2, h=0.05, t_final=0.0, ref_filtered_init=True)
+    spec = make_spec(eps=1e-2, h=0.05, t_final=0.1, ref_filtered_init=True)
     ref = tb.run_reference(spec)
+    assert ref.error is None and ref.variant == "modified"
     fr = tb.frame(X0)
     assert abs(float(fr.e_r @ ref.v[0])) <= 1e-15
+
+
+def test_spec_rejects_a_horizon_below_two_steps():
+    for t_final in (0.0, 0.05):
+        with pytest.raises(ValueError, match=r"multiple \(>= 2\)"):
+            make_spec(eps=1e-2, h=0.05, t_final=t_final)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,30 @@ def test_theorem1_field_line_oracle():
     rep = tb.theorem1_suite(make_model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
     for comp, val in rep.max_err[0].items():
         assert val <= 2e-4, (comp, val)
+
+
+def test_compare_rejects_an_unknown_comparator():
+    with pytest.raises(ValueError, match="against"):
+        tb.compare(make_spec(eps=1e-2, h=0.05, t_final=0.1), "drfit")
+
+
+def test_theorem1_runs_only_the_fine_reference(monkeypatch):
+    # one pusher run per epsilon, standard Boris at the reference step; none
+    # at the spec's nominal step 0.05 eps
+    calls = []
+    integrate = harness.integrate
+
+    def recorded(x0, v0, model, config, t_final, sample_every):
+        calls.append((config.h, config.variant, config.mu0, sample_every))
+        return integrate(x0, v0, model, config, t_final, sample_every)
+
+    monkeypatch.setattr(harness, "integrate", recorded)
+    eps_list = [1e-2, 5e-3]
+    rep = tb.theorem1_suite(tb.toroidal_model, eps_list, 0.1, X0, V0, dt_out=0.3)
+    specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.3)
+             for eps in eps_list]
+    assert calls == [(s.h_ref, "standard", 0.0, round(s.dt_out / s.h_ref)) for s in specs]
+    assert rep.steps == [s.reference_steps for s in specs]
 
 
 def test_theorem1_empty_list_rejected():

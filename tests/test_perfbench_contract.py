@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
-from toroboris import _kernels
+import pytest
+
+from toroboris import _kernels, boris, cli, drift, geometry, harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_traced_name_resolves(monkeypatch):
+def import_tracing(monkeypatch):
     # tracing.py imports workloads.py by its bare name, as perfbench/run.py does;
     # no bytecode is written, so perfbench/ stays as checked out
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    tracing = import_tracing(monkeypatch)
     missing = [
         f"{module}.{name}"
         for module, name in tracing.WRAPPED
@@ -25,3 +32,25 @@ def test_every_traced_name_resolves(monkeypatch):
     assert missing == []
     # perfbench/run.py records it in the environment of every run
     assert hasattr(_kernels, "HAVE_NUMBA")
+
+
+@pytest.mark.parametrize("against, other", [("drift", "reference"), ("reference", "drift")])
+def test_compare_layers_are_traced(tmp_path, monkeypatch, against, other):
+    # the spans sit on module globals, so the one compare path must look each
+    # layer up by its module-global name
+    tracing = import_tracing(monkeypatch)
+    config = {
+        "epsilon": 1e-2, "h": 0.05, "t_final": 2.0, "variant": "modified",
+        "field": {"preset": "paper-toroidal"}, "x0": [1 / 3, 1 / 4, 1 / 2], "v0": [2 / 5, 2 / 3, 1],
+        "against": against,
+        "output": {"path": str(tmp_path / "err.csv"), "summary_path": str(tmp_path / "s.json")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    modules = {"cli": cli, "harness": harness, "boris": boris, "geometry": geometry, "drift": drift}
+    with tracing.Tracer(modules) as tracer:
+        assert cli.cli_main(["compare", "--config", str(path)]) == 0
+    calls = dict(zip(tracer.labels, tracer.totals()["calls"].tolist()))
+    for label in ("run_trajectory", f"run_{against}", "observables", f"error_vs_{against}"):
+        assert calls[f"harness.{label}"] > 0, label
+    assert calls[f"harness.run_{other}"] == calls[f"harness.error_vs_{other}"] == 0
