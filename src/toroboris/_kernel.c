@@ -8,9 +8,13 @@
  * arithmetic of toroidal_model inlined.  Every expression keeps the operand
  * order of the Python source, and the build flags forbid contraction and
  * fast-math, so both paths produce bitwise equal output.
+ *
+ * toroboris_format_rows, at the end, writes CSV rows of the bytes that
+ * cli._python_rows writes.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { STATUS_OK = 0, STATUS_AXIS = 1, STATUS_DOMAIN = 2, STATUS_RUNAWAY = 3 };
 
@@ -175,4 +179,182 @@ int toroboris_drift_rk4(
         out[3 * k + 2] = v;
     }
     return STATUS_OK;
+}
+
+/* CSV rows of %.17g fields, byte for byte what Python's "%.17g" % x writes,
+ * without printf: its decimal point follows LC_NUMERIC and it writes -nan.
+ *
+ * A finite normal x = m / 2^s whose decimal exponent X = floor(log10 |x|)
+ * lies in [-40, 16] gets its 17 significant digits from the exact integer
+ * m 10^(16-X) / 2^s, held in 32-bit limbs and rounded half to even on the
+ * exact remainder.  Zeros, infinities and NaN are literals.  Any other value
+ * (a subnormal, |x| below 1e-40 or from 1e17 on) is left to the caller.
+ */
+enum { P10_MAX = 56, P10_LIMBS = 6, PRODUCT_LIMBS = P10_LIMBS + 2 };
+/* The longest field, -1.2345678901234567e-40, and its separator. */
+enum { FIELD_MAX = 24 };
+
+static const uint64_t E16 = 10000000000000000ULL, E17 = 100000000000000000ULL;
+
+/* p10[j] = 10^j in little-endian 32-bit limbs; 10^56 < 2^192. */
+static void pow10_table(uint32_t p10[P10_MAX + 1][P10_LIMBS])
+{
+    for (int i = 0; i < P10_LIMBS; i++)
+        p10[0][i] = 0;
+    p10[0][0] = 1;
+    for (int j = 1; j <= P10_MAX; j++) {
+        uint64_t carry = 0;
+        for (int i = 0; i < P10_LIMBS; i++) {
+            uint64_t t = (uint64_t)p10[j - 1][i] * 10 + carry;
+            p10[j][i] = (uint32_t)t;
+            carry = t >> 32;
+        }
+    }
+}
+
+/* floor(m p10 / 2^s), below 2^64 by the caller's choice of p10, with in *up
+ * the half-to-even rounding increment of the exact remainder. */
+static uint64_t scaled_floor(uint64_t m, int s, const uint32_t *p10, int *up)
+{
+    uint32_t p[PRODUCT_LIMBS];
+    for (int i = 0; i < PRODUCT_LIMBS; i++)
+        p[i] = 0;
+    for (int i = 0; i < 2; i++) {
+        uint64_t mi = i ? m >> 32 : m & 0xffffffffu, carry = 0;
+        for (int k = 0; k < P10_LIMBS; k++) {
+            uint64_t t = mi * p10[k] + p[i + k] + carry;
+            p[i + k] = (uint32_t)t;
+            carry = t >> 32;
+        }
+        p[i + P10_LIMBS] = (uint32_t)carry;
+    }
+    int limb = s >> 5, off = s & 31;
+    uint64_t lo = p[limb];
+    uint64_t mid = limb + 1 < PRODUCT_LIMBS ? p[limb + 1] : 0;
+    uint64_t hi = limb + 2 < PRODUCT_LIMBS ? p[limb + 2] : 0;
+    uint64_t f = off ? lo >> off | mid << (32 - off) | hi << (64 - off) : lo | mid << 32;
+    *up = 0;
+    if (s > 0) {
+        int hb = s - 1;
+        int half = (p[hb >> 5] >> (hb & 31)) & 1;
+        int sticky = (p[hb >> 5] & ((1u << (hb & 31)) - 1)) != 0;
+        for (int i = 0; i < hb >> 5 && !sticky; i++)
+            sticky = p[i] != 0;
+        *up = half && (sticky || (f & 1));
+    }
+    return f;
+}
+
+/* Writes x's field at w and returns its end, or NULL outside the fast range. */
+static char *format_field(double x, char *w, const uint32_t p10[P10_MAX + 1][P10_LIMBS])
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    if (biased == 0x7ff && frac) {
+        memcpy(w, "nan", 3);
+        return w + 3;
+    }
+    if (bits >> 63)
+        *w++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(w, "inf", 3);
+        return w + 3;
+    }
+    if (biased == 0) {
+        if (frac)
+            return NULL;
+        *w = '0';
+        return w + 1;
+    }
+    /* |x| lies in [2^(biased-1023), 2^(biased-1022)), so X is est or est + 1 */
+    int est = (int)floor((biased - 1023) * 0.30102999566398120);
+    int j = 16 - est;
+    if (j < 0 || j > P10_MAX + 1)
+        return NULL;
+    if (j > P10_MAX)
+        j = P10_MAX;
+    /* x = m / 2^s; est <= 16 keeps a left shift below 5 bits */
+    uint64_t m = frac | 1ULL << 52;
+    int s = 1075 - biased;
+    if (s < 0) {
+        m <<= -s;
+        s = 0;
+    }
+    int up;
+    uint64_t q = scaled_floor(m, s, p10[j], &up);
+    if (q >= E17 && j > 0)
+        q = scaled_floor(m, s, p10[--j], &up);
+    if (q < E16 || q >= E17)
+        return NULL; /* X is -41 (j was clamped) or 17 */
+    q += up;
+    if (q == E17) {
+        q = E16;
+        j--;
+    }
+    int exp10 = 16 - j;
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    int nd = 17;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (exp10 < -4 || exp10 >= 17) {
+        *w++ = d[0];
+        if (nd > 1) {
+            *w++ = '.';
+            memcpy(w, d + 1, nd - 1);
+            w += nd - 1;
+        }
+        *w++ = 'e';
+        *w++ = exp10 < 0 ? '-' : '+';
+        int a = exp10 < 0 ? -exp10 : exp10;
+        *w++ = (char)('0' + a / 10);
+        *w++ = (char)('0' + a % 10);
+    } else if (exp10 >= 0) {
+        /* the integer part: d holds its zeros past nd */
+        memcpy(w, d, exp10 + 1);
+        w += exp10 + 1;
+        if (nd > exp10 + 1) {
+            *w++ = '.';
+            memcpy(w, d + exp10 + 1, nd - exp10 - 1);
+            w += nd - exp10 - 1;
+        }
+    } else {
+        *w++ = '0';
+        *w++ = '.';
+        for (int i = 0; i < -exp10 - 1; i++)
+            *w++ = '0';
+        memcpy(w, d, nd);
+        w += nd;
+    }
+    return w;
+}
+
+/* Formats rows of cols values (row-major) as CSV lines into out, which holds
+ * cap bytes.  Stops before the first row holding a value outside the fast
+ * range, or one that might not fit.  Returns the number of rows written and
+ * stores the number of bytes in *written.
+ */
+int64_t toroboris_format_rows(int64_t rows, int64_t cols, const double *values, char *out,
+                              int64_t cap, int64_t *written)
+{
+    uint32_t p10[P10_MAX + 1][P10_LIMBS];
+    pow10_table(p10);
+    int64_t used = 0, r;
+    for (r = 0; r < rows && cap - used >= cols * FIELD_MAX; r++) {
+        char *w = out + used;
+        for (int64_t c = 0; c < cols; c++) {
+            if (!(w = format_field(values[r * cols + c], w, p10)))
+                goto stop;
+            *w++ = c + 1 < cols ? ',' : '\n';
+        }
+        used = w - out;
+    }
+stop:
+    *written = used;
+    return r;
 }

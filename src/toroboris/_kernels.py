@@ -1,25 +1,32 @@
-"""Compiled loops for the closed-form toroidal field family.
+"""Compiled loops for the closed-form toroidal field family, and the CSV rows.
 
 Reference solutions need 1e7+ pusher steps and the slow system 1e4+ RK4
-steps per run, so for the family b = a0 + a1 r + a2 z^2, E_r = c z,
-E_z = c r both loops run as C (``_kernel.c``):
+steps per run, and a dense trajectory CSV a dozen exact fields per step, so
+the library (``_kernel.c``) holds three functions:
 
-- ``two_step_loop`` transcribes boris._generic_loop line for line;
-- ``drift_rk4`` transcribes drift._rk4_loop line for line.
+- ``two_step_loop`` transcribes boris._generic_loop line for line, for the
+  family b = a0 + a1 r + a2 z^2, E_r = c z, E_z = c r;
+- ``drift_rk4`` transcribes drift._rk4_loop line for line, for the same
+  family;
+- ``format_rows`` writes CSV rows of ``"%.17g" % x`` fields, the bytes of
+  cli._python_rows, in exact integer arithmetic.  It formats zeros,
+  infinities, NaN and the normal values of decimal exponent -40 to 16
+  (1e-40 <= |x| < 1e17); a row holding any other value (a subnormal,
+  anything smaller or from 1e17 on) goes to the Python formatter instead.
 
-The Python loops stay the single definitions of the step; tests pin each
-C loop to its Python twin bitwise.
+The Python code stays the single definition of each; tests pin each C
+function to its Python twin bitwise.
 
 The library is built with the system compiler on the first call of
 ``compiled_kernel`` (the first integrate or drift_integrate on a
-closed-form model), never at import.  It is cached as
+closed-form model, or the first CSV written), never at import.  It is cached as
 ``$XDG_CACHE_HOME/toroboris/kernel-<key>.so`` (``~/.cache/toroboris`` when
 the variable is unset), where the key is a CRC-32 of the source, the flags
 and the machine type.  When that directory cannot be written, the library
 is built in a private directory under ``tempfile.gettempdir()`` and removed
-once loaded.  A library that lacks either symbol is unavailable as a whole.
-Without a working compiler the package falls back to the Python loops and
-says so once per process with a RuntimeWarning.
+once loaded.  A library that lacks any of the three symbols is unavailable
+as a whole.  Without a working compiler the package falls back to the
+Python code and says so once per process with a RuntimeWarning.
 
 BACKEND is ``"c"`` or ``"python"`` once the first closed-form run has
 resolved it, ``None`` before; FALLBACK_REASON explains a ``"python"``
@@ -52,6 +59,8 @@ _kernel = None
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+# FIELD_MAX of _kernel.c: the longest field the C formatter writes, with its separator.
+_FIELD_BYTES = 24
 
 
 class KernelUnavailable(Exception):
@@ -63,6 +72,7 @@ class Kernel(NamedTuple):
 
     two_step_loop: Callable
     drift_rk4: Callable
+    format_rows: Callable
 
 
 def _cache_dir() -> str:
@@ -108,6 +118,7 @@ def _bind(path: str) -> Kernel:
         lib = ctypes.CDLL(path)
         step_fn = lib.toroboris_two_step_loop
         rk4_fn = lib.toroboris_drift_rk4
+        rows_fn = lib.toroboris_format_rows
     except (OSError, AttributeError) as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from e
     vec1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -124,6 +135,10 @@ def _bind(path: str) -> Kernel:
     rk4_fn.argtypes = (
         [ctypes.c_int64, vec1] + [ctypes.c_double] * 9 + [out3, ctypes.POINTER(ctypes.c_double)]
     )
+    # raw addresses: the wrapper checks the block once, not on every resumed call
+    rows_fn.restype = ctypes.c_int64
+    rows_fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                        ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)]
 
     def two_step_loop(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
                       v_max, x_arr, d_arr, out_t, out_x, out_v):
@@ -146,7 +161,30 @@ def _bind(path: str) -> Kernel:
                         out, bad)
         return status, bad.value
 
-    return Kernel(two_step_loop, drift_rk4)
+    def format_rows(values, fallback):
+        """The rows of values, (rows, cols) float64, as CSV lines of %.17g fields.
+
+        The C formatter stops before a row holding a value outside its
+        range; fallback(values[i:i + 1]) writes that row, and C resumes after it.
+        """
+        rows, cols = values.shape
+        if values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError("values must be a C-contiguous float64 array")
+        out = np.empty(rows * cols * _FIELD_BYTES, dtype=np.uint8)
+        base, out_address, row_bytes = values.ctypes.data, out.ctypes.data, cols * values.itemsize
+        written = ctypes.c_int64(0)
+        parts = []
+        done = 0
+        while done < rows:
+            done += rows_fn(rows - done, cols, base + done * row_bytes, out_address, len(out),
+                            written)
+            parts.append(str(out.data[:written.value], "ascii"))
+            if done < rows:
+                parts.append(fallback(values[done:done + 1]))
+                done += 1
+        return "".join(parts)
+
+    return Kernel(two_step_loop, drift_rk4, format_rows)
 
 
 def _load_library():

@@ -23,13 +23,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import _kernels
 from .boris import Trajectory, magnetic_moment
 from .drift import DriftConfig, drift_init, drift_integrate
 from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
 from .harness import (
-    DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, compare, convergence_study,
-    monitor_nondegeneracy, observables, run_trajectory, theorem1_suite,
+    _THEOREM1_STEP, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, _whole_steps,
+    compare, convergence_study, monitor_nondegeneracy, observables, run_trajectory,
+    theorem1_suite,
 )
 
 EXIT_OK = 0
@@ -270,20 +272,34 @@ ERROR_HEADER = "t,err_r,err_z,err_vpar"
 
 
 # Rows per formatted chunk: large enough to amortise the per-chunk work, small
-# enough that the .tolist() copies stay a few hundred kB.
+# enough that each chunk's copies stay a few hundred kB.
 _CHUNK_ROWS = 1024
+
+
+def _python_rows(block: np.ndarray) -> str:
+    """The rows of a (rows, cols) array as CSV lines, one %.17g field per value.
+
+    %.17g round-trips binary64 exactly.  This is the definition of the text:
+    the C formatter of _kernels writes the same bytes.
+    """
+    row = ",".join(["%.17g"] * block.shape[1])
+    return "\n".join([row % values for values in zip(*block.T.tolist())]) + "\n"
 
 
 def _columns_csv(header: str, *columns) -> list[str]:
     """The CSV text in chunks: the header, then one line per sample, one field per column.
 
-    Fields are %.17g, which round-trips binary64 exactly.
+    Rows are formatted by the C kernel when it is available, by _python_rows
+    otherwise and for the rows the C formatter leaves to it.
     """
-    row = ",".join(["%.17g"] * len(columns))
+    kernel = _kernels.compiled_kernel()
     chunks = [header + "\n"]
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
-        chunks.append("\n".join([row % values for values in rows]) + "\n")
+        block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+        if kernel is None:
+            chunks.append(_python_rows(block))
+        else:
+            chunks.append(kernel.format_rows(block, _python_rows))
     return chunks
 
 
@@ -445,6 +461,16 @@ def _cmd_converge(args) -> int:
 
 def _cmd_theorem1(args) -> int:
     cfg = _decode(_read(args.config), _THEOREM1)
+    for i, eps in enumerate(cfg["eps_list"]):
+        t_final, h = cfg["c"] / eps, _THEOREM1_STEP * eps
+        if t_final / h > cfg["budget_steps"] + 0.5:
+            break  # theorem1_suite reports the budget when it reaches this entry
+        if not _whole_steps(t_final, h):
+            raise SchemaError(
+                f"/eps_list/{i}",
+                f"the horizon c/eps = {cfg['c']!r}/{eps!r} must be a whole number (>= 2) of "
+                f"steps of {_THEOREM1_STEP}*eps = {h!r}",
+            )
     report = theorem1_suite(
         lambda eps: _model(cfg["field"], eps), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
         dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],

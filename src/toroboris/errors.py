@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class ToroborisError(Exception):
     """Base class for all package errors."""
@@ -33,6 +35,15 @@ class Unsupported(ToroborisError):
     """Raised when an optional model capability (e.g. a scalar potential) is absent."""
 
 
+def _count(n) -> str:
+    """An integer, or a float holding an exact integer below 2**53, in digits; any
+    other float (a non-integral or huge estimate) as its repr."""
+    if isinstance(n, Integral):
+        return str(int(n))
+    x = float(n)
+    return str(int(x)) if x.is_integer() and abs(x) < 2**53 else repr(x)
+
+
 class BudgetExceeded(ToroborisError):
     """Raised when a run would need more steps than the configured budget."""
 
@@ -40,7 +51,7 @@ class BudgetExceeded(ToroborisError):
         self.steps = steps
         self.budget = budget
         super().__init__(
-            f"run needs {steps:.4g} steps, above the budget of {budget:.4g}; "
+            f"run needs {_count(steps)} steps, above the budget of {_count(budget)}; "
             "shrink the horizon constant c or use a larger epsilon"
         )
 
@@ -67,4 +78,4 @@ class SchemaError(ToroborisError):
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)

@@ -27,6 +27,14 @@ from .geometry import ToroidalFieldModel, dot3, frame, potential
 
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
 _SIGMA_WARN = 0.1
+# theorem1_suite's nominal step, as a multiple of epsilon.
+_THEOREM1_STEP = 0.05
+
+
+def _whole_steps(t_final: float, h: float) -> bool:
+    """Whether t_final is a whole number, at least 2, of steps h (to 1e-9 of max(1, t_final))."""
+    n = round(t_final / h)
+    return n >= 2 and abs(n * h - t_final) <= 1e-9 * max(1.0, t_final)
 
 
 @dataclass(frozen=True)
@@ -65,8 +73,7 @@ class ExperimentSpec:
         steps = self.t_final / self.h
         if steps > self.budget_steps + 0.5:
             raise BudgetExceeded(steps, self.budget_steps)
-        n = round(steps)
-        if n < 2 or abs(n * self.h - self.t_final) > 1e-9 * max(1.0, self.t_final):
+        if not _whole_steps(self.t_final, self.h):
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
         object.__setattr__(self, "dt_out", self._aligned_dt_out())
         m = round(self.t_final / self.dt_out)
@@ -484,7 +491,7 @@ def theorem1_suite(
             field=make_model(eps),
             x0=tuple(x0),
             v0=tuple(v0),
-            h=0.05 * eps,
+            h=_THEOREM1_STEP * eps,
             t_final=c / eps,
             variant="standard",
             dt_out=dt_out,

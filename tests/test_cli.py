@@ -158,6 +158,7 @@ def test_simulate_malformed_json_exit_2_no_output(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     diag = json.loads(err)
     assert diag["error"] == "SchemaError"
+    assert diag["message"].startswith("invalid JSON: ")  # not ": invalid JSON"
 
 
 def test_simulate_schema_error_exit_2(tmp_path, capsys):
@@ -470,6 +471,20 @@ def test_theorem1_cli(tmp_path):
     assert len(list((tmp_path / "t1").glob("*.csv"))) == 2
 
 
+def test_theorem1_names_the_step_an_eps_needs(tmp_path, capsys):
+    cfg = study_config("theorem1", tmp_path)
+    cfg.update(eps_list=[3e-3], c=0.1)
+    assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {
+        "error": "SchemaError",
+        "message": "/eps_list/0: the horizon c/eps = 0.1/0.003 must be a whole number (>= 2) "
+                   "of steps of 0.05*eps = 0.00015000000000000001",
+        "path": "/eps_list/0",
+    }
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_check_field_cli(tmp_path, capsys):
     cfg = {
         "epsilon": 1e-3,
@@ -528,6 +543,25 @@ def test_simulate_budget_exit_3_no_output(tmp_path, capsys):
     assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, need, budget",
+    [
+        # one step over: both counts used to print as 1e+05
+        ("simulate", {"t_final": 4000.0, "c": 4.0}, "100000", 99_999),
+        # a non-integral estimate, the drift's intervals t_final / stride, in full
+        ("drift", {"t_final": 4000.0, "dtau": 3e-4}, "13333.333333333334", 13_333),
+    ],
+)
+def test_budget_message_prints_both_numbers_exactly(tmp_path, capsys, command, overrides, need,
+                                                     budget):
+    cfg = base_config(tmp_path, budget_steps=budget, **overrides)
+    cfg["output"]["stride"] = 0.3
+    assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "BudgetExceeded"
+    assert diag["message"].startswith(f"run needs {need} steps, above the budget of {budget};")
 
 
 @pytest.mark.parametrize(
@@ -605,6 +639,8 @@ INPUT_HOLES = [
     ("compare", "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5,-inf,1\n", ""),
     # text and nothing in a column compare does not read
     ("compare", "t,r,z,vpar,mu\n0,0.5,0.5,1,abc\n0.5,0.5,0.5,1,\n", ""),
+    # c/eps is not a whole number of steps 0.05 eps (it was a ValueError naming that step)
+    ("theorem1", {"/eps_list": [1e-2, 3e-3], "/c": 0.1}, "/eps_list/1"),
 ]
 
 
@@ -634,6 +670,8 @@ def test_input_holes_exit_2_with_schema_path(tmp_path, capsys, command, patch, p
     assert len(lines) == 1
     diag = json.loads(lines[0])
     assert (diag["error"], diag["path"]) == ("SchemaError", path)
+    # "path: what is wrong", or what is wrong alone at the whole document
+    assert diag["message"].startswith(f"{path}: ") if path else diag["message"][0] != ":"
     if isinstance(patch, str):
         assert str(csv_a) in diag["message"]
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -217,6 +218,133 @@ def test_compiled_drift_rejects_bad_buffers():
 
 
 # ---------------------------------------------------------------------------
+# CSV rows: the C formatter against cli._python_rows, byte for byte
+
+
+def c_rows(values, cols=1, fallback=cli._python_rows):
+    """values as rows of cols fields through the C formatter."""
+    block = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, cols)
+    return _kernels.compiled_kernel().format_rows(block, fallback)
+
+
+def python_rows(values, cols=1):
+    return cli._python_rows(np.asarray(values, dtype=np.float64).reshape(-1, cols))
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, reporting the first line that differs: a diff of long texts is slow."""
+    if got != want:
+        lines = zip(got.splitlines(), want.splitlines())
+        first = next(((i, g, w) for i, (g, w) in enumerate(lines) if g != w), "a line count")
+        raise AssertionError(f"texts differ at (line, got, want) {first}")
+
+
+# The ends of the C formatter's range, decimal exponents -40 to 16, as doubles:
+# the least double from 1e-40 on, and 1e17, which is one.
+LEAST = float("1e-40")
+if Decimal(LEAST) < Decimal("1e-40"):
+    LEAST = math.nextafter(LEAST, 1.0)
+
+
+def in_fast_range(x):
+    """Zeros, infinities, NaN, and values from 1e-40 up to below 1e17 in magnitude."""
+    a = np.abs(x)
+    return (a == 0.0) | ~np.isfinite(a) | ((a >= LEAST) & (a < 1e17))
+
+
+def edge_values() -> list:
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+              sys.float_info.min, 1.7976931348623157e308, -1.7976931348623157e308,
+              2.0**60, 2.0**53 + 2.0, 0.5, 2.5, 1051 * 2.0**-20, 0.1, 1 / 3]
+    for k in range(-45, 21):
+        x = float(f"1e{k}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    # exact ties: m / 2^n is m 5^n / 10^n, 18 digits ending in 5 when m is odd
+    for n in range(1, 60):
+        first = -(-(10**17) // 5**n) | 1
+        odd = range(first, min(first + 40, -(-(10**18) // 5**n), 2**53), 2)
+        values += [m / 2**n for m in odd]
+    return values + [-x for x in values]
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=60), cols=st.integers(1, 4))
+def test_c_formatter_matches_python_on_any_float(values, cols):
+    values = values[: len(values) // cols * cols] or [0.0] * cols
+    assert c_rows(values, cols) == python_rows(values, cols)
+
+
+def no_fallback(row):
+    raise AssertionError(f"{row} fell back")
+
+
+@needs_cc
+def test_c_formatter_matches_python_on_random_bit_patterns():
+    # The C formatter writes every pattern inside its range, the same bytes as
+    # Python; the rest it leaves, each row to _python_rows (checked on a sample:
+    # each one left costs a call).
+    rng = np.random.default_rng(2024)
+    patterns = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+    inside = in_fast_range(patterns)
+    assert_same_text(c_rows(patterns[inside], fallback=no_fallback), python_rows(patterns[inside]))
+    outside = patterns[~inside][:20_000]
+    assert_same_text(c_rows(outside, fallback=lambda row: "python\n"), "python\n" * len(outside))
+    assert_same_text(c_rows(patterns[:120_000], cols=12), python_rows(patterns[:120_000], cols=12))
+
+
+@needs_cc
+def test_c_formatter_matches_python_inside_its_range():
+    # 17 significant digits at every decimal exponent, integers, and halves
+    rng = np.random.default_rng(2025)
+    mantissa = rng.uniform(1.0, 10.0, size=200_000)
+    values = np.concatenate([mantissa * 10.0 ** rng.integers(-39, 17, size=len(mantissa)),
+                             np.round(rng.uniform(-1e16, 1e16, size=50_000)),
+                             np.arange(-25_000, 25_000) + 0.5])
+    values *= rng.choice([-1.0, 1.0], size=len(values))
+    assert_same_text(c_rows(values, cols=4, fallback=no_fallback), python_rows(values, cols=4))
+
+
+@needs_cc
+def test_c_formatter_matches_python_on_edge_values():
+    values = edge_values()
+    assert_same_text(c_rows(values), python_rows(values))
+    # each value is a row: C writes exactly the documented range and leaves the rest
+    marked = c_rows(values, fallback=lambda row: "python\n").splitlines()
+    inside = in_fast_range(values).tolist()
+    assert [x for x, line, i in zip(values, marked, inside) if (line != "python") != i] == []
+
+
+CHUNKS = [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 3, 2 * cli._CHUNK_ROWS + 1]
+
+
+@needs_cc
+@pytest.mark.parametrize("n", CHUNKS)
+def test_columns_csv_is_the_same_on_both_backends(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    spread = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-60, 60, (3, n))
+    columns = (0.1 * np.arange(n), *spread, np.resize(np.array(edge_values()), n))
+    compiled = cli._columns_csv("a,b,c,d,e", *columns)
+    assert _kernels.BACKEND == "c"
+    force_fallback(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="Python loop"):
+        python = cli._columns_csv("a,b,c,d,e", *columns)
+    assert len(compiled) == len(python) == 1 + -(-n // cli._CHUNK_ROWS)
+    assert_same_text("".join(compiled), "".join(python))
+
+
+@needs_cc
+def test_compiled_formatter_rejects_bad_blocks():
+    format_rows = _kernels.compiled_kernel().format_rows
+    with pytest.raises(ValueError):  # wrong dtype never reaches C
+        format_rows(np.zeros((2, 3), dtype=np.float32), cli._python_rows)
+    with pytest.raises(ValueError):  # a column-major block would be misread
+        format_rows(np.zeros((3, 2)).T, cli._python_rows)
+    with pytest.raises(ValueError):  # rows of fields, not a flat array
+        format_rows(np.zeros(3), cli._python_rows)
+
+
+# ---------------------------------------------------------------------------
 # fallback and loader
 
 
@@ -264,6 +392,39 @@ def test_forced_fallback_runs_the_python_rk4_loop(monkeypatch, model_1e3, mu0_1e
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def write_every_csv(out_dir) -> dict:
+    """Run each CSV-writing subcommand into out_dir; the bytes of every file written."""
+    out_dir.mkdir()
+    orbit = {"field": {"preset": "paper-toroidal"}, "x0": list(X0), "v0": list(V0)}
+    run = {"epsilon": 1e-3, "h": 0.04, "t_final": 40.0, "variant": "modified", "c": 0.5,
+           "against": "drift", **orbit}
+    study = {"mode": "scaled_pairs", "pairs": [[1e-3, 0.04], [2.5e-4, 0.02]], "c": 0.02,
+             **orbit, "output": {"path": str(out_dir / "study.json"),
+                                 "csv_dir": str(out_dir / "study")}}
+    for command, cfg in [
+        ("simulate", dict(run, output={"path": str(out_dir / "sim.csv"), "stride": 0.04})),
+        ("drift", dict(run, output={"path": str(out_dir / "drift.csv"), "stride": 0.04})),
+        ("compare", dict(run, output={"path": str(out_dir / "cmp.csv"),
+                                      "summary_path": str(out_dir / "cmp.json")})),
+        ("converge", study),
+    ]:
+        path = out_dir / f"{command}.config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.cli_main([command, "--config", str(path)]) == 0
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file() and "config" not in p.name}
+
+
+@needs_cc
+def test_forced_fallback_writes_identical_files(monkeypatch, tmp_path):
+    compiled = write_every_csv(tmp_path / "c")
+    force_fallback(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="Python loop"):
+        python = write_every_csv(tmp_path / "python")
+    assert _kernels.BACKEND == "python"
+    assert len(compiled) == 7 and compiled == python
+
+
 @needs_cc
 def test_library_without_the_drift_symbol_is_unavailable(tmp_path):
     # an older build of the library: the two-step loop alone is not enough
@@ -276,7 +437,19 @@ def test_library_without_the_drift_symbol_is_unavailable(tmp_path):
 
 
 @needs_cc
-def test_drift_command_builds_the_kernel(monkeypatch, tmp_path):
+def test_library_without_the_format_symbol_is_unavailable(tmp_path):
+    # a build from before the CSV formatter: both loops are not enough
+    src = tmp_path / "old.c"
+    src.write_text("int toroboris_two_step_loop(void) { return 0; }\n"
+                   "int toroboris_drift_rk4(void) { return 0; }\n")
+    lib = tmp_path / "old.so"
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
+    with pytest.raises(_kernels.KernelUnavailable, match="toroboris_format_rows"):
+        _kernels._bind(str(lib))
+
+
+def count_loads(monkeypatch) -> list:
+    """Reset the backend and count the library loads that follow."""
     loads = []
 
     def counted_load():
@@ -287,6 +460,12 @@ def test_drift_command_builds_the_kernel(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_load_library", counted_load)
     monkeypatch.setattr(_kernels, "BACKEND", None)
     monkeypatch.setattr(_kernels, "_kernel", None)
+    return loads
+
+
+@needs_cc
+def test_drift_command_builds_the_kernel(monkeypatch, tmp_path):
+    loads = count_loads(monkeypatch)
     cfg = tmp_path / "drift.json"
     cfg.write_text(json.dumps({"epsilon": 1e-3, "h": 0.04, "t_final": 10.0, "variant": "modified",
                                "field": {"preset": "paper-toroidal"},
@@ -294,6 +473,20 @@ def test_drift_command_builds_the_kernel(monkeypatch, tmp_path):
                                "output": {"path": str(tmp_path / "d.csv")}}))
     assert cli.cli_main(["drift", "--config", str(cfg)]) == 0
     assert (loads, _kernels.BACKEND) == ([1], "c")
+
+
+@needs_cc
+def test_csv_compare_mode_builds_the_kernel(monkeypatch, tmp_path):
+    # no run at all: the error CSV's formatter is what loads the library
+    loads = count_loads(monkeypatch)
+    a = tmp_path / "a.csv"
+    a.write_text("t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5,0.5,1\n")
+    out = tmp_path / "err.csv"
+    argv = ["compare", "--csv-a", str(a), "--csv-b", str(a), "--out", str(out),
+            "--summary", str(tmp_path / "s.json")]
+    assert cli.cli_main(argv) == 0
+    assert (loads, _kernels.BACKEND) == ([1], "c")
+    assert out.read_text() == "t,err_r,err_z,err_vpar\n0,0,0,0\n0.5,0,0,0\n"
 
 
 @needs_cc
