@@ -5,7 +5,7 @@
  * toroboris_two_step_loop is transcribed line for line from
  * boris._generic_loop with the field arithmetic of ToroidalFieldModel.bemod
  * inlined; toroboris_drift_rk4 from drift._rk4_loop with the profile
- * arithmetic of toroidal_model inlined.  Every expression keeps the operand
+ * methods of ToroidalFieldModel inlined.  Every expression keeps the operand
  * order of the Python source, and the build flags forbid contraction and
  * fast-math, so both paths produce bitwise equal output.
  *

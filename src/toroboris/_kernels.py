@@ -18,8 +18,8 @@ The Python code stays the single definition of each; tests pin each C
 function to its Python twin bitwise.
 
 The library is built with the system compiler on the first call of
-``compiled_kernel`` (the first integrate or drift_integrate on a
-closed-form model, or the first CSV written), never at import.  It is cached as
+``compiled_kernel`` (the first integrate on a ToroidalFieldModel, the first
+drift_integrate or the first CSV written), never at import.  It is cached as
 ``$XDG_CACHE_HOME/toroboris/kernel-<key>.so`` (``~/.cache/toroboris`` when
 the variable is unset), where the key is a CRC-32 of the source, the flags
 and the machine type.  When that directory cannot be written, the library
@@ -28,9 +28,8 @@ once loaded.  A library that lacks any of the three symbols is unavailable
 as a whole.  Without a working compiler the package falls back to the
 Python code and says so once per process with a RuntimeWarning.
 
-BACKEND is ``"c"`` or ``"python"`` once the first closed-form run has
-resolved it, ``None`` before; FALLBACK_REASON explains a ``"python"``
-backend.
+BACKEND is ``"c"`` or ``"python"`` once the first such call has resolved
+it, ``None`` before; FALLBACK_REASON explains a ``"python"`` backend.
 """
 
 from __future__ import annotations

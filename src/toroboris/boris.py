@@ -240,8 +240,8 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
     The recursion is carried in summed form: the increment d^n = x^n -
     x^{n-1} is the solver variable and positions accumulate as x += d,
     which keeps round-off at the scale of the increments over 1e7 steps.
-    _kernel.c transcribes this loop line for line for the closed-form
-    family; keep the expression shapes of both aligned.
+    _kernel.c transcribes this loop line for line for ToroidalFieldModel;
+    keep the expression shapes of both aligned.
     """
     # Python floats: arithmetic on numpy scalars would double the cost of each step
     x1, x2, x3 = map(float, x_arr)
@@ -332,42 +332,16 @@ def integrate(
 
     mu0 = config.effective_mu0
     d1 = window.x_curr - window.x_prev
-    kernel = None
-    if isinstance(field_model, ToroidalFieldModel) and field_model.poly is not None:
-        kernel = _kernels.compiled_kernel()
+    kernel = _kernels.compiled_kernel() if isinstance(field_model, ToroidalFieldModel) else None
     if kernel is not None:
-        a0, a1, a2, c_e = field_model.poly
+        m = field_model
         status, k, steps = kernel.two_step_loop(
-            n,
-            sample_every,
-            config.h,
-            field_model.epsilon,
-            mu0,
-            a0,
-            a1,
-            a2,
-            c_e,
-            field_model.r_min,
-            field_model.b_min,
-            v_max,
-            window.x_curr,
-            d1,
-            out_t,
-            out_x,
-            out_v,
+            n, sample_every, config.h, m.epsilon, mu0, m.a0, m.a1, m.a2, m.c, m.r_min, m.b_min,
+            v_max, window.x_curr, d1, out_t, out_x, out_v,
         )
     else:
         status, k, steps = _generic_loop(
-            n,
-            sample_every,
-            config.h,
-            mu0,
-            v_max,
-            window.x_curr,
-            d1,
-            field_model,
-            out_t,
-            out_x,
+            n, sample_every, config.h, mu0, v_max, window.x_curr, d1, field_model, out_t, out_x,
             out_v,
         )
 

@@ -27,7 +27,7 @@ from . import _kernels
 from .boris import Trajectory, magnetic_moment
 from .drift import DriftConfig, drift_init, drift_integrate
 from .errors import RunAborted, SchemaError, ToroborisError
-from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_model, toroidal_probes
+from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
     _THEOREM1_STEP, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, _whole_steps,
     compare, convergence_study, monitor_nondegeneracy, observables, run_trajectory,
@@ -247,7 +247,7 @@ def serialize_config(config: dict) -> str:
 
 
 def _model(field: dict, epsilon: float, r_min: float = 1e-9) -> ToroidalFieldModel:
-    return toroidal_model(
+    return ToroidalFieldModel(
         epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], r_min=r_min
     )
 

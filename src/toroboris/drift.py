@@ -89,11 +89,13 @@ def _rhs(rt: float, zt: float, vt: float, model: ToroidalFieldModel, muhat: floa
     """Right-hand side at (r~, z~, v~) for muhat = mu0 / epsilon.
 
     The single Python definition of the slow system; _kernel.c inlines it
-    for the closed-form family operation for operation.
+    operation for operation.
     """
     if rt < model.r_min:
         raise AxisSingularity(rt, model.r_min)
-    b = model.profile(rt, zt)
+    b = model.b(rt, zt)
+    if b <= model.b_min:
+        raise DomainError(b, model.b_min)
     ez = model.E_z(rt, zt)
     er = model.E_r(rt, zt)
     dbr = model.db_dr(rt, zt)
@@ -125,12 +127,12 @@ def drift_init(x0, v0_raw, field_model) -> DriftState:
 def _rk4_loop(times, eps, dtau, model, muhat, out):
     """Fixed-step RK4 of the slow system over the sample grid times.
 
-    This is the reference definition of the slow-time stepping, for any
-    toroidal model.  Row k of out receives (r~, z~, v~) at times[k]; row 0,
-    the initial state, is filled by the caller.  Each output interval takes
-    steps of dtau in tau = eps t and shortens the last one to land on the
-    sample time.  _kernel.c transcribes this loop line for line for the
-    closed-form family; keep the expression shapes of both aligned.
+    This is the reference definition of the slow-time stepping.  Row k of
+    out receives (r~, z~, v~) at times[k]; row 0, the initial state, is
+    filled by the caller.  Each output interval takes steps of dtau in
+    tau = eps t and shortens the last one to land on the sample time.
+    _kernel.c transcribes this loop line for line; keep the expression
+    shapes of both aligned.
     """
     # Python floats: numpy scalars or arrays per stage would cost several times more
     r, z, v = map(float, out[0])
@@ -211,11 +213,10 @@ def drift_integrate(
     if the run could need more than config.budget_steps steps: about one per
     dtau of slow time in each output interval, rounded up per interval.
 
-    For the closed-form family (model.poly set) the steps run in the C loop
-    of _kernels, bitwise equal to the Python loop _rk4_loop that runs
-    otherwise.  A slow state reaching the axis or leaving the field domain
-    raises AxisSingularity or DomainError, and one that stops being finite
-    raises FloatingPointError.
+    The steps run in the C loop of _kernels, bitwise equal to the Python
+    loop _rk4_loop that runs without a compiler.  A slow state reaching the
+    axis or leaving the field domain raises AxisSingularity or DomainError,
+    and one that stops being finite raises FloatingPointError.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -252,13 +253,12 @@ def drift_integrate(
     out = np.empty((len(sample_times), 3))
     out[0] = s0.r_t, s0.z_t, s0.v_t
     muhat = config.mu0 / eps
-    kernel = _kernels.compiled_kernel() if model.poly is not None else None
+    kernel = _kernels.compiled_kernel()
     if kernel is None:
         _rk4_loop(sample_times.tolist(), eps, config.dtau, model, muhat, out)
     else:
-        a0, a1, a2, c_e = model.poly
-        status, bad = kernel.drift_rk4(sample_times, eps, config.dtau, muhat, a0, a1, a2, c_e,
-                                       model.r_min, model.b_min, out)
+        status, bad = kernel.drift_rk4(sample_times, eps, config.dtau, muhat, model.a0, model.a1,
+                                       model.a2, model.c, model.r_min, model.b_min, out)
         if status == _kernels.STATUS_AXIS:
             raise AxisSingularity(bad, model.r_min)
         if status == _kernels.STATUS_DOMAIN:

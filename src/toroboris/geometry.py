@@ -4,20 +4,22 @@ The local frame at a point x off the symmetry axis e_z = (0,0,1) is
 
     e_r   = (x1/r, x2/r, 0),   e_par = (-x2/r, x1/r, 0),   e_z = (0,0,1),
 
-with r = sqrt(x1^2 + x2^2) and z = x3.  A field model prescribes a strong
-magnetic field B = (b(r,z)/epsilon) e_par together with an electric field
-E = E_r(r,z) e_r + E_z(r,z) e_z that has no component along B.
+with r = sqrt(x1^2 + x2^2) and z = x3.  The toroidal field model prescribes
+a strong magnetic field B = (b(r,z)/epsilon) e_par together with an
+electric field E = E_r(r,z) e_r + E_z(r,z) e_z that has no component along
+B, in the closed form of the paper's experiments (ToroidalFieldModel).
+UniformFieldModel, a constant field, serves exact-orbit checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
-from typing import Callable
 
 import numpy as np
 
 from .errors import AxisSingularity, DomainError, Unsupported
+
 
 @dataclass(frozen=True)
 class CylindricalFrame:
@@ -61,12 +63,6 @@ def dot3(a, b) -> np.ndarray:
     return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
-def _each(f, r, z) -> np.ndarray:
-    """f(r, z) per element, on Python floats: model callables are scalar functions."""
-    values = [f(a, b) for a, b in zip(np.ravel(r).tolist(), np.ravel(z).tolist())]
-    return np.array(values, dtype=float).reshape(np.shape(r))
-
-
 def _frame(x: np.ndarray, r) -> CylindricalFrame:
     x1, x2 = _xy(x)
     zero = np.zeros_like(r)
@@ -107,30 +103,44 @@ class FieldSample:
     jacB: np.ndarray
 
 
+def _as_floats():
+    """IEEE arithmetic for the model's own values: overflow gives inf, inf - inf NaN.
+
+    The profile functions, |B| = b / epsilon and b / r saturate silently, as
+    on Python floats and in the compiled loops; only the arithmetic that
+    combines them with the frame raises under np.errstate(..., "raise").
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _column(a) -> np.ndarray:
+    return np.asarray(a)[..., None]
+
+
 @dataclass(frozen=True)
 class ToroidalFieldModel:
-    """Axisymmetric toroidal field B = (b(r,z)/epsilon) e_par with in-plane E.
+    """The closed-form axisymmetric toroidal field of the paper's experiments:
 
-    The profile b and its partial derivatives, and the electric components
-    E_r, E_z, are supplied as callables of (r, z).  ``poly`` marks the
-    closed-form family b = a0 + a1 r + a2 z^2, E_r = c z, E_z = c r, for
-    which a compiled integration kernel is available.
+        b = a0 + a1 r + a2 z^2,   B = (b / epsilon) e_par,
+        E = c (z e_r + r e_z) = -grad phi,   phi = -c r z,
 
-    Evaluation raises AxisSingularity for r < r_min and DomainError when
+    so curl E = 0 holds exactly.  The defaults are the standard benchmark
+    configuration.  The methods b, db_dr, db_dz, E_r, E_z and phi take r and
+    z as floats or as arrays of one shape; the compiled loops of _kernels
+    inline the same arithmetic in the same operand order.
+
+    Evaluation raises AxisSingularity for r < r_min and DomainError where
     b(r,z) <= b_min.  Instances are immutable and safe to share between
     concurrent runs.
     """
 
     epsilon: float
-    b: Callable[[float, float], float]
-    db_dr: Callable[[float, float], float]
-    db_dz: Callable[[float, float], float]
-    E_r: Callable[[float, float], float]
-    E_z: Callable[[float, float], float]
-    phi: Callable[[float, float], float] | None = None
+    a0: float = 0.0
+    a1: float = 1.0
+    a2: float = 1.0
+    c: float = 0.1
     r_min: float = 1e-9
     b_min: float = 0.0
-    poly: tuple[float, float, float, float] | None = field(default=None)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -138,18 +148,29 @@ class ToroidalFieldModel:
         if self.r_min <= 0.0:
             raise ValueError("r_min must be positive")
 
-    def profile(self, r: float, z: float) -> float:
-        b = self.b(r, z)
-        if b <= self.b_min:
-            raise DomainError(b, self.b_min)
-        return b
+    def b(self, r, z):
+        return self.a0 + self.a1 * r + self.a2 * z * z
+
+    def db_dr(self, r, z):
+        return self.a1 if isinstance(r, float) else np.full(np.shape(r), float(self.a1))
+
+    def db_dz(self, r, z):
+        return 2.0 * self.a2 * z
+
+    def E_r(self, r, z):
+        return self.c * z
+
+    def E_z(self, r, z):
+        return self.c * r
+
+    def phi(self, r, z):
+        return -self.c * r * z
 
     def bemod(self, x1: float, x2: float, x3: float, mu0: float):
         """B and the modified electric field E - mu0 grad|B| at a point.
 
         Scalar path used by the Python step loop and the one-step pusher;
-        _kernel.c inlines this arithmetic for the closed-form family
-        operation for operation.
+        _kernel.c inlines this arithmetic operation for operation.
         """
         r = sqrt(x1 * x1 + x2 * x2)
         if r < self.r_min:
@@ -170,20 +191,20 @@ class ToroidalFieldModel:
     def _checked(self, x: np.ndarray):
         """r, z, the frame, B, |B| and b / r at points, checked in order as sample says."""
         r, z = _radius(x), x[..., 2]
-        r_min, inv_eps = self.r_min, 1.0 / self.epsilon
-        # per point in Python floats: |B| and b/r overflow to inf, not to FloatingPointError
-        absB, b_over_r = [], []
-        for ri, zi in zip(np.ravel(r).tolist(), np.ravel(z).tolist()):
-            if ri < r_min:
-                raise AxisSingularity(ri, r_min)
-            bb = self.profile(ri, zi)
-            absB.append(bb * inv_eps)
-            b_over_r.append(bb / ri)
-        shape = np.shape(r)
-        absB = np.array(absB, dtype=float).reshape(shape)
+        with _as_floats():
+            b = self.b(r, z)
+        near = r < self.r_min
+        bad = np.flatnonzero(near | (b <= self.b_min))
+        if len(bad):
+            if np.ravel(near)[bad[0]]:
+                raise AxisSingularity(float(np.ravel(r)[bad[0]]), self.r_min)
+            raise DomainError(float(np.ravel(b)[bad[0]]), self.b_min)
+        with _as_floats():
+            absB = b * (1.0 / self.epsilon)
+            b_over_r = b / r
         fr = _frame(x, r)
-        B = absB[..., None] * fr.e_par
-        return r, z, fr, B, absB, np.array(b_over_r, dtype=float).reshape(shape)
+        B = _column(absB) * fr.e_par
+        return r, z, fr, B, absB, b_over_r
 
     def strength(self, x):
         """B and |B| at a point or at points (..., 3), checked as in sample."""
@@ -198,56 +219,30 @@ class ToroidalFieldModel:
         """
         r, z, fr, B, absB, b_over_r = self._checked(np.asarray(x, dtype=float))
         inv_eps = 1.0 / self.epsilon
-        grad_b = _each(self.db_dr, r, z)[..., None] * fr.e_r
-        grad_b = grad_b + _each(self.db_dz, r, z)[..., None] * fr.e_z
+        with _as_floats():
+            db_dr, db_dz = self.db_dr(r, z), self.db_dz(r, z)
+            E_r, E_z = self.E_r(r, z), self.E_z(r, z)
+        grad_b = _column(db_dr) * fr.e_r
+        grad_b = grad_b + _column(db_dz) * fr.e_z
         gradAbsB = grad_b * inv_eps
-        E = _each(self.E_r, r, z)[..., None] * fr.e_r + _each(self.E_z, r, z)[..., None] * fr.e_z
+        E = _column(E_r) * fr.e_r + _column(E_z) * fr.e_z
         outer_r_par = fr.e_r[..., :, None] * fr.e_par[..., None, :]
         jacB = inv_eps * (
-            fr.e_par[..., :, None] * grad_b[..., None, :] - b_over_r[..., None, None] * outer_r_par
+            fr.e_par[..., :, None] * grad_b[..., None, :]
+            - np.asarray(b_over_r)[..., None, None] * outer_r_par
         )
         return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E, jacB=jacB)
 
     def in_domain(self, x) -> np.ndarray:
         """Which of the points (..., 3) lie off the axis and where b > b_min."""
         x = np.asarray(x, dtype=float)
-        r, z = np.asarray(_radius(x)), x[..., 2]
-        ok = ~(r < self.r_min)
-        ok[ok] = ~(_each(self.b, r[ok], z[ok]) <= self.b_min)
-        return ok
+        r, z = _radius(x), x[..., 2]
+        with _as_floats():
+            return ~(r < self.r_min) & ~(self.b(r, z) <= self.b_min)
 
 
-# Config-file name of the closed-form preset family (see cli module).
+# Config-file name of the closed-form field family (see cli module).
 PRESET_NAME = "paper-toroidal"
-
-
-def toroidal_model(
-    epsilon: float,
-    a0: float = 0.0,
-    a1: float = 1.0,
-    a2: float = 1.0,
-    c: float = 0.1,
-    r_min: float = 1e-9,
-    b_min: float = 0.0,
-) -> ToroidalFieldModel:
-    """Closed-form preset: b = a0 + a1 r + a2 z^2, E_r = c z, E_z = c r.
-
-    The electric field derives from the scalar potential phi = -c r z, so
-    curl E = 0 holds exactly.  Defaults reproduce the standard benchmark
-    configuration.
-    """
-    return ToroidalFieldModel(
-        epsilon=epsilon,
-        b=lambda r, z: a0 + a1 * r + a2 * z * z,
-        db_dr=lambda r, z: a1,
-        db_dz=lambda r, z: 2.0 * a2 * z,
-        E_r=lambda r, z: c * z,
-        E_z=lambda r, z: c * r,
-        phi=lambda r, z: -c * r * z,
-        r_min=r_min,
-        b_min=b_min,
-        poly=(a0, a1, a2, c),
-    )
 
 
 @dataclass(frozen=True)
@@ -302,14 +297,13 @@ def eval_field(model, x) -> FieldSample:
 def potential(model, x):
     """Scalar potential phi(r(x), z(x)) at a point or points (..., 3).
 
-    Unsupported if the model has none.
+    Unsupported for a model other than the toroidal one.
     """
     if not isinstance(model, ToroidalFieldModel):
         raise Unsupported("only toroidal models carry a scalar potential")
     fr = frame(x, model.r_min)
-    if model.phi is None:
-        raise Unsupported("field model carries no scalar potential")
-    return _scalar(_each(model.phi, fr.r, fr.z))
+    with _as_floats():
+        return _scalar(model.phi(fr.r, fr.z))
 
 
 @dataclass(frozen=True)

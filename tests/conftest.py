@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,34 @@ def v0():
 @pytest.fixture(scope="session")
 def model_1e3():
     """Benchmark toroidal field at epsilon = 1e-3."""
-    return tb.toroidal_model(1e-3)
+    return tb.ToroidalFieldModel(1e-3)
 
 
 @pytest.fixture(scope="session")
 def mu0_1e3(model_1e3):
     return tb.magnetic_moment(X0, V0, model_1e3)
+
+
+def force_fallback(monkeypatch):
+    """Make the next compiled_kernel() fall back to the Python loops, as without a compiler."""
+    def unavailable():
+        raise _kernels.KernelUnavailable("forced for the test")
+
+    monkeypatch.setattr(_kernels, "_load_library", unavailable)
+    monkeypatch.setattr(_kernels, "BACKEND", None)
+    monkeypatch.setattr(_kernels, "FALLBACK_REASON", None)
+    monkeypatch.setattr(_kernels, "_kernel", None)
+
+
+@contextlib.contextmanager
+def python_backend():
+    """Run the block on the Python reference loops; usable inside @given tests."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_fallback(mp)
+        with pytest.warns(RuntimeWarning, match="Python loop"):
+            assert _kernels.compiled_kernel() is None
+        yield
+        assert _kernels.BACKEND == "python"
 
 
 def pytest_report_header(config):

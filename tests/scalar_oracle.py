@@ -3,7 +3,7 @@
 These are the per-row loops that the array code in toroboris replaced,
 kept here verbatim, with their own scalar frame and field sample, as the
 oracle the array code must match to the last bit.  They read the models'
-callables and parameters and call nothing else in the package.
+profile methods and parameters and call nothing else in the package.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ def potential(model, x):
     if not isinstance(model, tb.ToroidalFieldModel):
         raise Unsupported("only toroidal models carry a scalar potential")
     r, z, *_ = frame(x, model.r_min)
-    if model.phi is None:
-        raise Unsupported("field model carries no scalar potential")
     return model.phi(r, z)
 
 

@@ -122,7 +122,7 @@ def test_criterion_3_h_squared_scaling(model_1e3):
 
 def test_criterion_4_epsilon_scaling():
     rep = tb.theorem1_suite(
-        lambda eps: tb.toroidal_model(eps), [1e-2, 1e-3], 0.5, X0, V0
+        lambda eps: tb.ToroidalFieldModel(eps), [1e-2, 1e-3], 0.5, X0, V0
     )
     assert rep.passed
     for comp, ratio in rep.ratios[0].items():
@@ -268,7 +268,7 @@ def test_criterion_8_uniform_circular_orbit():
 
 
 def test_criterion_8_field_line_motion():
-    m = tb.toroidal_model(1e-9, a0=1.0, a1=0.0, a2=0.0, c=0.0)
+    m = tb.ToroidalFieldModel(1e-9, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     fr = tb.frame(X0)
     v0 = (22 / 75) * fr.e_par
     cfg = tb.PusherConfig(h=1e-5, variant="modified", mu0=0.0)

@@ -203,6 +203,25 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, field, against",
+    [
+        ("simulate", {"c": 1e308}, "reference"),
+        ("compare", {"c": 1e308}, "drift"),
+        ("simulate", {"a2": 1e308}, "reference"),
+    ],
+)
+def test_field_overflow_raises_where_it_meets_the_frame(tmp_path, capsys, command, field, against):
+    # E_r = c z or b = ... + a2 z^2 overflows to inf silently, like |B| and b / r;
+    # at x0 = (3, 0, 2) a frame component is 0, so inf * 0 is the first error
+    cfg = base_config(tmp_path, x0=[3, 0, 2], against=against,
+                      field={"preset": "paper-toroidal", **field})
+    assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FloatingPointError", "message": "invalid value encountered in multiply"
+    }
+
+
 def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert cli.cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -15,7 +15,7 @@ from toroboris import drift
 from toroboris.drift import DriftState
 from toroboris.errors import AxisSingularity, BudgetExceeded, DomainError
 
-from conftest import X0, V0
+from conftest import X0, V0, python_backend
 
 
 def exact_rhs_oracle(rt, zt, vt, muhat, a0=F(0), a1=F(1), a2=F(1), c=F(1, 10)):
@@ -31,7 +31,7 @@ def exact_rhs_oracle(rt, zt, vt, muhat, a0=F(0), a1=F(1), a2=F(1), c=F(1, 10)):
 
 
 def test_rhs_no_field_terms_is_pure_curvature():
-    m = tb.toroidal_model(1e-3, c=0.0)
+    m = tb.ToroidalFieldModel(1e-3, c=0.0)
     s = DriftState(r_t=0.8, z_t=0.1, v_t=0.5)
     drdt, dzdt, dvdt = tb.drift_rhs(s, m, 0.0)
     b = 0.8 + 0.01
@@ -59,7 +59,7 @@ def test_rhs_zero_parallel_velocity(model_1e3, mu0_1e3):
 
 
 def test_rhs_domain_guards(mu0_1e3):
-    m = tb.toroidal_model(1e-3, b_min=0.5)
+    m = tb.ToroidalFieldModel(1e-3, b_min=0.5)
     with pytest.raises(DomainError):
         tb.drift_rhs(DriftState(r_t=0.3, z_t=0.0, v_t=0.1), m, mu0_1e3)
     with pytest.raises(AxisSingularity):
@@ -95,7 +95,7 @@ def test_drift_init_simple_point(model_1e3):
 
 def test_integrate_constant_profile_closed_form():
     # b = 1, no electric field, no grad-B: r~ and v~ frozen, z~ linear
-    m = tb.toroidal_model(1e-2, a0=1.0, a1=0.0, a2=0.0, c=0.0)
+    m = tb.ToroidalFieldModel(1e-2, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     cfg = tb.DriftConfig(epsilon=1e-2, mu0=0.0, dtau=1e-4)
     s0 = DriftState(r_t=0.9, z_t=-0.3, v_t=0.4)
     traj = tb.drift_integrate(s0, m, cfg, 50.0, sample_times=np.linspace(0.0, 50.0, 11))
@@ -126,7 +126,7 @@ def test_step_halving_insensitivity(model_1e3, mu0_1e3):
 
 
 def test_rk4_order():
-    m = tb.toroidal_model(1e-3)
+    m = tb.ToroidalFieldModel(1e-3)
     mu0 = tb.magnetic_moment(X0, V0, m)
     s0 = tb.drift_init(X0, V0, m)
     ends = []
@@ -145,7 +145,7 @@ def test_epsilon_invariance_in_slow_time():
     muhat = 2847 / 2500
     runs = []
     for eps, t_scale in ((2.0**-7, 2.0**7), (2.0**-10, 2.0**10)):
-        m = tb.toroidal_model(eps)
+        m = tb.ToroidalFieldModel(eps)
         cfg = tb.DriftConfig(epsilon=eps, mu0=muhat * eps, dtau=1e-4)
         s0 = tb.drift_init(X0, V0, m)
         times = np.arange(9) * (t_scale / 8.0)
@@ -276,7 +276,7 @@ def count_rk4_steps(model, cfg, times) -> int:
         calls[0] += 1
         return rhs(*args)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, python_backend():
         mp.setattr(drift, "_rhs", counted)
         tb.drift_integrate(tb.drift_init(X0, V0, model), model, cfg, 0.0, sample_times=times)
     assert calls[0] % 4 == 0
@@ -310,7 +310,7 @@ def step_grids(draw):
 @given(grid=step_grids())
 def test_an_accepted_run_takes_no_more_steps_than_its_budget(grid):
     eps, dtau, times = grid
-    model = dataclasses.replace(tb.toroidal_model(eps), poly=None)  # the Python loop
+    model = tb.ToroidalFieldModel(eps)
     cfg = tb.DriftConfig(eps, 1e-4 * eps, dtau=dtau)
     steps = count_rk4_steps(model, cfg, times)
     # the bound is above the steps taken, by at most one per interval

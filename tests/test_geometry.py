@@ -82,7 +82,7 @@ def test_eval_field_benchmark_values(model_1e3):
 
 
 def test_eval_field_zero_electric_coefficient():
-    m = tb.toroidal_model(1e-3, c=0.0)
+    m = tb.ToroidalFieldModel(1e-3, c=0.0)
     s = tb.eval_field(m, (0.7, -0.3, 0.4))
     np.testing.assert_array_equal(s.E, [0.0, 0.0, 0.0])
 
@@ -103,7 +103,7 @@ def test_eval_field_sample_invariants(model_1e3):
 
 
 def test_eval_field_domain_guard():
-    m = tb.toroidal_model(1e-3, b_min=1.0)
+    m = tb.ToroidalFieldModel(1e-3, b_min=1.0)
     with pytest.raises(DomainError):
         tb.eval_field(m, X0)  # profile value is 2/3 here
 
@@ -145,23 +145,13 @@ def test_potential_benchmark_value(model_1e3):
 
 
 def test_potential_zero_coefficient():
-    m = tb.toroidal_model(1e-3, c=0.0)
+    m = tb.ToroidalFieldModel(1e-3, c=0.0)
     assert tb.potential(m, (0.9, 0.1, -0.3)) == 0.0
 
 
 def test_potential_unsupported():
-    m = tb.toroidal_model(1e-3)
-    bare = tb.ToroidalFieldModel(
-        epsilon=1e-3,
-        b=m.b,
-        db_dr=m.db_dr,
-        db_dz=m.db_dz,
-        E_r=m.E_r,
-        E_z=m.E_z,
-        phi=None,
-    )
     with pytest.raises(Unsupported):
-        tb.potential(bare, X0)
+        tb.potential(tb.UniformFieldModel(B0=(0.0, 0.0, 1.0)), X0)
 
 
 def test_potential_gradient_matches_field(model_1e3):
@@ -194,22 +184,20 @@ def test_check_field_benchmark_passes(model_1e3):
     assert report.min_b > 0.0
 
 
-def test_check_field_detects_wrong_partial(model_1e3):
-    bad = tb.ToroidalFieldModel(
-        epsilon=1e-3,
-        b=model_1e3.b,
-        db_dr=model_1e3.db_dr,
-        db_dz=lambda r, z: 4.0 * z,  # off by a factor 2
-        E_r=model_1e3.E_r,
-        E_z=model_1e3.E_z,
-    )
+class WrongPartial(tb.ToroidalFieldModel):
+    def db_dz(self, r, z):
+        return 4.0 * self.a2 * z  # off by a factor 2
+
+
+def test_check_field_detects_wrong_partial():
+    bad = WrongPartial(1e-3)
     report = tb.check_field(bad, tb.toroidal_probes(20, seed=9), delta=1e-6)
     assert not report.passed
     assert not report["grad_b"].passed
 
 
 def test_check_field_zero_e_curl_trivial():
-    m = tb.toroidal_model(1e-3, c=0.0)
+    m = tb.ToroidalFieldModel(1e-3, c=0.0)
     report = tb.check_field(m, tb.toroidal_probes(20, seed=10), delta=1e-6)
     assert report["curl_E"].value <= 1e-13
 
@@ -245,6 +233,6 @@ def test_uniform_model_rejects_parallel_e():
 
 def test_model_epsilon_validation():
     with pytest.raises(ValueError):
-        tb.toroidal_model(0.0)
+        tb.ToroidalFieldModel(0.0)
     with pytest.raises(ValueError):
-        tb.toroidal_model(1.5)
+        tb.ToroidalFieldModel(1.5)

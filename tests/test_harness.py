@@ -22,7 +22,7 @@ from conftest import X0, V0
 def make_spec(eps=1e-3, h=0.04, t_final=None, c=0.5, **kw):
     t_final = c / eps if t_final is None else t_final
     return tb.ExperimentSpec(
-        field=tb.toroidal_model(eps), x0=X0, v0=V0, h=h, t_final=t_final, c=c, **kw
+        field=tb.ToroidalFieldModel(eps), x0=X0, v0=V0, h=h, t_final=t_final, c=c, **kw
     )
 
 
@@ -110,9 +110,6 @@ def test_respec_changes_only_epsilon_step_and_horizon():
     assert spec.field == dataclasses.replace(base.field, epsilon=2.5e-4)
     kept = ("x0", "v0", "dt_out", "ref_h_factor", "c", "budget_steps", "dtau")
     assert all(getattr(spec, name) == getattr(base, name) for name in kept)
-    generic = dataclasses.replace(base, field=dataclasses.replace(base.field, poly=None))
-    with pytest.raises(ValueError, match="closed-form"):
-        _respec(generic, 2.5e-4, 0.02)
 
 
 def test_reference_completes_at_moderate_scale():
@@ -169,7 +166,7 @@ def test_observables_zero_velocity_state(model_1e3):
 
 
 def test_observables_field_line_motion_constant():
-    m = tb.toroidal_model(1e-9, a0=1.0, a1=0.0, a2=0.0, c=0.0)
+    m = tb.ToroidalFieldModel(1e-9, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     fr = tb.frame(X0)
     cfg = tb.PusherConfig(h=1e-5, variant="modified", mu0=0.0)
     traj = tb.integrate(X0, (22 / 75) * fr.e_par, m, cfg, 0.1, sample_every=100)
@@ -263,7 +260,7 @@ def test_slope_fit_exact_power_law():
 
 def test_order_gate_rejects_first_order_method():
     # forward-Euler on the slow system: a genuine first-order control
-    m = tb.toroidal_model(1e-3)
+    m = tb.ToroidalFieldModel(1e-3)
     mu0 = tb.magnetic_moment(X0, V0, m)
     s0 = tb.drift_init(X0, V0, m)
     cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0, dtau=1e-4)
@@ -330,7 +327,7 @@ def test_theorem1_field_line_oracle():
     # constant-magnitude profile, no electric field, start along the field:
     # the slow system freezes r and v and drifts z linearly; the fine
     # reference shows the same motion up to the gyro-scale remainder
-    make_model = lambda e: tb.toroidal_model(e, a0=1.0, a1=0.0, a2=0.0, c=0.0)
+    make_model = lambda e: tb.ToroidalFieldModel(e, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     fr = tb.frame(X0)
     rep = tb.theorem1_suite(make_model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
     for comp, val in rep.max_err[0].items():
@@ -354,7 +351,7 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "integrate", recorded)
     eps_list = [1e-2, 5e-3]
-    rep = tb.theorem1_suite(tb.toroidal_model, eps_list, 0.1, X0, V0, dt_out=0.3)
+    rep = tb.theorem1_suite(tb.ToroidalFieldModel, eps_list, 0.1, X0, V0, dt_out=0.3)
     specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.3)
              for eps in eps_list]
     assert calls == [(s.h_ref, "standard", 0.0, round(s.dt_out / s.h_ref)) for s in specs]
@@ -363,13 +360,13 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
 def test_theorem1_empty_list_rejected():
     with pytest.raises(ValueError):
-        tb.theorem1_suite(lambda e: tb.toroidal_model(e), [], 0.5, X0, V0)
+        tb.theorem1_suite(lambda e: tb.ToroidalFieldModel(e), [], 0.5, X0, V0)
 
 
 def test_theorem1_budget_propagates():
     with pytest.raises(BudgetExceeded):
         tb.theorem1_suite(
-            lambda e: tb.toroidal_model(e), [1e-3], 0.5, X0, V0, budget_steps=1000
+            lambda e: tb.ToroidalFieldModel(e), [1e-3], 0.5, X0, V0, budget_steps=1000
         )
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import json
 import math
 import os
@@ -24,19 +23,19 @@ from toroboris import _kernels, cli, drift
 from toroboris.drift import DriftState
 from toroboris.errors import AxisSingularity, DomainError
 
-from conftest import X0, V0
+from conftest import X0, V0, force_fallback, python_backend
 
 HAVE_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 
 
 def run_both(x0, v0, model, cfg, t_final, sample_every=1):
-    """integrate on a closed-form model (C kernel) and on its generic twin (Python loop)."""
+    """integrate through the C kernel and through the Python loop."""
     compiled = tb.integrate(x0, v0, model, cfg, t_final, sample_every=sample_every)
     if HAVE_CC:
         assert _kernels.BACKEND == "c", _kernels.FALLBACK_REASON
-    generic = dataclasses.replace(model, poly=None)
-    python = tb.integrate(x0, v0, generic, cfg, t_final, sample_every=sample_every)
+    with python_backend():
+        python = tb.integrate(x0, v0, model, cfg, t_final, sample_every=sample_every)
     return compiled, python
 
 
@@ -69,7 +68,7 @@ def rotate_z(vec, angle):
     dv=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
 )
 def test_c_kernel_matches_python_loop(eps, h, n, every, variant, coeffs, angle, dx, dv):
-    model = tb.toroidal_model(eps, *coeffs)
+    model = tb.ToroidalFieldModel(eps, *coeffs)
     x0 = rotate_z(X0, angle) + dx
     v0 = rotate_z(V0, angle) + dv
     mu0 = tb.magnetic_moment(x0, v0, model) if variant == "modified" else 0.0
@@ -80,15 +79,15 @@ def test_c_kernel_matches_python_loop(eps, h, n, every, variant, coeffs, angle, 
 def _abort_case(tag):
     if tag == "axis_singularity":
         # no grad-B force, inward electric drift
-        model = tb.toroidal_model(1e-3, r_min=0.416)
+        model = tb.ToroidalFieldModel(1e-3, r_min=0.416)
         return model, tb.PusherConfig(h=0.04, variant="modified", mu0=0.0), 400.0
     if tag == "domain_error":
         # the drift carries the orbit into b < 0.3
-        model = dataclasses.replace(tb.toroidal_model(1e-3), b_min=0.3)
+        model = tb.ToroidalFieldModel(1e-3, b_min=0.3)
         mu0 = tb.magnetic_moment(X0, V0, model)
         return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0), 1000.0
     # a strong electric field speeds the orbit past v_max after ~400 steps
-    model = tb.toroidal_model(1e-3, c=3.0)
+    model = tb.ToroidalFieldModel(1e-3, c=3.0)
     mu0 = tb.magnetic_moment(X0, V0, model)
     return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0, v_max=0.295), 400.0
 
@@ -107,7 +106,7 @@ def test_non_finite_step_trips_the_runaway_guard(eps):
     # (h/2)|B| squared overflows, so the first step is NaN; "norm > bound" let it
     # through and the run returned NaN positions with no error
     cfg = tb.PusherConfig(h=0.04, variant="standard")
-    compiled, python = run_both(X0, V0, tb.toroidal_model(eps), cfg, 0.4)
+    compiled, python = run_both(X0, V0, tb.ToroidalFieldModel(eps), cfg, 0.4)
     assert (compiled.error, compiled.steps_completed) == ("sanity_guard", 0)
     assert_bitwise_equal(compiled, python)
 
@@ -125,17 +124,19 @@ def test_compiled_loop_rejects_bad_buffers():
 
 def drift_both(s0, model, cfg, t_final, sample_times=None):
     """drift_integrate through the C loop and through _rk4_loop: result bytes or error."""
-    outcomes = []
-    for m in (model, dataclasses.replace(model, poly=None)):
+    def outcome():
         try:
-            tr = tb.drift_integrate(s0, m, cfg, t_final, sample_times=sample_times)
+            tr = tb.drift_integrate(s0, model, cfg, t_final, sample_times=sample_times)
         except Exception as e:  # noqa: BLE001 - the two backends must fail alike
-            outcomes.append((type(e), str(e)))
-        else:
-            outcomes.append(tuple(getattr(tr, a).tobytes() for a in ("t", "r", "z", "vpar")))
-        if HAVE_CC:
-            assert _kernels.BACKEND == "c", _kernels.FALLBACK_REASON
-    return outcomes
+            return type(e), str(e)
+        return tuple(getattr(tr, a).tobytes() for a in ("t", "r", "z", "vpar"))
+
+    compiled = outcome()
+    if HAVE_CC:
+        assert _kernels.BACKEND == "c", _kernels.FALLBACK_REASON
+    with python_backend():
+        python = outcome()
+    return [compiled, python]
 
 
 @st.composite
@@ -166,7 +167,7 @@ def test_c_drift_matches_python_rk4_loop(data, eps, dtau, coeffs, state, muhat):
     # A last-bit change in one stage is mostly absorbed by y + w k, so the
     # ranges favour large right-hand sides, a z^2 term that can dominate b and
     # tens of steps per example; a2 * (zt * zt) in the C source fails here.
-    model = tb.toroidal_model(eps, *coeffs)
+    model = tb.ToroidalFieldModel(eps, *coeffs)
     cfg = tb.DriftConfig(epsilon=eps, mu0=muhat * eps, dtau=dtau)
     times = data.draw(sample_grids(eps, dtau))
     compiled, python = drift_both(DriftState(*state), model, cfg, 1.0, sample_times=times)
@@ -183,14 +184,14 @@ def test_c_drift_matches_python_on_the_default_grid(model_1e3, mu0_1e3):
 def _drift_abort_case(tag):
     if tag == "axis":
         # no grad-B force: the electric drift carries r~ inward past r_min
-        model = tb.toroidal_model(1e-3, r_min=0.416)
+        model = tb.ToroidalFieldModel(1e-3, r_min=0.416)
         return tb.drift_init(X0, V0, model), model, 0.0, AxisSingularity
     if tag == "domain":
         # z~ falls through 0, where b = r~ + z~^2 drops below 0.5
-        model = tb.toroidal_model(1e-3, b_min=0.5)
+        model = tb.ToroidalFieldModel(1e-3, b_min=0.5)
         return tb.drift_init(X0, V0, model), model, tb.magnetic_moment(X0, V0, model), DomainError
     # v~^2 overflows: the slow state stops being finite
-    model = tb.toroidal_model(1e-3)
+    model = tb.ToroidalFieldModel(1e-3)
     return DriftState(0.5, 0.0, 1e200), model, 0.0, FloatingPointError
 
 
@@ -346,16 +347,6 @@ def test_compiled_formatter_rejects_bad_blocks():
 
 # ---------------------------------------------------------------------------
 # fallback and loader
-
-
-def force_fallback(monkeypatch):
-    def unavailable():
-        raise _kernels.KernelUnavailable("forced for the test")
-
-    monkeypatch.setattr(_kernels, "_load_library", unavailable)
-    monkeypatch.setattr(_kernels, "BACKEND", None)
-    monkeypatch.setattr(_kernels, "FALLBACK_REASON", None)
-    monkeypatch.setattr(_kernels, "_kernel", None)
 
 
 def test_forced_fallback_uses_python_loop(monkeypatch, model_1e3, mu0_1e3):

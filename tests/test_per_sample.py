@@ -53,29 +53,20 @@ def trajectory(model, xs, vs):
     )
 
 
-def wavy_model(epsilon: float, phi: bool = True):
-    """A toroidal model given by plain callables, with no closed form."""
-    return tb.ToroidalFieldModel(
-        epsilon=epsilon,
-        b=lambda r, z: 1.0 + 0.5 * r + 0.2 * math.sin(3.0 * z),
-        db_dr=lambda r, z: 0.5,
-        db_dz=lambda r, z: 0.6 * math.cos(3.0 * z),
-        E_r=lambda r, z: 0.05 * z,
-        E_z=lambda r, z: 0.05 * r,
-        phi=(lambda r, z: -0.05 * r * z) if phi else None,
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     angle=st.floats(0.0, 2.0 * math.pi),
     eps=st.sampled_from([1e-2, 1e-3, 1e-4]),
     h=st.sampled_from([0.01, 0.04, 0.1]),
     variant=st.sampled_from(tb.boris.VARIANTS),
+    # a0 >= 0, a1 > 0 and a2 >= 0 keep b positive off the axis
+    coeffs=st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1.5), st.floats(0.0, 1.5),
+                     st.just(0.0) | st.floats(-0.5, 0.5)),
 )
-def test_rotated_paper_orbits_match_the_oracle(angle, eps, h, variant):
+def test_rotated_paper_orbits_match_the_oracle(angle, eps, h, variant, coeffs):
     # standard runs with h far above eps stop at the runaway guard after one sample
-    traj = run(tb.toroidal_model(eps), rotated(X0, angle), rotated(V0, angle), h, variant)
+    model = tb.ToroidalFieldModel(eps, *coeffs)
+    traj = run(model, rotated(X0, angle), rotated(V0, angle), h, variant)
     assert_observables_match(traj)
     assert_monitor_matches(traj)
     sigma = tb.nondegeneracy_sigma(traj.x, traj.v, h, traj.field)
@@ -94,16 +85,15 @@ def test_standard_run_with_warnings_matches_the_oracle(model_1e3):
 @pytest.mark.parametrize("phi", [True, False])
 @pytest.mark.parametrize("variant", tb.boris.VARIANTS)
 def test_callable_model_matches_the_oracle(phi, variant):
-    traj = run(wavy_model(1e-2, phi=phi), X0, V0, 0.05, variant, steps=200)
+    # a model off the defaults, with an electric potential or with c = 0
+    model = tb.ToroidalFieldModel(1e-2, a0=1.0, a1=0.5, a2=0.2, c=0.05 if phi else 0.0)
+    traj = run(model, X0, V0, 0.05, variant, steps=200)
     assert traj.error is None
     assert_observables_match(traj)
     assert_monitor_matches(traj)
-
-
-def test_model_without_potential_reports_kinetic_energy():
-    traj = run(wavy_model(1e-2, phi=False), X0, V0, 0.05, "standard", steps=50)
-    obs = tb.observables(traj)
-    assert bits(obs.energy) == bits([0.5 * float(v @ v) for v in traj.v])
+    if not phi:
+        obs = tb.observables(traj)
+        assert bits(obs.energy) == bits([0.5 * float(v @ v) for v in traj.v])
 
 
 def test_uniform_field_matches_the_oracle():
@@ -130,6 +120,7 @@ def raised(f, *args):
 
 
 GOOD, OFF_DOMAIN, ON_AXIS = (0.5, 0.0, 0.5), (0.2, 0.0, 0.1), (1e-12, 0.0, 0.8)
+BOTH = (1e-12, 0.0, 0.1)  # on the axis and off the domain: the axis is named
 
 
 @pytest.mark.parametrize(
@@ -139,10 +130,11 @@ GOOD, OFF_DOMAIN, ON_AXIS = (0.5, 0.0, 0.5), (0.2, 0.0, 0.1), (1e-12, 0.0, 0.8)
         [GOOD, ON_AXIS, OFF_DOMAIN],
         [ON_AXIS, GOOD],
         [GOOD, GOOD, OFF_DOMAIN],
+        [GOOD, BOTH, OFF_DOMAIN],
     ],
 )
 def test_first_offending_sample_raises(xs):
-    model = tb.toroidal_model(1e-3, b_min=0.3)  # b = r + z^2 is 0.21 off the domain
+    model = tb.ToroidalFieldModel(1e-3, b_min=0.3)  # b = r + z^2 is 0.21 off the domain
     traj = trajectory(model, xs, [V0] * len(xs))
     assert raised(tb.observables, traj) == raised(oracle.observables, traj)
     assert raised(tb.magnetic_moment, traj.x, traj.v, model) == raised(
@@ -177,7 +169,7 @@ def test_array_calls_keep_the_leading_shape(model_1e3):
 
 def test_mu_overflow_raises_like_the_scalar_expression():
     # |B|^3 overflows from |B| > 5.6e102: the libm pow error, on every path
-    model = tb.toroidal_model(1e-104)
+    model = tb.ToroidalFieldModel(1e-104)
     with pytest.raises(OverflowError) as scalar:
         oracle.magnetic_moment(X0, V0, model)
     with pytest.raises(OverflowError) as array:
