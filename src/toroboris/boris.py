@@ -41,18 +41,15 @@ class ParticleState:
 
 @dataclass(frozen=True)
 class PusherConfig:
-    """Step size, scheme variant and runaway bound for a run.
+    """Step size and scheme variant for a run.
 
     mu0 is only used by the modified variant and is expected to come from
-    magnetic_moment at the initial state.  v_max bounds the velocity for
-    the runaway guard; None means integrate picks 10 (|v0| + 1) at
-    initialization.
+    magnetic_moment at the initial state.
     """
 
     h: float
     variant: str = "standard"
     mu0: float = 0.0
-    v_max: float | None = None
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -309,8 +306,10 @@ def integrate(
     trajectories.
 
     When a step reaches the axis, leaves the field domain or fails the
-    runaway guard (a step longer than h v_max, or not finite), the partial
-    trajectory is returned with the matching error tag instead of raising.
+    runaway guard (a step longer than 10 (|v0| + 1) h, or not finite), the
+    partial trajectory is returned with the matching error tag instead of
+    raising.  Subclasses of ToroidalFieldModel, like other models, run on
+    the Python loop _generic_loop.
     """
     n = int(round(t_final / config.h))
     if abs(n * config.h - t_final) > 1e-9 * max(1.0, t_final):
@@ -320,7 +319,7 @@ def integrate(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     window, _seed, v0 = initialize(x0, v0_raw, field_model, config)
-    v_max = config.v_max if config.v_max is not None else 10.0 * (float(np.linalg.norm(v0)) + 1.0)
+    v_max = 10.0 * (float(np.linalg.norm(v0)) + 1.0)
 
     rows = n // sample_every + 1
     out_t = np.empty(rows)
@@ -332,7 +331,8 @@ def integrate(
 
     mu0 = config.effective_mu0
     d1 = window.x_curr - window.x_prev
-    kernel = _kernels.compiled_kernel() if isinstance(field_model, ToroidalFieldModel) else None
+    # a subclass may override the closed form the C loop inlines
+    kernel = _kernels.compiled_kernel() if type(field_model) is ToroidalFieldModel else None
     if kernel is not None:
         m = field_model
         status, k, steps = kernel.two_step_loop(

@@ -26,11 +26,11 @@ import numpy as np
 from . import _kernels
 from .boris import Trajectory, magnetic_moment
 from .drift import DriftConfig, drift_init, drift_integrate
-from .errors import RunAborted, SchemaError, ToroborisError
+from .errors import BudgetExceeded, RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
-    _THEOREM1_STEP, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, _whole_steps,
-    compare, convergence_study, monitor_nondegeneracy, observables, run_trajectory,
+    _ORDER_BAND, _THEOREM1_STEP, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series,
+    _whole_steps, compare, convergence_study, monitor_nondegeneracy, observables, run_trajectory,
     theorem1_suite,
 )
 
@@ -190,7 +190,7 @@ _CONVERGE = _object({
     "h_list": (_array(_POSITIVE, "a list of at least 2 step sizes", min_size=2), None),
     "epsilon": (_UNIT, None),
     "stride": (_POSITIVE, None),
-    "order_band": (_PAIR, [1.7, 2.3]),
+    "order_band": (_PAIR, list(_ORDER_BAND)),
     **_LIMITS,
 })
 
@@ -367,9 +367,19 @@ def _cmd_drift(args) -> int:
     model = _model(config["field"], config["epsilon"], config["r_min"])
     s0 = drift_init(config["x0"], config["v0"], model)
     mu0 = magnetic_moment(config["x0"], config["v0"], model)
-    dconf = DriftConfig(epsilon=config["epsilon"], mu0=mu0, dtau=config["dtau"],
-                        dt_out=config["output"]["stride"], budget_steps=config["budget_steps"])
-    traj = drift_integrate(s0, model, dconf, config["t_final"])
+    dconf = DriftConfig(mu0=mu0, dtau=config["dtau"], budget_steps=config["budget_steps"])
+    t_final, dt_out = config["t_final"], config["output"]["stride"]
+    # refused before the grid is built: every interval takes a step, and a
+    # step covers at most dtau of slow time
+    intervals = t_final / dt_out
+    least = max(intervals, config["epsilon"] * t_final / dconf.dtau)
+    if least > dconf.budget_steps:
+        raise BudgetExceeded(least, dconf.budget_steps)
+    m = int(np.floor(intervals + 1e-9))
+    times = [k * dt_out for k in range(m + 1)]
+    if times[-1] < t_final - 1e-9 * max(1.0, t_final):
+        times.append(t_final)
+    traj = drift_integrate(s0, model, dconf, np.array(times))
     columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
     _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
     return EXIT_OK
@@ -472,7 +482,7 @@ def _cmd_theorem1(args) -> int:
                 f"steps of {_THEOREM1_STEP}*eps = {h!r}",
             )
     report = theorem1_suite(
-        lambda eps: _model(cfg["field"], eps), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
+        _model(cfg["field"], cfg["eps_list"][0]), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
         dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
     names = [f"errors_eps{eps:g}.csv" for eps in report.eps_list]

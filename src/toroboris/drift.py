@@ -46,17 +46,13 @@ class DriftState:
 class DriftConfig:
     """Parameters of a drift integration.
 
-    epsilon must equal the field model's epsilon; mu0 is the frozen
-    magnetic moment of the initial data (as produced by magnetic_moment).
-    dtau is the fixed RK4 step in slow time; dt_out the output stride in
-    physical time (None lets the caller's default apply).  budget_steps caps
-    the RK4 steps a run may need.
+    mu0 is the frozen magnetic moment of the initial data (as produced by
+    magnetic_moment).  dtau is the fixed RK4 step in slow time; budget_steps
+    caps the RK4 steps a run may need.
     """
 
-    epsilon: float
     mu0: float
     dtau: float = 1e-4
-    dt_out: float | None = None
     budget_steps: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -196,17 +192,12 @@ def _rk4_step_bound(times: np.ndarray, eps: float, dtau: float) -> float:
 
 
 def drift_integrate(
-    s0: DriftState,
-    model: ToroidalFieldModel,
-    config: DriftConfig,
-    t_final: float,
-    sample_times=None,
+    s0: DriftState, model: ToroidalFieldModel, config: DriftConfig, sample_times
 ) -> DriftTrajectory:
-    """Integrate the slow system with fixed-step RK4 in slow time.
+    """Integrate the slow system of model with fixed-step RK4 in slow time.
 
-    Sampling happens at exact multiples of the output stride (or at the
-    explicitly supplied sample_times, which must be finite and
-    nondecreasing); within each output interval the integrator takes steps
+    The solution is sampled at sample_times, which must be finite and
+    nondecreasing; within each output interval the integrator takes steps
     of config.dtau, shortening the final substep to land on the sample time,
     so no interpolation is ever involved.  Deterministic: identical inputs
     give bit-identical outputs.  Raises BudgetExceeded before doing any work
@@ -214,34 +205,13 @@ def drift_integrate(
     dtau of slow time in each output interval, rounded up per interval.
 
     The steps run in the C loop of _kernels, bitwise equal to the Python
-    loop _rk4_loop that runs without a compiler.  A slow state reaching the
-    axis or leaving the field domain raises AxisSingularity or DomainError,
-    and one that stops being finite raises FloatingPointError.
+    loop _rk4_loop, which runs without a compiler and for subclasses of
+    ToroidalFieldModel.  A slow state reaching the axis or leaving the field
+    domain raises AxisSingularity or DomainError, and one that stops being
+    finite raises FloatingPointError.
     """
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative")
-    if config.epsilon != model.epsilon:
-        raise ValueError(
-            f"config epsilon {config.epsilon} does not match model epsilon {model.epsilon}"
-        )
-    eps = config.epsilon
-    dt_out = config.dt_out
-    if dt_out is None:
-        dt_out = t_final / 1000.0 if t_final > 0.0 else 1.0
-    if sample_times is None:
-        # refused before the grid is built: every interval takes a step, and a
-        # step covers at most dtau of slow time
-        intervals = t_final / dt_out
-        least = max(intervals, eps * t_final / config.dtau)
-        if least > config.budget_steps:
-            raise BudgetExceeded(least, config.budget_steps)
-        m = int(np.floor(intervals + 1e-9))
-        times = [k * dt_out for k in range(m + 1)]
-        if times[-1] < t_final - 1e-9 * max(1.0, t_final):
-            times.append(t_final)
-        sample_times = np.array(times)
-    else:
-        sample_times = _sample_grid(sample_times)
+    eps = model.epsilon
+    sample_times = _sample_grid(sample_times)
     steps = _rk4_step_bound(sample_times, eps, config.dtau)
     if not steps <= config.budget_steps:
         raise BudgetExceeded(steps, config.budget_steps)
@@ -253,7 +223,8 @@ def drift_integrate(
     out = np.empty((len(sample_times), 3))
     out[0] = s0.r_t, s0.z_t, s0.v_t
     muhat = config.mu0 / eps
-    kernel = _kernels.compiled_kernel()
+    # a subclass may override the closed form the C loop inlines
+    kernel = _kernels.compiled_kernel() if type(model) is ToroidalFieldModel else None
     if kernel is None:
         _rk4_loop(sample_times.tolist(), eps, config.dtau, model, muhat, out)
     else:

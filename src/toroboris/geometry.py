@@ -14,7 +14,7 @@ UniformFieldModel, a constant field, serves exact-orbit checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -145,8 +145,10 @@ class ToroidalFieldModel:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.r_min <= 0.0:
-            raise ValueError("r_min must be positive")
+        if not (isfinite(self.r_min) and self.r_min > 0.0):
+            raise ValueError(f"r_min must be positive and finite, got {self.r_min}")
+        if not isfinite(self.b_min):
+            raise ValueError(f"b_min must be finite, got {self.b_min}")
 
     def b(self, r, z):
         return self.a0 + self.a1 * r + self.a2 * z * z
@@ -342,6 +344,10 @@ class ValidationReport:
         }
 
 
+# check_field's checks, in report order, with the worst value each may reach.
+_THRESHOLDS = {"grad_b": 1e-6, "epar_dot_E": 1e-13, "curl_E": 1e-10, "div_B_rel": 1e-6}
+
+
 def toroidal_probes(n: int, seed: int = 0, r_range=(0.25, 1.0), z_range=(-0.75, 0.75)):
     """Deterministic probe points spread over a toroidal shell."""
     rng = np.random.default_rng(seed)
@@ -351,18 +357,11 @@ def toroidal_probes(n: int, seed: int = 0, r_range=(0.25, 1.0), z_range=(-0.75, 
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def check_field(
-    model: ToroidalFieldModel,
-    probes,
-    delta: float = 1e-6,
-    grad_tol: float = 1e-6,
-    epar_e_tol: float = 1e-13,
-    curl_e_tol: float = 1e-10,
-    div_b_tol: float = 1e-6,
-) -> ValidationReport:
+def check_field(model: ToroidalFieldModel, probes, delta: float = 1e-6) -> ValidationReport:
     """Numerically validate a field model at probe points.
 
-    Checks, each reported with its worst value over the probes:
+    Checks, each reported with its worst value over the probes and passed
+    at or below its threshold in _THRESHOLDS:
       * analytic db/dr, db/dz against central differences of b
         (relative to max(1, |analytic|));
       * |e_par . E| (the orthogonality assumption);
@@ -400,11 +399,9 @@ def check_field(
         curl = np.array([dE[1][2] - dE[2][1], dE[2][0] - dE[0][2], dE[0][1] - dE[1][0]])
         worst_curl = max(worst_curl, float(np.max(np.abs(curl))))
         worst_div = max(worst_div, abs(dB[0][0] + dB[1][1] + dB[2][2]) / s.absB)
-    values = (
-        ("grad_b", float(worst_grad), grad_tol),
-        ("epar_dot_E", float(worst_epar_e), epar_e_tol),
-        ("curl_E", float(worst_curl), curl_e_tol),
-        ("div_B_rel", float(worst_div), div_b_tol),
+    worst = (worst_grad, worst_epar_e, worst_curl, worst_div)
+    checks = tuple(
+        CheckResult(name, float(v), tol, bool(v <= tol))
+        for (name, tol), v in zip(_THRESHOLDS.items(), worst)
     )
-    checks = tuple(CheckResult(n, v, tol, bool(v <= tol)) for n, v, tol in values)
     return ValidationReport(checks=checks, min_b=float(min_b))

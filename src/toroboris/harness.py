@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from math import ceil, isqrt
-from typing import Callable
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .geometry import ToroidalFieldModel, dot3, frame, potential
 _SIGMA_WARN = 0.1
 # theorem1_suite's nominal step, as a multiple of epsilon.
 _THEOREM1_STEP = 0.05
+# Default band a fitted convergence slope must lie in: second order.
+_ORDER_BAND = (1.7, 2.3)
 
 
 def _whole_steps(t_final: float, h: float) -> bool:
@@ -148,10 +149,8 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
 def run_drift(spec: ExperimentSpec, sample_times) -> DriftTrajectory:
     """Slow-system solution at sample_times, the times of the run it is compared with."""
     s0 = drift_init(spec.x0, spec.v0, spec.field)
-    config = DriftConfig(
-        epsilon=spec.epsilon, mu0=spec.mu0(), dtau=spec.dtau, budget_steps=spec.budget_steps
-    )
-    return drift_integrate(s0, spec.field, config, spec.t_final, sample_times=sample_times)
+    config = DriftConfig(mu0=spec.mu0(), dtau=spec.dtau, budget_steps=spec.budget_steps)
+    return drift_integrate(s0, spec.field, config, sample_times)
 
 
 def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
@@ -344,7 +343,7 @@ class ConvergenceReport:
 
 
 def build_convergence_report(
-    mode: str, points, order_band: tuple[float, float] = (1.7, 2.3)
+    mode: str, points, order_band: tuple[float, float] = _ORDER_BAND
 ) -> ConvergenceReport:
     """Fit per-component slopes over the points and gate them on the band.
 
@@ -382,7 +381,7 @@ def convergence_study(
     mode: str,
     h_list=None,
     pairs=None,
-    order_band: tuple[float, float] = (1.7, 2.3),
+    order_band: tuple[float, float] = _ORDER_BAND,
 ) -> ConvergenceReport:
     """Modified-Boris convergence study in one of two modes.
 
@@ -461,7 +460,7 @@ class Theorem1Report:
 
 
 def theorem1_suite(
-    make_model: Callable[[float], ToroidalFieldModel],
+    model: ToroidalFieldModel,
     eps_list,
     c: float,
     x0,
@@ -472,10 +471,10 @@ def theorem1_suite(
 ) -> Theorem1Report:
     """Linear-in-epsilon scaling of the fine reference against the drift.
 
-    For each epsilon the fine reference (standard Boris, step 0.05 eps
-    rounded down to divide the output stride, raw initial velocity) is the
-    main run of a spec compared with the slow solution over the horizon
-    c / epsilon; the maxima across consecutive epsilon values must shrink
+    For each epsilon, in model with its epsilon replaced, the fine reference
+    (standard Boris, step 0.05 eps rounded down to divide the output stride,
+    raw initial velocity) is the main run of a spec compared with the slow
+    solution over the horizon c / epsilon; the maxima across consecutive epsilon values must shrink
     proportionally to epsilon within a factor-3 band.
     """
     eps_list = list(eps_list)
@@ -486,7 +485,7 @@ def theorem1_suite(
     series = []
     for eps in eps_list:
         spec = ExperimentSpec(
-            field=make_model(eps),
+            field=replace(model, epsilon=eps),
             x0=tuple(x0),
             v0=tuple(v0),
             h=_THEOREM1_STEP * eps,

@@ -139,12 +139,14 @@ def test_two_step_satisfies_implicit_relation(model_1e3, mu0_1e3):
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
-def test_two_step_sanity_guard(model_1e3):
-    # the first step is longer than h v_max: no step is taken, on either backend
-    cfg = tb.PusherConfig(h=0.04, variant="standard", v_max=1e-6)
+def test_two_step_sanity_guard():
+    # a strong electric field makes the first step longer than the bound
+    # 10 (|v0| + 1) h: no step is taken, on either backend
+    model = tb.ToroidalFieldModel(1e-3, c=1e4)
+    cfg = tb.PusherConfig(h=0.04, variant="standard")
     for backend in (contextlib.nullcontext, python_backend):
         with backend():
-            traj = tb.integrate(X0, V0, model_1e3, cfg, 4.0, sample_every=1)
+            traj = tb.integrate(X0, V0, model, cfg, 4.0, sample_every=1)
         assert (traj.error, traj.steps_completed, len(traj)) == ("sanity_guard", 0, 1)
         np.testing.assert_array_equal(traj.x[0], X0)
 
@@ -415,9 +417,10 @@ def test_integrate_domain_abort(model_1e3):
     assert 0 < traj.steps_completed < 25000
 
 
-def test_integrate_runaway_abort(model_1e3):
-    cfg = tb.PusherConfig(h=0.04, variant="standard", v_max=1e-9)
-    traj = tb.integrate(X0, V0, model_1e3, cfg, 4.0, sample_every=1)
+def test_integrate_runaway_abort():
+    # the first step is longer than 10 (|v0| + 1) h
+    cfg = tb.PusherConfig(h=0.04, variant="standard")
+    traj = tb.integrate(X0, V0, tb.ToroidalFieldModel(1e-3, c=1e4), cfg, 4.0, sample_every=1)
     assert traj.error == "sanity_guard"
     assert traj.steps_completed == 0
 

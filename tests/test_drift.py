@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
-from toroboris import drift
+from toroboris import cli, drift
 from toroboris.drift import DriftState
 from toroboris.errors import AxisSingularity, BudgetExceeded, DomainError
 
@@ -96,9 +97,9 @@ def test_drift_init_simple_point(model_1e3):
 def test_integrate_constant_profile_closed_form():
     # b = 1, no electric field, no grad-B: r~ and v~ frozen, z~ linear
     m = tb.ToroidalFieldModel(1e-2, a0=1.0, a1=0.0, a2=0.0, c=0.0)
-    cfg = tb.DriftConfig(epsilon=1e-2, mu0=0.0, dtau=1e-4)
+    cfg = tb.DriftConfig(mu0=0.0, dtau=1e-4)
     s0 = DriftState(r_t=0.9, z_t=-0.3, v_t=0.4)
-    traj = tb.drift_integrate(s0, m, cfg, 50.0, sample_times=np.linspace(0.0, 50.0, 11))
+    traj = tb.drift_integrate(s0, m, cfg, np.linspace(0.0, 50.0, 11))
     np.testing.assert_allclose(traj.r, 0.9, rtol=0, atol=1e-14)
     np.testing.assert_allclose(traj.vpar, 0.4, rtol=0, atol=1e-14)
     slope = 1e-2 * 0.4**2 / 0.9
@@ -106,10 +107,10 @@ def test_integrate_constant_profile_closed_form():
 
 
 def test_rv_invariant_conserved(model_1e3, mu0_1e3):
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4)
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
     s0 = tb.drift_init(X0, V0, model_1e3)
     traj = tb.drift_integrate(
-        s0, model_1e3, cfg, 1000.0, sample_times=np.linspace(0.0, 1000.0, 101)
+        s0, model_1e3, cfg, np.linspace(0.0, 1000.0, 101)
     )
     rv = traj.rv_invariant
     assert np.max(np.abs(rv - rv[0])) <= 1e-9 * abs(rv[0])
@@ -119,8 +120,8 @@ def test_step_halving_insensitivity(model_1e3, mu0_1e3):
     s0 = tb.drift_init(X0, V0, model_1e3)
     ends = []
     for dtau in (1e-4, 5e-5):
-        cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=dtau)
-        tr = tb.drift_integrate(s0, model_1e3, cfg, 500.0, sample_times=[0.0, 500.0])
+        cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=dtau)
+        tr = tb.drift_integrate(s0, model_1e3, cfg, [0.0, 500.0])
         ends.append(np.array([tr.r[-1], tr.z[-1], tr.vpar[-1]]))
     assert np.max(np.abs(ends[0] - ends[1])) <= 1e-12
 
@@ -131,8 +132,8 @@ def test_rk4_order():
     s0 = tb.drift_init(X0, V0, m)
     ends = []
     for dtau in (1e-2, 5e-3, 2.5e-3):
-        cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0, dtau=dtau)
-        tr = tb.drift_integrate(s0, m, cfg, 500.0, sample_times=[0.0, 500.0])
+        cfg = tb.DriftConfig(mu0=mu0, dtau=dtau)
+        tr = tb.drift_integrate(s0, m, cfg, [0.0, 500.0])
         ends.append(np.array([tr.r[-1], tr.z[-1], tr.vpar[-1]]))
     e1 = np.linalg.norm(ends[0] - ends[1])
     e2 = np.linalg.norm(ends[1] - ends[2])
@@ -146,10 +147,10 @@ def test_epsilon_invariance_in_slow_time():
     runs = []
     for eps, t_scale in ((2.0**-7, 2.0**7), (2.0**-10, 2.0**10)):
         m = tb.ToroidalFieldModel(eps)
-        cfg = tb.DriftConfig(epsilon=eps, mu0=muhat * eps, dtau=1e-4)
+        cfg = tb.DriftConfig(mu0=muhat * eps, dtau=1e-4)
         s0 = tb.drift_init(X0, V0, m)
         times = np.arange(9) * (t_scale / 8.0)
-        runs.append(tb.drift_integrate(s0, m, cfg, t_scale, sample_times=times))
+        runs.append(tb.drift_integrate(s0, m, cfg, times))
     for attr in ("r", "z", "vpar"):
         a = getattr(runs[0], attr)
         b = getattr(runs[1], attr)
@@ -159,29 +160,23 @@ def test_epsilon_invariance_in_slow_time():
 def test_sign_symmetry(model_1e3, mu0_1e3):
     s0 = tb.drift_init(X0, V0, model_1e3)
     flipped = DriftState(r_t=s0.r_t, z_t=s0.z_t, v_t=-s0.v_t)
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4)
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
     times = np.linspace(0.0, 500.0, 6)
-    a = tb.drift_integrate(s0, model_1e3, cfg, 500.0, sample_times=times)
-    b = tb.drift_integrate(flipped, model_1e3, cfg, 500.0, sample_times=times)
+    a = tb.drift_integrate(s0, model_1e3, cfg, times)
+    b = tb.drift_integrate(flipped, model_1e3, cfg, times)
     np.testing.assert_array_equal(a.r, b.r)
     np.testing.assert_array_equal(a.z, b.z)
     np.testing.assert_array_equal(a.vpar, -b.vpar)
 
 
-def test_drift_integrate_validates_epsilon(model_1e3, mu0_1e3):
-    cfg = tb.DriftConfig(epsilon=1e-2, mu0=mu0_1e3)
-    with pytest.raises(ValueError):
-        tb.drift_integrate(DriftState(0.5, 0.0, 0.1), model_1e3, cfg, 1.0)
-
-
 def test_drift_config_validation():
     with pytest.raises(ValueError):
-        tb.DriftConfig(epsilon=1e-3, mu0=0.0, dtau=0.1)
+        tb.DriftConfig(mu0=0.0, dtau=0.1)
     with pytest.raises(ValueError):
-        tb.DriftConfig(epsilon=1e-3, mu0=-1e-3)
+        tb.DriftConfig(mu0=-1e-3)
     for mu0 in (float("nan"), float("inf")):  # "nan < 0" is false: this used to pass
         with pytest.raises(ValueError, match="mu0"):
-            tb.DriftConfig(epsilon=1e-3, mu0=mu0)
+            tb.DriftConfig(mu0=mu0)
 
 
 @pytest.mark.parametrize(
@@ -195,63 +190,77 @@ def test_drift_config_validation():
     ],
 )
 def test_drift_integrate_rejects_bad_sample_times(model_1e3, mu0_1e3, times, match):
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3)
+    cfg = tb.DriftConfig(mu0=mu0_1e3)
     s0 = tb.drift_init(X0, V0, model_1e3)
     with pytest.raises(ValueError, match=match):
-        tb.drift_integrate(s0, model_1e3, cfg, 10.0, sample_times=times)
+        tb.drift_integrate(s0, model_1e3, cfg, times)
 
 
 def test_drift_integrate_keeps_repeated_sample_times(model_1e3, mu0_1e3):
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3)
+    cfg = tb.DriftConfig(mu0=mu0_1e3)
     s0 = tb.drift_init(X0, V0, model_1e3)
-    tr = tb.drift_integrate(s0, model_1e3, cfg, 10.0, sample_times=[0.0, 5.0, 5.0, 10.0])
+    tr = tb.drift_integrate(s0, model_1e3, cfg, [0.0, 5.0, 5.0, 10.0])
     assert (tr.r[1], tr.z[1], tr.vpar[1]) == (tr.r[2], tr.z[2], tr.vpar[2])
 
 
 def test_drift_integrate_rejects_a_step_below_the_resolution_of_tau(model_1e3, mu0_1e3):
     # within the budget, but tau + dtau == tau at tau = 1e17: the loop never ended
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4)
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
     s0 = tb.drift_init(X0, V0, model_1e3)
     with pytest.raises(ValueError, match="resolution"):
-        tb.drift_integrate(s0, model_1e3, cfg, 0.0, sample_times=[1e20, 1e20 + 1e5])
+        tb.drift_integrate(s0, model_1e3, cfg, [1e20, 1e20 + 1e5])
 
 
-def test_default_sampling_lands_on_t_final(model_1e3, mu0_1e3):
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dt_out=7.0)
-    s0 = tb.drift_init(X0, V0, model_1e3)
-    tr = tb.drift_integrate(s0, model_1e3, cfg, 100.0)
-    assert tr.t[0] == 0.0
-    assert tr.t[-1] == 100.0
-    assert np.all(np.diff(tr.t) > 0)
+def drift_command(tmp_path, capsys, t_final, stride, **limits):
+    """The drift subcommand on the paper orbit at eps = 1e-3: (exit code, stderr, sample times)."""
+    cfg = {"epsilon": 1e-3, "h": 0.04, "t_final": t_final, "variant": "modified",
+           "field": {"preset": "paper-toroidal"}, "x0": list(X0), "v0": list(V0),
+           "output": {"path": str(tmp_path / "drift.csv"), "stride": stride}, **limits}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.cli_main(["drift", "--config", str(path)])
+    err = capsys.readouterr().err
+    if code:
+        return code, json.loads(err), None
+    return code, err, np.loadtxt(tmp_path / "drift.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
 
 
-def test_budget_fires_before_running(model_1e3, mu0_1e3):
-    s0 = tb.drift_init(X0, V0, model_1e3)
+def test_default_sampling_lands_on_t_final(tmp_path, capsys):
+    # the stride does not divide t_final: the last interval is shortened to land on it
+    code, err, t = drift_command(tmp_path, capsys, 100.0, 7.0)
+    assert (code, err) == (0, "")
+    assert t.tolist() == [k * 7.0 for k in range(15)] + [100.0]
+
+
+def test_budget_fires_before_running(tmp_path, capsys):
     # 10 * 1e-3 / 1e-4 = 100 RK4 steps, one per output interval of 0.1: at the
     # budget it runs, below it it is refused
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dt_out=0.1, budget_steps=100)
-    assert len(tb.drift_integrate(s0, model_1e3, cfg, 10.0)) == 101
-    with pytest.raises(BudgetExceeded):
-        tb.drift_integrate(s0, model_1e3, dataclasses.replace(cfg, budget_steps=99), 10.0)
+    code, _, t = drift_command(tmp_path, capsys, 10.0, 0.1, budget_steps=100)
+    assert (code, len(t)) == (0, 101)
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, budget_steps=99)
+    assert (code, err["error"]) == (3, "BudgetExceeded")
     # tau + dtau == tau once tau > 1e-284: this loop used to never finish
-    with pytest.raises(BudgetExceeded):
-        tb.drift_integrate(s0, model_1e3, tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-300), 10.0)
-    # every output interval takes a step, so 1e301 intervals are over budget too
-    with pytest.raises(BudgetExceeded):
-        tb.drift_integrate(s0, model_1e3, tb.DriftConfig(1e-3, mu0_1e3, dt_out=1e-300), 10.0)
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, dtau=1e-300)
+    assert (code, err["error"]) == (3, "BudgetExceeded")
+    # every output interval takes a step, so 1e301 intervals are over budget
+    # too, refused before a grid of that many samples is built
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 1e-300)
+    assert (code, err["error"]) == (3, "BudgetExceeded")
+    assert err["message"].startswith(f"run needs {10.0 / 1e-300!r} steps, above the budget of")
 
 
-def test_budget_counts_the_sample_grid_not_t_final(model_1e3, mu0_1e3):
+def test_budget_counts_the_sample_grid(model_1e3, mu0_1e3):
     s0 = tb.drift_init(X0, V0, model_1e3)
-    cfg = tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-4, budget_steps=100)
+    cfg = tb.DriftConfig(mu0_1e3, dtau=1e-4, budget_steps=100)
     # the grid spans 2000: 20000 steps of dtau, and one more because tau rounds
-    # low over them; it used to run under a t_final of 1
+    # low over them
     with pytest.raises(BudgetExceeded) as err:
-        tb.drift_integrate(s0, model_1e3, cfg, 1.0, sample_times=[0.0, 2000.0])
+        tb.drift_integrate(s0, model_1e3, cfg, [0.0, 2000.0])
     assert err.value.steps == 20001.0
-    # a grid of 101 steps (100 dtau and one for rounding) runs whatever t_final says
+    # only the span of the grid counts, not where it starts: 100 dtau and one
+    # step for rounding
     cfg = dataclasses.replace(cfg, budget_steps=101)
-    tr = tb.drift_integrate(s0, model_1e3, cfg, 1e6, sample_times=[990.0, 1000.0])
+    tr = tb.drift_integrate(s0, model_1e3, cfg, [990.0, 1000.0])
     assert list(tr.t) == [990.0, 1000.0]
 
 
@@ -259,11 +268,12 @@ def test_budget_caps_strides_just_above_a_step(model_1e3, mu0_1e3):
     # each interval of 0.105 is 1.05 dtau of slow time, so it takes 2 steps: 200
     # in all, which ran under a budget of 105 (the span alone is 105 dtau)
     s0 = tb.drift_init(X0, V0, model_1e3)
-    cfg = tb.DriftConfig(1e-3, mu0_1e3, dtau=1e-4, dt_out=0.105, budget_steps=105)
+    cfg = tb.DriftConfig(mu0_1e3, dtau=1e-4, budget_steps=105)
+    times = [k * 0.105 for k in range(101)]
     with pytest.raises(BudgetExceeded) as err:
-        tb.drift_integrate(s0, model_1e3, cfg, 10.5)
+        tb.drift_integrate(s0, model_1e3, cfg, times)
     assert err.value.steps == 200.0
-    tr = tb.drift_integrate(s0, model_1e3, dataclasses.replace(cfg, budget_steps=200), 10.5)
+    tr = tb.drift_integrate(s0, model_1e3, dataclasses.replace(cfg, budget_steps=200), times)
     assert len(tr) == 101
 
 
@@ -278,7 +288,7 @@ def count_rk4_steps(model, cfg, times) -> int:
 
     with pytest.MonkeyPatch.context() as mp, python_backend():
         mp.setattr(drift, "_rhs", counted)
-        tb.drift_integrate(tb.drift_init(X0, V0, model), model, cfg, 0.0, sample_times=times)
+        tb.drift_integrate(tb.drift_init(X0, V0, model), model, cfg, times)
     assert calls[0] % 4 == 0
     return calls[0] // 4
 
@@ -311,11 +321,11 @@ def step_grids(draw):
 def test_an_accepted_run_takes_no_more_steps_than_its_budget(grid):
     eps, dtau, times = grid
     model = tb.ToroidalFieldModel(eps)
-    cfg = tb.DriftConfig(eps, 1e-4 * eps, dtau=dtau)
+    cfg = tb.DriftConfig(1e-4 * eps, dtau=dtau)
     steps = count_rk4_steps(model, cfg, times)
     # the bound is above the steps taken, by at most one per interval
     assert steps <= drift._rk4_step_bound(np.array(times), eps, dtau) <= steps + len(times) - 1
     if steps:
         short = dataclasses.replace(cfg, budget_steps=steps - 1)
         with pytest.raises(BudgetExceeded):
-            tb.drift_integrate(tb.drift_init(X0, V0, model), model, short, 0.0, sample_times=times)
+            tb.drift_integrate(tb.drift_init(X0, V0, model), model, short, times)

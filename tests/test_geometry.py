@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -236,3 +237,14 @@ def test_model_epsilon_validation():
         tb.ToroidalFieldModel(0.0)
     with pytest.raises(ValueError):
         tb.ToroidalFieldModel(1.5)
+
+
+@pytest.mark.parametrize("bound", [
+    {"r_min": math.nan}, {"r_min": math.inf}, {"r_min": 0.0},
+    {"b_min": math.nan}, {"b_min": math.inf}, {"b_min": -math.inf},
+])
+def test_model_bounds_must_be_finite(bound):
+    # "r < nan" and "b <= nan" are always false: the axis and domain checks
+    # could never fire
+    with pytest.raises(ValueError, match=next(iter(bound))):
+        tb.ToroidalFieldModel(1e-3, **bound)

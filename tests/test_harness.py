@@ -263,8 +263,8 @@ def test_order_gate_rejects_first_order_method():
     m = tb.ToroidalFieldModel(1e-3)
     mu0 = tb.magnetic_moment(X0, V0, m)
     s0 = tb.drift_init(X0, V0, m)
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0, dtau=1e-4)
-    truth = tb.drift_integrate(s0, m, cfg, 500.0, sample_times=[0.0, 500.0])
+    cfg = tb.DriftConfig(mu0=mu0, dtau=1e-4)
+    truth = tb.drift_integrate(s0, m, cfg, [0.0, 500.0])
     end_true = np.array([truth.r[-1], truth.z[-1], truth.vpar[-1]])
 
     def euler_end(dtau):
@@ -327,9 +327,9 @@ def test_theorem1_field_line_oracle():
     # constant-magnitude profile, no electric field, start along the field:
     # the slow system freezes r and v and drifts z linearly; the fine
     # reference shows the same motion up to the gyro-scale remainder
-    make_model = lambda e: tb.ToroidalFieldModel(e, a0=1.0, a1=0.0, a2=0.0, c=0.0)
+    model = tb.ToroidalFieldModel(0.5, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     fr = tb.frame(X0)
-    rep = tb.theorem1_suite(make_model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
+    rep = tb.theorem1_suite(model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
     for comp, val in rep.max_err[0].items():
         assert val <= 2e-4, (comp, val)
 
@@ -351,7 +351,7 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "integrate", recorded)
     eps_list = [1e-2, 5e-3]
-    rep = tb.theorem1_suite(tb.ToroidalFieldModel, eps_list, 0.1, X0, V0, dt_out=0.3)
+    rep = tb.theorem1_suite(tb.ToroidalFieldModel(1.0), eps_list, 0.1, X0, V0, dt_out=0.3)
     specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.3)
              for eps in eps_list]
     assert calls == [(s.h_ref, "standard", 0.0, round(s.dt_out / s.h_ref)) for s in specs]
@@ -360,14 +360,12 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
 def test_theorem1_empty_list_rejected():
     with pytest.raises(ValueError):
-        tb.theorem1_suite(lambda e: tb.ToroidalFieldModel(e), [], 0.5, X0, V0)
+        tb.theorem1_suite(tb.ToroidalFieldModel(1e-3), [], 0.5, X0, V0)
 
 
 def test_theorem1_budget_propagates():
     with pytest.raises(BudgetExceeded):
-        tb.theorem1_suite(
-            lambda e: tb.ToroidalFieldModel(e), [1e-3], 0.5, X0, V0, budget_steps=1000
-        )
+        tb.theorem1_suite(tb.ToroidalFieldModel(1e-3), [1e-3], 0.5, X0, V0, budget_steps=1000)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,11 @@ def _abort_case(tag):
         model = tb.ToroidalFieldModel(1e-3, b_min=0.3)
         mu0 = tb.magnetic_moment(X0, V0, model)
         return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0), 1000.0
-    # a strong electric field speeds the orbit past v_max after ~400 steps
-    model = tb.ToroidalFieldModel(1e-3, c=3.0)
+    # a strong electric field in a weak magnetic one speeds the orbit past the
+    # bound 10 (|v0| + 1) after ~90 steps
+    model = tb.ToroidalFieldModel(1.0, c=10.0)
     mu0 = tb.magnetic_moment(X0, V0, model)
-    return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0, v_max=0.295), 400.0
+    return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0), 40.0
 
 
 @pytest.mark.parametrize("tag", ["axis_singularity", "domain_error", "sanity_guard"])
@@ -122,11 +123,11 @@ def test_compiled_loop_rejects_bad_buffers():
         loop(*args, np.empty(11), np.empty((11, 3), dtype=np.float32), np.empty((11, 3)))
 
 
-def drift_both(s0, model, cfg, t_final, sample_times=None):
+def drift_both(s0, model, cfg, sample_times):
     """drift_integrate through the C loop and through _rk4_loop: result bytes or error."""
     def outcome():
         try:
-            tr = tb.drift_integrate(s0, model, cfg, t_final, sample_times=sample_times)
+            tr = tb.drift_integrate(s0, model, cfg, sample_times)
         except Exception as e:  # noqa: BLE001 - the two backends must fail alike
             return type(e), str(e)
         return tuple(getattr(tr, a).tobytes() for a in ("t", "r", "z", "vpar"))
@@ -168,16 +169,40 @@ def test_c_drift_matches_python_rk4_loop(data, eps, dtau, coeffs, state, muhat):
     # ranges favour large right-hand sides, a z^2 term that can dominate b and
     # tens of steps per example; a2 * (zt * zt) in the C source fails here.
     model = tb.ToroidalFieldModel(eps, *coeffs)
-    cfg = tb.DriftConfig(epsilon=eps, mu0=muhat * eps, dtau=dtau)
+    cfg = tb.DriftConfig(mu0=muhat * eps, dtau=dtau)
     times = data.draw(sample_grids(eps, dtau))
-    compiled, python = drift_both(DriftState(*state), model, cfg, 1.0, sample_times=times)
+    compiled, python = drift_both(DriftState(*state), model, cfg, times)
     assert compiled == python
 
 
 def test_c_drift_matches_python_on_the_default_grid(model_1e3, mu0_1e3):
-    # stride 7 over t = 100: the last output interval is shortened to land on t_final
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4, dt_out=7.0)
-    compiled, python = drift_both(tb.drift_init(X0, V0, model_1e3), model_1e3, cfg, 100.0)
+    # the grid of the drift subcommand for stride 7 over t = 100: the last
+    # output interval is shortened to land on t_final
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
+    times = [k * 7.0 for k in range(15)] + [100.0]
+    compiled, python = drift_both(tb.drift_init(X0, V0, model_1e3), model_1e3, cfg, times)
+    assert compiled == python
+
+
+class SteeperProfile(tb.ToroidalFieldModel):
+    """The paper field with one profile method overridden, as a library user may write it."""
+
+    def db_dz(self, r, z):
+        return 2.5 * self.a2 * z
+
+
+def test_a_subclass_runs_its_own_methods_on_both_backends():
+    # the C loops inline the base closed form, so a subclass runs on the Python
+    # loops whichever backend is loaded
+    model = SteeperProfile(1e-3)
+    mu0 = tb.magnetic_moment(X0, V0, model)
+    cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0)
+    compiled, python = run_both(X0, V0, model, cfg, 4.0)
+    assert_bitwise_equal(compiled, python)
+    base = tb.integrate(X0, V0, tb.ToroidalFieldModel(1e-3), cfg, 4.0)
+    assert not np.array_equal(python.x, base.x)  # the override is in effect
+    drift_cfg = tb.DriftConfig(mu0=mu0, dtau=1e-4)
+    compiled, python = drift_both(tb.drift_init(X0, V0, model), model, drift_cfg, [0.0, 50.0])
     assert compiled == python
 
 
@@ -198,10 +223,10 @@ def _drift_abort_case(tag):
 @pytest.mark.parametrize("tag", ["axis", "domain", "non_finite"])
 def test_both_drift_backends_abort_alike(tag):
     s0, model, mu0, error = _drift_abort_case(tag)
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0, dtau=1e-4)
+    cfg = tb.DriftConfig(mu0=mu0, dtau=1e-4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warnings either
-        compiled, python = drift_both(s0, model, cfg, 1000.0)
+        compiled, python = drift_both(s0, model, cfg, np.arange(1001.0))
     assert compiled[0] is error
     assert compiled == python
 
@@ -364,9 +389,10 @@ def test_forced_fallback_uses_python_loop(monkeypatch, model_1e3, mu0_1e3):
 
 
 def test_forced_fallback_runs_the_python_rk4_loop(monkeypatch, model_1e3, mu0_1e3):
-    cfg = tb.DriftConfig(epsilon=1e-3, mu0=mu0_1e3, dtau=1e-4, dt_out=7.0)
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
     s0 = tb.drift_init(X0, V0, model_1e3)
-    want = tb.drift_integrate(s0, model_1e3, cfg, 50.0)
+    times = [k * 7.0 for k in range(8)] + [50.0]
+    want = tb.drift_integrate(s0, model_1e3, cfg, times)
     calls = []
 
     def counted(*args):
@@ -377,7 +403,7 @@ def test_forced_fallback_runs_the_python_rk4_loop(monkeypatch, model_1e3, mu0_1e
     monkeypatch.setattr(drift, "_rk4_loop", counted)
     force_fallback(monkeypatch)
     with pytest.warns(RuntimeWarning, match="Python loop"):
-        got = tb.drift_integrate(s0, model_1e3, cfg, 50.0)
+        got = tb.drift_integrate(s0, model_1e3, cfg, times)
     assert _kernels.BACKEND == "python" and len(calls) == 1
     for name in ("t", "r", "z", "vpar"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

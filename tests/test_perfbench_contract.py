@@ -54,3 +54,24 @@ def test_compare_layers_are_traced(tmp_path, monkeypatch, against, other):
     for label in ("run_trajectory", f"run_{against}", "observables", f"error_vs_{against}"):
         assert calls[f"harness.{label}"] > 0, label
     assert calls[f"harness.run_{other}"] == calls[f"harness.error_vs_{other}"] == 0
+
+
+def test_drift_command_is_traced(tmp_path, monkeypatch):
+    # the tracer counts RK4 steps from drift_integrate's config (third argument)
+    # and its result's epsilon, replayed over the grid the command built
+    tracing = import_tracing(monkeypatch)
+    config = {
+        "epsilon": 1e-2, "h": 0.05, "t_final": 2.0, "variant": "modified",
+        "field": {"preset": "paper-toroidal"}, "x0": [1 / 3, 1 / 4, 1 / 2], "v0": [2 / 5, 2 / 3, 1],
+        "dtau": 1e-3, "output": {"path": str(tmp_path / "drift.csv"), "stride": 0.5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    modules = {"cli": cli, "harness": harness, "boris": boris, "geometry": geometry, "drift": drift}
+    with tracing.Tracer(modules) as tracer:
+        assert cli.cli_main(["drift", "--config", str(path)]) == 0
+    totals = tracer.totals()
+    calls = dict(zip(tracer.labels, totals["calls"].tolist()))
+    assert calls["drift.drift_integrate"] == 1
+    # 4 intervals of 5 dtau of slow time each
+    assert totals["counts"]["drift.drift_integrate.rk4_steps"] == 20
