@@ -11,7 +11,6 @@ from .boris import (
     ParticleState,
     PusherConfig,
     Trajectory,
-    TwoStepWindow,
     filter_initial_velocity,
     initialize,
     integrate,
@@ -42,7 +41,6 @@ from .geometry import (
     FieldSample,
     ToroidalFieldModel,
     UniformFieldModel,
-    ValidationReport,
     check_field,
     eval_field,
     frame,
@@ -50,13 +48,9 @@ from .geometry import (
     toroidal_probes,
 )
 from .harness import (
-    ConvergencePoint,
-    ConvergenceReport,
     ErrorSeries,
     ExperimentSpec,
     ObservableSeries,
-    Theorem1Report,
-    build_convergence_report,
     compare,
     convergence_study,
     error_vs_drift,
@@ -75,8 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AxisSingularity",
     "BudgetExceeded",
-    "ConvergencePoint",
-    "ConvergenceReport",
     "CylindricalFrame",
     "DomainError",
     "DriftConfig",
@@ -91,15 +83,11 @@ __all__ = [
     "PusherConfig",
     "RunAborted",
     "SchemaError",
-    "Theorem1Report",
     "ToroborisError",
     "ToroidalFieldModel",
     "Trajectory",
-    "TwoStepWindow",
     "UniformFieldModel",
     "Unsupported",
-    "ValidationReport",
-    "build_convergence_report",
     "check_field",
     "compare",
     "convergence_study",

@@ -64,14 +64,6 @@ class PusherConfig:
         return self.mu0 if self.variant == "modified" else 0.0
 
 
-@dataclass(frozen=True)
-class TwoStepWindow:
-    """Adjacent positions (x^{n-1}, x^n) carried by the two-step recursion."""
-
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-
-
 @dataclass
 class Trajectory:
     """Sampled output of a pusher run.
@@ -114,9 +106,9 @@ def magnetic_moment(x, v, field_model):
 
 def filter_initial_velocity(x, v, field_model) -> np.ndarray:
     """Project v onto the direction of B(x), removing the gyration component."""
-    s = eval_field(field_model, x)
+    B, absB = field_model.strength(x)
     v = np.asarray(v, dtype=float)
-    e = s.B / s.absB
+    e = B / absB
     return float(e @ v) * e
 
 
@@ -158,16 +150,15 @@ def one_step_push(state: ParticleState, field_model, config: PusherConfig) -> Pa
 
 
 def initialize(x0, v0_raw, field_model, config: PusherConfig):
-    """Initial window and staggered seed for a pusher run.
+    """Staggered seed and initial velocity for a pusher run.
 
     The modified variant filters the perpendicular component out of v0;
     x^1 comes from a second-order Taylor start, and the staggered seed
     velocity is v^{1/2} = (x^1 - x^0) / h, which makes the one-step and
     two-step forms generate identical position sequences.
 
-    Returns (window, seed, v0) with window = (x^0, x^1), seed the
-    staggered state (t=h, x^1, v^{1/2}), and v0 the possibly filtered
-    initial velocity.
+    Returns (seed, v0) with seed the staggered state (t=h, x^1, v^{1/2})
+    and v0 the possibly filtered initial velocity.
     """
     x0 = np.asarray(x0, dtype=float)
     v0_raw = np.asarray(v0_raw, dtype=float)
@@ -180,7 +171,7 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     acc = np.cross(v0, s.B) + _emod(s, config.effective_mu0)
     x1 = x0 + h * v0 + 0.5 * h * h * acc
     seed = ParticleState(t=h, x=x1, v=(x1 - x0) / h)
-    return TwoStepWindow(x_prev=x0, x_curr=x1), seed, v0
+    return seed, v0
 
 
 _AXES = np.eye(3)
@@ -318,7 +309,8 @@ def integrate(
         raise ValueError(f"need at least 2 steps, got n={n}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    window, _seed, v0 = initialize(x0, v0_raw, field_model, config)
+    x0 = np.asarray(x0, dtype=float)
+    seed, v0 = initialize(x0, v0_raw, field_model, config)
     v_max = 10.0 * (float(np.linalg.norm(v0)) + 1.0)
 
     rows = n // sample_every + 1
@@ -326,22 +318,22 @@ def integrate(
     out_x = np.empty((rows, 3))
     out_v = np.empty((rows, 3))
     out_t[0] = 0.0
-    out_x[0] = window.x_prev
+    out_x[0] = x0
     out_v[0] = v0
 
     mu0 = config.effective_mu0
-    d1 = window.x_curr - window.x_prev
+    d1 = seed.x - x0
     # a subclass may override the closed form the C loop inlines
     kernel = _kernels.compiled_kernel() if type(field_model) is ToroidalFieldModel else None
     if kernel is not None:
         m = field_model
         status, k, steps = kernel.two_step_loop(
             n, sample_every, config.h, m.epsilon, mu0, m.a0, m.a1, m.a2, m.c, m.r_min, m.b_min,
-            v_max, window.x_curr, d1, out_t, out_x, out_v,
+            v_max, seed.x, d1, out_t, out_x, out_v,
         )
     else:
         status, k, steps = _generic_loop(
-            n, sample_every, config.h, mu0, v_max, window.x_curr, d1, field_model, out_t, out_x,
+            n, sample_every, config.h, mu0, v_max, seed.x, d1, field_model, out_t, out_x,
             out_v,
         )
 

@@ -14,6 +14,7 @@ Diagnostics go to stderr as a single JSON line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -41,11 +42,19 @@ EXIT_GATE = 4
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the strings in chunks to path through a temp file and a rename."""
+    """Write the strings in chunks to path through a temp file and a rename.
+
+    The temp file is removed when the write or the rename fails.
+    """
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _diag(name: str, message: str, **extra) -> None:
@@ -433,15 +442,15 @@ def _cmd_compare(args) -> int:
     return _report_compare(err, summary, output["path"], output["summary_path"])
 
 
-def _report_study(output: dict, report, csv_names: list, message: str, **extra) -> int:
+def _report_study(output: dict, report: dict, series, csv_names, message: str, **extra) -> int:
     """Write a study's error CSVs (when csv_dir is set) and report; exit 4 on a failed gate."""
     csv_dir = output["csv_dir"]
     if csv_dir is not None:
         os.makedirs(csv_dir, exist_ok=True)
-        for name, err in zip(csv_names, report.series):
+        for name, err in zip(csv_names, series):
             _atomic_write(os.path.join(csv_dir, name), error_csv(err))
-    _atomic_write(output["path"], [json.dumps(report.to_dict(), indent=2) + "\n"])
-    if not report.passed:
+    _atomic_write(output["path"], [json.dumps(report, indent=2) + "\n"])
+    if not report["passed"]:
         _diag("GateFailure", message, **extra)
         return EXIT_GATE
     return EXIT_OK
@@ -459,13 +468,14 @@ def _cmd_converge(args) -> int:
         t_final=cfg["c"] / eps0, variant="modified", dt_out=cfg["stride"], c=cfg["c"],
         budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
-    report = convergence_study(
+    report, series = convergence_study(
         base_spec, cfg["mode"], h_list=cfg["h_list"], pairs=cfg["pairs"],
         order_band=cfg["order_band"],
     )
-    names = [f"errors_eps{p.epsilon:g}_h{p.h:g}.csv" for p in report.points]
+    names = [f"errors_eps{p['epsilon']:g}_h{p['h']:g}.csv" for p in report["points"]]
     return _report_study(
-        cfg["output"], report, names, "convergence order gate failed", slopes=report.slopes
+        cfg["output"], report, series, names, "convergence order gate failed",
+        slopes=report["slopes"],
     )
 
 
@@ -481,13 +491,14 @@ def _cmd_theorem1(args) -> int:
                 f"the horizon c/eps = {cfg['c']!r}/{eps!r} must be a whole number (>= 2) of "
                 f"steps of {_THEOREM1_STEP}*eps = {h!r}",
             )
-    report = theorem1_suite(
+    report, series = theorem1_suite(
         _model(cfg["field"], cfg["eps_list"][0]), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
         dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
-    names = [f"errors_eps{eps:g}.csv" for eps in report.eps_list]
+    names = [f"errors_eps{eps:g}.csv" for eps in report["eps_list"]]
     return _report_study(
-        cfg["output"], report, names, "epsilon scaling gate failed", ratios=report.ratios
+        cfg["output"], report, series, names, "epsilon scaling gate failed",
+        ratios=report["ratios"],
     )
 
 
@@ -498,7 +509,7 @@ def _cmd_check_field(args) -> int:
         probes["count"], seed=probes["seed"], r_range=probes["r_range"], z_range=probes["z_range"]
     )
     model = _model(cfg["field"], cfg["epsilon"], cfg["r_min"])
-    text = json.dumps(check_field(model, points, delta=cfg["delta"]).to_dict(), indent=2) + "\n"
+    text = json.dumps(check_field(model, points, delta=cfg["delta"]), indent=2) + "\n"
     if cfg["output"] is None:
         print(text, end="")
     else:

@@ -308,42 +308,6 @@ def potential(model, x):
         return _scalar(model.phi(fr.r, fr.z))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the numerical field self-checks; one entry per check."""
-
-    checks: tuple[CheckResult, ...]
-    min_b: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_b": self.min_b,
-            "checks": [
-                {"name": c.name, "value": c.value, "threshold": c.threshold, "passed": c.passed}
-                for c in self.checks
-            ],
-        }
-
-
 # check_field's checks, in report order, with the worst value each may reach.
 _THRESHOLDS = {"grad_b": 1e-6, "epar_dot_E": 1e-13, "curl_E": 1e-10, "div_B_rel": 1e-6}
 
@@ -357,51 +321,68 @@ def toroidal_probes(n: int, seed: int = 0, r_range=(0.25, 1.0), z_range=(-0.75, 
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def check_field(model: ToroidalFieldModel, probes, delta: float = 1e-6) -> ValidationReport:
-    """Numerically validate a field model at probe points.
+def _check_pass(model: ToroidalFieldModel, probes: np.ndarray, delta: float):
+    """check_field's per-probe values at probes (n, 3), and the smallest b among them.
+
+    The steps run in the order of a pass over one probe, so on a single
+    probe the first error raised is the one that probe raises.
+    """
+    fr = frame(probes, model.r_min)
+    r, z = fr.r, fr.z
+    # b and its differences are plain float arithmetic: they saturate, never raise
+    with _as_floats():
+        b = model.b(r, z)
+        fd_dr = (model.b(r + delta, z) - model.b(r - delta, z)) / (2.0 * delta)
+        fd_dz = (model.b(r, z + delta) - model.b(r, z - delta)) / (2.0 * delta)
+        grad = [
+            np.abs(fd - an) / np.fmax(1.0, np.abs(an))
+            for fd, an in ((fd_dr, model.db_dr(r, z)), (fd_dz, model.db_dz(r, z)))
+        ]
+    s = model.sample(probes)
+    epar_e = np.abs(dot3(fr.e_par, s.E))
+    # central differences of E and B along the coordinate axes: dE[:, k] = dE/dx_k
+    dE = np.empty(probes.shape + (3,))
+    dB = np.empty(probes.shape + (3,))
+    for k, step in enumerate(delta * np.eye(3)):
+        sp, sm = model.sample(probes + step), model.sample(probes - step)
+        dE[:, k] = (sp.E - sm.E) / (2.0 * delta)
+        dB[:, k] = (sp.B - sm.B) / (2.0 * delta)
+    curl = [dE[:, 1, 2] - dE[:, 2, 1], dE[:, 2, 0] - dE[:, 0, 2], dE[:, 0, 1] - dE[:, 1, 0]]
+    div = np.abs(dB[:, 0, 0] + dB[:, 1, 1] + dB[:, 2, 2]) / s.absB
+    return (grad, epar_e, np.abs(curl), div), np.min(b[~np.isnan(b)], initial=np.inf)
+
+
+def check_field(model: ToroidalFieldModel, probes, delta: float = 1e-6) -> dict:
+    """Numerically validate a field model at probe points (n, 3).
 
     Checks, each reported with its worst value over the probes and passed
-    at or below its threshold in _THRESHOLDS:
+    at or below its threshold in _THRESHOLDS (a NaN anywhere makes the
+    worst value NaN, which fails):
       * analytic db/dr, db/dz against central differences of b
         (relative to max(1, |analytic|));
       * |e_par . E| (the orthogonality assumption);
       * |curl E| by central differences (zero for potential fields);
       * |div B| / |B| by central differences (zero for axisymmetric
         toroidal fields).
+
+    Returns the report {"passed", "min_b", "checks": [{"name", "value",
+    "threshold", "passed"}, ...]}, min_b being the smallest b(r, z) over
+    the probes.  An error raised at a probe is the first probe's own, as if
+    the probes were checked one by one.
     """
     if not 1e-8 <= delta <= 1e-3:
         raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta}")
     probes = np.asarray(probes, dtype=float)
-    worst_grad = 0.0
-    worst_epar_e = 0.0
-    worst_curl = 0.0
-    worst_div = 0.0
-    min_b = np.inf
-    eye = np.eye(3)
-    for p in probes:
-        fr = frame(p, model.r_min)
-        r, z = fr.r, fr.z
-        min_b = min(min_b, model.b(r, z))
-        fd_dr = (model.b(r + delta, z) - model.b(r - delta, z)) / (2.0 * delta)
-        fd_dz = (model.b(r, z + delta) - model.b(r, z - delta)) / (2.0 * delta)
-        for fd, an in ((fd_dr, model.db_dr(r, z)), (fd_dz, model.db_dz(r, z))):
-            worst_grad = max(worst_grad, abs(fd - an) / max(1.0, abs(an)))
-        s = model.sample(p)
-        worst_epar_e = max(worst_epar_e, abs(float(fr.e_par @ s.E)))
-        # central differences of E and B along the coordinate axes
-        dE = np.empty((3, 3))
-        dB = np.empty((3, 3))
-        for k in range(3):
-            sp = model.sample(p + delta * eye[k])
-            sm = model.sample(p - delta * eye[k])
-            dE[k] = (sp.E - sm.E) / (2.0 * delta)
-            dB[k] = (sp.B - sm.B) / (2.0 * delta)
-        curl = np.array([dE[1][2] - dE[2][1], dE[2][0] - dE[0][2], dE[0][1] - dE[1][0]])
-        worst_curl = max(worst_curl, float(np.max(np.abs(curl))))
-        worst_div = max(worst_div, abs(dB[0][0] + dB[1][1] + dB[2][2]) / s.absB)
-    worst = (worst_grad, worst_epar_e, worst_curl, worst_div)
-    checks = tuple(
-        CheckResult(name, float(v), tol, bool(v <= tol))
-        for (name, tol), v in zip(_THRESHOLDS.items(), worst)
-    )
-    return ValidationReport(checks=checks, min_b=float(min_b))
+    try:
+        values, min_b = _check_pass(model, probes, delta)
+    except (AxisSingularity, DomainError, FloatingPointError):
+        # the array pass meets the probes' errors in another order than a
+        # pass over them one by one; raise the first failing probe's error
+        for i in range(len(probes)):
+            _check_pass(model, probes[i:i + 1], delta)
+        raise
+    checks = []
+    for (name, tol), v in zip(_THRESHOLDS.items(), values):
+        worst = float(np.max(v, initial=0.0))
+        checks.append({"name": name, "value": worst, "threshold": tol, "passed": worst <= tol})
+    return {"passed": all(c["passed"] for c in checks), "min_b": float(min_b), "checks": checks}

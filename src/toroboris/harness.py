@@ -14,7 +14,7 @@ interpolation anywhere in the error path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from math import ceil, isqrt
 
 import numpy as np
@@ -299,64 +299,17 @@ def fit_loglog_slope(hs, errs) -> float:
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    h: float
-    epsilon: float
-    max_err: dict
-    steps: int | None = None
-    sigma_min: float | None = None
-    warnings: int = 0
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-run maxima, fitted slopes and the order gate outcome."""
-
-    mode: str
-    points: list
-    slopes: dict
-    order_band: tuple[float, float]
-    passed: bool
-    diagnostics: list = dc_field(default_factory=list)
-    series: list = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "points": [
-                {
-                    "h": p.h,
-                    "epsilon": p.epsilon,
-                    "max_err": p.max_err,
-                    "steps": p.steps,
-                    "sigma_min": p.sigma_min,
-                    "warnings": p.warnings,
-                }
-                for p in self.points
-            ],
-            "slopes": self.slopes,
-            "order_band": list(self.order_band),
-            "passed": self.passed,
-            "diagnostics": self.diagnostics,
-        }
-
-
-def build_convergence_report(
-    mode: str, points, order_band: tuple[float, float] = _ORDER_BAND
-) -> ConvergenceReport:
-    """Fit per-component slopes over the points and gate them on the band.
+def _convergence_report(mode: str, points: list, order_band) -> dict:
+    """The study report: the points, per-component fitted slopes and the band gate.
 
     The fit is skipped (with a diagnostic, failing the gate) when any
     error is exactly zero, since a log fit is meaningless there.
     """
-    if len(points) < 2:
-        raise ValueError("need at least 2 runs for a convergence fit")
     diagnostics = []
     slopes = {}
-    hs = [p.h for p in points]
+    hs = [p["h"] for p in points]
     for comp in ("r", "z", "vpar"):
-        errs = [p.max_err[comp] for p in points]
+        errs = [p["max_err"][comp] for p in points]
         if any(e == 0.0 for e in errs):
             diagnostics.append(f"component {comp}: zero max error, slope fit skipped")
             slopes[comp] = None
@@ -365,10 +318,14 @@ def build_convergence_report(
     passed = all(
         s is not None and order_band[0] <= s <= order_band[1] for s in slopes.values()
     )
-    return ConvergenceReport(
-        mode=mode, points=list(points), slopes=slopes, order_band=order_band, passed=passed,
-        diagnostics=diagnostics,
-    )
+    return {
+        "mode": mode,
+        "points": points,
+        "slopes": slopes,
+        "order_band": list(order_band),
+        "passed": passed,
+        "diagnostics": diagnostics,
+    }
 
 
 def _respec(base: ExperimentSpec, epsilon: float, h: float) -> ExperimentSpec:
@@ -382,7 +339,7 @@ def convergence_study(
     h_list=None,
     pairs=None,
     order_band: tuple[float, float] = _ORDER_BAND,
-) -> ConvergenceReport:
+) -> tuple[dict, list[ErrorSeries]]:
     """Modified-Boris convergence study in one of two modes.
 
     scaled_pairs: runs the (epsilon, h) pairs, which must keep h^2/epsilon
@@ -392,6 +349,11 @@ def convergence_study(
     fixed_eps: runs the steps in h_list at the base spec's epsilon against
     the fine reference.  The reference carries an order-eps gyration
     floor, so this mode is qualitative.
+
+    Returns (report, series): the report {"mode", "points", "slopes",
+    "order_band", "passed", "diagnostics"}, with one point {"h", "epsilon",
+    "max_err", "steps", "sigma_min", "warnings"} per run, and the runs'
+    error series in the same order.
     """
     if mode == "scaled_pairs":
         if not pairs or len(pairs) < 2:
@@ -417,46 +379,15 @@ def convergence_study(
             raise RuntimeError(f"{e.run} ({label}) aborted: {e.tag}") from e
         sigma_min, warnings = monitor_nondegeneracy(traj)
         series.append(err)
-        points.append(
-            ConvergencePoint(
-                h=h,
-                epsilon=eps,
-                max_err=err.max_by_component(),
-                steps=traj.steps_completed,
-                sigma_min=sigma_min,
-                warnings=len(warnings),
-            )
-        )
-    report = build_convergence_report(mode, points, order_band)
-    report.series = series
-    return report
-
-
-@dataclass
-class Theorem1Report:
-    """Reference-vs-drift maxima per epsilon and their consecutive ratios.
-
-    The expected error is proportional to epsilon; each ratio is gated
-    against the corresponding epsilon ratio within a factor-3 band.
-    """
-
-    eps_list: list
-    max_err: list
-    ratios: list
-    bands: list
-    passed: bool
-    steps: list = dc_field(default_factory=list)
-    series: list = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_list": self.eps_list,
-            "max_err": self.max_err,
-            "ratios": self.ratios,
-            "bands": self.bands,
-            "passed": self.passed,
-            "steps": self.steps,
-        }
+        points.append({
+            "h": h,
+            "epsilon": eps,
+            "max_err": err.max_by_component(),
+            "steps": traj.steps_completed,
+            "sigma_min": sigma_min,
+            "warnings": len(warnings),
+        })
+    return _convergence_report(mode, points, order_band), series
 
 
 def theorem1_suite(
@@ -468,7 +399,7 @@ def theorem1_suite(
     dt_out: float = 0.5,
     budget_steps: int = DEFAULT_BUDGET,
     dtau: float = 1e-4,
-) -> Theorem1Report:
+) -> tuple[dict, list[ErrorSeries]]:
     """Linear-in-epsilon scaling of the fine reference against the drift.
 
     For each epsilon, in model with its epsilon replaced, the fine reference
@@ -476,6 +407,11 @@ def theorem1_suite(
     raw initial velocity) is the main run of a spec compared with the slow
     solution over the horizon c / epsilon; the maxima across consecutive epsilon values must shrink
     proportionally to epsilon within a factor-3 band.
+
+    Returns (report, series): the report {"eps_list", "max_err", "ratios",
+    "bands", "passed", "steps"}, with one entry of max_err and steps per
+    epsilon and one ratio and band per consecutive pair, and the error
+    series per epsilon.
     """
     eps_list = list(eps_list)
     if not eps_list:
@@ -517,12 +453,12 @@ def theorem1_suite(
                 passed = False
         ratios.append(comp_ratios)
         bands.append((lo, hi))
-    return Theorem1Report(
-        eps_list=eps_list,
-        max_err=maxima,
-        ratios=ratios,
-        bands=bands,
-        passed=passed,
-        steps=steps,
-        series=series,
-    )
+    report = {
+        "eps_list": eps_list,
+        "max_err": maxima,
+        "ratios": ratios,
+        "bands": bands,
+        "passed": passed,
+        "steps": steps,
+    }
+    return report, series

@@ -1,4 +1,4 @@
-"""Per-sample scalar definitions of the observables, the moment and sigma.
+"""Per-sample scalar definitions of the observables, the moment, sigma and check_field.
 
 These are the per-row loops that the array code in toroboris replaced,
 kept here verbatim, with their own scalar frame and field sample, as the
@@ -113,3 +113,46 @@ def observables(traj):
         except Unsupported:
             energy[i] = kinetic
     return r, z, vpar, mu, energy
+
+
+def check_field(model, probes, delta):
+    """check_field's report, one probe at a time with seven single-point samples each.
+
+    A worst value is kept with max(), which skips NaN, so this oracle
+    defines the report only where every value is a number.
+    """
+    probes = np.asarray(probes, dtype=float)
+    worst_grad = 0.0
+    worst_epar_e = 0.0
+    worst_curl = 0.0
+    worst_div = 0.0
+    min_b = np.inf
+    eye = np.eye(3)
+    for p in probes:
+        r, z, _, e_par, _ = frame(p, model.r_min)
+        min_b = min(min_b, model.b(r, z))
+        fd_dr = (model.b(r + delta, z) - model.b(r - delta, z)) / (2.0 * delta)
+        fd_dz = (model.b(r, z + delta) - model.b(r, z - delta)) / (2.0 * delta)
+        for fd, an in ((fd_dr, model.db_dr(r, z)), (fd_dz, model.db_dz(r, z))):
+            worst_grad = max(worst_grad, abs(fd - an) / max(1.0, abs(an)))
+        _, absB, _, E, _ = field_sample(model, p)
+        worst_epar_e = max(worst_epar_e, abs(float(e_par @ E)))
+        # central differences of E and B along the coordinate axes
+        dE = np.empty((3, 3))
+        dB = np.empty((3, 3))
+        for k in range(3):
+            Bp, _, _, Ep, _ = field_sample(model, p + delta * eye[k])
+            Bm, _, _, Em, _ = field_sample(model, p - delta * eye[k])
+            dE[k] = (Ep - Em) / (2.0 * delta)
+            dB[k] = (Bp - Bm) / (2.0 * delta)
+        curl = np.array([dE[1][2] - dE[2][1], dE[2][0] - dE[0][2], dE[0][1] - dE[1][0]])
+        worst_curl = max(worst_curl, float(np.max(np.abs(curl))))
+        worst_div = max(worst_div, abs(dB[0][0] + dB[1][1] + dB[2][2]) / absB)
+    names = ("grad_b", "epar_dot_E", "curl_E", "div_B_rel")
+    thresholds = (1e-6, 1e-13, 1e-10, 1e-6)
+    worst = (worst_grad, worst_epar_e, worst_curl, worst_div)
+    checks = [
+        {"name": name, "value": float(v), "threshold": tol, "passed": bool(v <= tol)}
+        for name, tol, v in zip(names, thresholds, worst)
+    ]
+    return {"passed": all(c["passed"] for c in checks), "min_b": float(min_b), "checks": checks}

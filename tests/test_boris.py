@@ -206,21 +206,21 @@ def test_initialize_parallel_start_is_linear():
     fr = tb.frame(X0)
     v_par = 0.4 * fr.e_par
     cfg = tb.PusherConfig(h=1e-3, variant="modified", mu0=0.0)
-    win, seed, v0 = tb.initialize(X0, v_par, m, cfg)
+    seed, v0 = tb.initialize(X0, v_par, m, cfg)
     # v0 x B vanishes, so x^1 is the linear step x^0 + h v0
-    np.testing.assert_allclose(win.x_curr, np.asarray(X0) + cfg.h * v0, rtol=0, atol=1e-18)
+    np.testing.assert_allclose(seed.x, np.asarray(X0) + cfg.h * v0, rtol=0, atol=1e-18)
     np.testing.assert_allclose(seed.v, v0, rtol=0, atol=1e-13)
 
 
 def test_initialize_standard_keeps_raw_velocity(model_1e3):
     cfg = tb.PusherConfig(h=0.04, variant="standard")
-    _, _, v0 = tb.initialize(X0, V0, model_1e3, cfg)
+    _, v0 = tb.initialize(X0, V0, model_1e3, cfg)
     np.testing.assert_array_equal(v0, V0)
 
 
 def test_initialize_modified_filters(model_1e3, mu0_1e3):
     cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0_1e3)
-    _, _, v0 = tb.initialize(X0, V0, model_1e3, cfg)
+    _, v0 = tb.initialize(X0, V0, model_1e3, cfg)
     want = np.array([float(F(22, 75) * F(-3, 5)), float(F(22, 75) * F(4, 5)), 0.0])
     np.testing.assert_allclose(v0, want, rtol=1e-13, atol=1e-16)
 
@@ -230,10 +230,10 @@ def test_initialize_modified_filters(model_1e3, mu0_1e3):
 
 
 def run_one_step_positions(x0, v0, model, cfg, n):
-    win, seed, _ = tb.initialize(x0, v0, model, cfg)
+    seed, _ = tb.initialize(x0, v0, model, cfg)
     xs = np.empty((n + 1, 3))
-    xs[0] = win.x_prev
-    xs[1] = win.x_curr
+    xs[0] = x0
+    xs[1] = seed.x
     st0 = seed
     for i in range(2, n + 1):
         st0 = tb.one_step_push(st0, model, cfg)

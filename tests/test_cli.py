@@ -226,6 +226,17 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert cli.cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    # the trajectory is written, then the rename onto a directory fails
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    cfg = base_config(tmp_path, t_final=4.0)
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert list(tmp_path.glob("*.tmp-*")) == []
+
+
 # ---------------------------------------------------------------------------
 # drift subcommand
 
@@ -527,6 +538,15 @@ def test_check_field_cli_writes_file(tmp_path):
     }
     assert cli.cli_main(["check-field", "--config", write_config(tmp_path, cfg)]) == 0
     assert json.loads((tmp_path / "field.json").read_text())["passed"]
+
+
+def test_check_field_cli_overflow_exit_3(tmp_path, capsys):
+    # |B| = b / epsilon overflows at every probe; the library reports NaN
+    # values as failed checks, the CLI stops at the first overflow
+    cfg = {"epsilon": 1e-3, "field": {"preset": "paper-toroidal", "a1": 1e308, "a2": 1e308}}
+    assert cli.cli_main(["check-field", "--config", write_config(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "FloatingPointError"
 
 
 def test_unknown_subcommand_exit_2():

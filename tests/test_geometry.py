@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import toroboris as tb
 from toroboris.errors import AxisSingularity, DomainError, Unsupported
 
+import scalar_oracle
 from conftest import X0
 
 
@@ -174,15 +176,21 @@ def test_potential_gradient_matches_field(model_1e3):
 # check_field
 
 
+def by_name(report) -> dict:
+    return {c["name"]: c for c in report["checks"]}
+
+
 def test_check_field_benchmark_passes(model_1e3):
     probes = tb.toroidal_probes(50, seed=1)
     report = tb.check_field(model_1e3, probes, delta=1e-6)
-    assert report.passed
-    assert report["grad_b"].value <= 1e-6
-    assert report["epar_dot_E"].value <= 1e-13
-    assert report["curl_E"].value <= 1e-10
-    assert report["div_B_rel"].value <= 1e-6
-    assert report.min_b > 0.0
+    assert report["passed"]
+    checks = by_name(report)
+    assert list(checks) == ["grad_b", "epar_dot_E", "curl_E", "div_B_rel"]
+    assert checks["grad_b"]["value"] <= 1e-6
+    assert checks["epar_dot_E"]["value"] <= 1e-13
+    assert checks["curl_E"]["value"] <= 1e-10
+    assert checks["div_B_rel"]["value"] <= 1e-6
+    assert report["min_b"] > 0.0
 
 
 class WrongPartial(tb.ToroidalFieldModel):
@@ -193,19 +201,90 @@ class WrongPartial(tb.ToroidalFieldModel):
 def test_check_field_detects_wrong_partial():
     bad = WrongPartial(1e-3)
     report = tb.check_field(bad, tb.toroidal_probes(20, seed=9), delta=1e-6)
-    assert not report.passed
-    assert not report["grad_b"].passed
+    assert not report["passed"]
+    assert not by_name(report)["grad_b"]["passed"]
 
 
 def test_check_field_zero_e_curl_trivial():
     m = tb.ToroidalFieldModel(1e-3, c=0.0)
     report = tb.check_field(m, tb.toroidal_probes(20, seed=10), delta=1e-6)
-    assert report["curl_E"].value <= 1e-13
+    assert by_name(report)["curl_E"]["value"] <= 1e-13
 
 
 def test_check_field_delta_range(model_1e3):
     with pytest.raises(ValueError):
         tb.check_field(model_1e3, tb.toroidal_probes(5, seed=1), delta=1e-2)
+
+
+def test_check_field_nan_fails_its_check():
+    # |B| overflows at every probe, so the differences of B and of its
+    # modulus are NaN; a NaN is the worst value and fails
+    m = tb.ToroidalFieldModel(1e-3, a1=1e308, a2=1e308)
+    with np.errstate(all="ignore"):
+        report = tb.check_field(m, tb.toroidal_probes(5, seed=1))
+    checks = by_name(report)
+    assert not report["passed"]
+    for name in ("grad_b", "div_B_rel"):
+        assert math.isnan(checks[name]["value"]) and not checks[name]["passed"], name
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_check_field_samples_seven_times(monkeypatch, model_1e3, n):
+    sample = tb.ToroidalFieldModel.sample
+    shapes = []
+
+    def counted(self, x):
+        shapes.append(np.shape(x))
+        return sample(self, x)
+
+    monkeypatch.setattr(tb.ToroidalFieldModel, "sample", counted)
+    tb.check_field(model_1e3, tb.toroidal_probes(n, seed=1))
+    assert shapes == [(n, 3)] * 7
+
+
+def test_check_field_raises_the_first_probes_error():
+    # probe 0 leaves the domain only at x + delta e_x, probe 1 at its centre;
+    # probe 0 comes first, as it would in a pass over the probes one by one
+    m = tb.ToroidalFieldModel(1.0, a0=-1.0, a1=1.0, a2=0.0, c=0.0)
+    probes = [[-1.0 - 1e-4, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    with pytest.raises(DomainError) as e:
+        tb.check_field(m, probes, delta=1e-3)
+    assert e.value.b == pytest.approx(-9e-4)
+
+
+def outcome(check):
+    try:
+        return json.dumps(check())
+    except (AxisSingularity, DomainError) as e:
+        return type(e).__name__, str(e)
+
+
+finite = st.floats(-10.0, 10.0, allow_subnormal=False)
+ordered = st.tuples(finite, finite).map(sorted)
+
+
+@given(
+    eps=st.floats(1e-6, 1.0),
+    coefs=st.tuples(finite, finite, finite, finite),
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+    r_range=ordered,
+    z_range=ordered,
+    r_min=st.sampled_from([1e-9, 0.1]),
+    delta=st.floats(1e-8, 1e-3),
+)
+@settings(max_examples=150, deadline=None)
+def test_check_field_matches_the_per_probe_oracle(
+    eps, coefs, n, seed, r_range, z_range, r_min, delta
+):
+    # coefficients and coordinates of at most 10 in magnitude keep every
+    # value finite, where the oracle's max() defines the report
+    a0, a1, a2, c = coefs
+    m = tb.ToroidalFieldModel(eps, a0=a0, a1=a1, a2=a2, c=c, r_min=r_min)
+    probes = tb.toroidal_probes(n, seed=seed, r_range=r_range, z_range=z_range)
+    got = outcome(lambda: tb.check_field(m, probes, delta=delta))
+    assert got == outcome(lambda: scalar_oracle.check_field(m, probes, delta))
+    assert "NaN" not in got
 
 
 def test_probes_deterministic():

@@ -14,7 +14,7 @@ import toroboris as tb
 from toroboris import harness
 from toroboris.drift import DriftState, DriftTrajectory
 from toroboris.errors import BudgetExceeded, GridMismatch
-from toroboris.harness import ConvergencePoint, _respec
+from toroboris.harness import _ORDER_BAND, _convergence_report, _respec
 
 from conftest import X0, V0
 
@@ -280,26 +280,23 @@ def test_order_gate_rejects_first_order_method():
     for dtau in (2e-3, 1e-3):
         end = euler_end(dtau)
         err = np.abs(end - end_true)
-        points.append(
-            ConvergencePoint(
-                h=dtau, epsilon=1e-3, max_err={"r": err[0], "z": err[1], "vpar": err[2]}
-            )
-        )
-    report = tb.build_convergence_report("scaled_pairs", points)
-    assert not report.passed
-    for slope in report.slopes.values():
+        max_err = {"r": err[0], "z": err[1], "vpar": err[2]}
+        points.append({"h": dtau, "epsilon": 1e-3, "max_err": max_err})
+    report = _convergence_report("scaled_pairs", points, _ORDER_BAND)
+    assert not report["passed"]
+    for slope in report["slopes"].values():
         assert slope == pytest.approx(1.0, abs=0.2)
 
 
 def test_order_gate_zero_error_diagnostic():
     points = [
-        ConvergencePoint(h=0.04, epsilon=1e-3, max_err={"r": 0.0, "z": 1e-3, "vpar": 1e-3}),
-        ConvergencePoint(h=0.02, epsilon=2.5e-4, max_err={"r": 0.0, "z": 2.5e-4, "vpar": 2.5e-4}),
+        {"h": 0.04, "epsilon": 1e-3, "max_err": {"r": 0.0, "z": 1e-3, "vpar": 1e-3}},
+        {"h": 0.02, "epsilon": 2.5e-4, "max_err": {"r": 0.0, "z": 2.5e-4, "vpar": 2.5e-4}},
     ]
-    report = tb.build_convergence_report("scaled_pairs", points)
-    assert not report.passed
-    assert report.slopes["r"] is None
-    assert any("zero max error" in d for d in report.diagnostics)
+    report = _convergence_report("scaled_pairs", points, _ORDER_BAND)
+    assert not report["passed"]
+    assert report["slopes"]["r"] is None
+    assert any("zero max error" in d for d in report["diagnostics"])
 
 
 def test_convergence_study_input_validation():
@@ -316,11 +313,12 @@ def test_convergence_study_input_validation():
 
 def test_fixed_eps_mode_bounded_and_ordered():
     base = make_spec(eps=1e-2, h=0.08, dt_out=0.4)
-    report = tb.convergence_study(base, "fixed_eps", h_list=[0.08, 0.04])
-    errs = [p.max_err["z"] for p in report.points]
+    report, series = tb.convergence_study(base, "fixed_eps", h_list=[0.08, 0.04])
+    errs = [p["max_err"]["z"] for p in report["points"]]
     assert errs[0] > errs[1]
     assert all(e < 0.2 for e in errs)
-    assert report.points[0].steps == 625
+    assert report["points"][0]["steps"] == 625
+    assert [err.max_z for err in series] == errs
 
 
 def test_theorem1_field_line_oracle():
@@ -329,8 +327,8 @@ def test_theorem1_field_line_oracle():
     # reference shows the same motion up to the gyro-scale remainder
     model = tb.ToroidalFieldModel(0.5, a0=1.0, a1=0.0, a2=0.0, c=0.0)
     fr = tb.frame(X0)
-    rep = tb.theorem1_suite(model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
-    for comp, val in rep.max_err[0].items():
+    rep, _ = tb.theorem1_suite(model, [1e-2], 0.5, X0, tuple((22 / 75) * fr.e_par))
+    for comp, val in rep["max_err"][0].items():
         assert val <= 2e-4, (comp, val)
 
 
@@ -351,11 +349,11 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "integrate", recorded)
     eps_list = [1e-2, 5e-3]
-    rep = tb.theorem1_suite(tb.ToroidalFieldModel(1.0), eps_list, 0.1, X0, V0, dt_out=0.3)
+    rep, _ = tb.theorem1_suite(tb.ToroidalFieldModel(1.0), eps_list, 0.1, X0, V0, dt_out=0.3)
     specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.3)
              for eps in eps_list]
     assert calls == [(s.h_ref, "standard", 0.0, round(s.dt_out / s.h_ref)) for s in specs]
-    assert rep.steps == [s.reference_steps for s in specs]
+    assert rep["steps"] == [s.reference_steps for s in specs]
 
 
 def test_theorem1_empty_list_rejected():
