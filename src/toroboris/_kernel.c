@@ -186,67 +186,115 @@ int toroboris_drift_rk4(
  *
  * A finite normal x = m / 2^s whose decimal exponent X = floor(log10 |x|)
  * lies in [-40, 16] gets its 17 significant digits from the exact integer
- * m 10^(16-X) / 2^s, held in 32-bit limbs and rounded half to even on the
+ * m 10^(16-X) / 2^s, held in 64-bit limbs and rounded half to even on the
  * exact remainder.  Zeros, infinities and NaN are literals.  Any other value
  * (a subnormal, |x| below 1e-40 or from 1e17 on) is left to the caller.
  */
-enum { P10_MAX = 56, P10_LIMBS = 6, PRODUCT_LIMBS = P10_LIMBS + 2 };
+enum { P10_MAX = 56, P10_LIMBS = 3 };
 /* The longest field, -1.2345678901234567e-40, and its separator. */
 enum { FIELD_MAX = 24 };
 
 static const uint64_t E16 = 10000000000000000ULL, E17 = 100000000000000000ULL;
 
-/* p10[j] = 10^j in little-endian 32-bit limbs; 10^56 < 2^192. */
-static void pow10_table(uint32_t p10[P10_MAX + 1][P10_LIMBS])
+/* P10[j] = 10^j in little-endian 64-bit limbs; 10^56 < 2^192. */
+static const uint64_t P10[P10_MAX + 1][P10_LIMBS] = {
+    {0x0000000000000001, 0x0000000000000000, 0x0000000000000000},
+    {0x000000000000000a, 0x0000000000000000, 0x0000000000000000},
+    {0x0000000000000064, 0x0000000000000000, 0x0000000000000000},
+    {0x00000000000003e8, 0x0000000000000000, 0x0000000000000000},
+    {0x0000000000002710, 0x0000000000000000, 0x0000000000000000},
+    {0x00000000000186a0, 0x0000000000000000, 0x0000000000000000},
+    {0x00000000000f4240, 0x0000000000000000, 0x0000000000000000},
+    {0x0000000000989680, 0x0000000000000000, 0x0000000000000000},
+    {0x0000000005f5e100, 0x0000000000000000, 0x0000000000000000},
+    {0x000000003b9aca00, 0x0000000000000000, 0x0000000000000000},
+    {0x00000002540be400, 0x0000000000000000, 0x0000000000000000},
+    {0x000000174876e800, 0x0000000000000000, 0x0000000000000000},
+    {0x000000e8d4a51000, 0x0000000000000000, 0x0000000000000000},
+    {0x000009184e72a000, 0x0000000000000000, 0x0000000000000000},
+    {0x00005af3107a4000, 0x0000000000000000, 0x0000000000000000},
+    {0x00038d7ea4c68000, 0x0000000000000000, 0x0000000000000000},
+    {0x002386f26fc10000, 0x0000000000000000, 0x0000000000000000},
+    {0x016345785d8a0000, 0x0000000000000000, 0x0000000000000000},
+    {0x0de0b6b3a7640000, 0x0000000000000000, 0x0000000000000000},
+    {0x8ac7230489e80000, 0x0000000000000000, 0x0000000000000000},
+    {0x6bc75e2d63100000, 0x0000000000000005, 0x0000000000000000},
+    {0x35c9adc5dea00000, 0x0000000000000036, 0x0000000000000000},
+    {0x19e0c9bab2400000, 0x000000000000021e, 0x0000000000000000},
+    {0x02c7e14af6800000, 0x000000000000152d, 0x0000000000000000},
+    {0x1bcecceda1000000, 0x000000000000d3c2, 0x0000000000000000},
+    {0x161401484a000000, 0x0000000000084595, 0x0000000000000000},
+    {0xdcc80cd2e4000000, 0x000000000052b7d2, 0x0000000000000000},
+    {0x9fd0803ce8000000, 0x00000000033b2e3c, 0x0000000000000000},
+    {0x3e25026110000000, 0x00000000204fce5e, 0x0000000000000000},
+    {0x6d7217caa0000000, 0x00000001431e0fae, 0x0000000000000000},
+    {0x4674edea40000000, 0x0000000c9f2c9cd0, 0x0000000000000000},
+    {0xc0914b2680000000, 0x0000007e37be2022, 0x0000000000000000},
+    {0x85acef8100000000, 0x000004ee2d6d415b, 0x0000000000000000},
+    {0x38c15b0a00000000, 0x0000314dc6448d93, 0x0000000000000000},
+    {0x378d8e6400000000, 0x0001ed09bead87c0, 0x0000000000000000},
+    {0x2b878fe800000000, 0x0013426172c74d82, 0x0000000000000000},
+    {0xb34b9f1000000000, 0x00c097ce7bc90715, 0x0000000000000000},
+    {0x00f436a000000000, 0x0785ee10d5da46d9, 0x0000000000000000},
+    {0x098a224000000000, 0x4b3b4ca85a86c47a, 0x0000000000000000},
+    {0x5f65568000000000, 0xf050fe938943acc4, 0x0000000000000002},
+    {0xb9f5610000000000, 0x6329f1c35ca4bfab, 0x000000000000001d},
+    {0x4395ca0000000000, 0xdfa371a19e6f7cb5, 0x0000000000000125},
+    {0xa3d9e40000000000, 0xbc627050305adf14, 0x0000000000000b7a},
+    {0x6682e80000000000, 0x5bd86321e38cb6ce, 0x00000000000072cb},
+    {0x011d100000000000, 0x9673df52e37f2410, 0x0000000000047bf1},
+    {0x0b22a00000000000, 0xe086b93ce2f768a0, 0x00000000002cd76f},
+    {0x6f5a400000000000, 0xc5433c60ddaa1640, 0x0000000001c06a5e},
+    {0x5986800000000000, 0xb4a05bc8a8a4de84, 0x00000000118427b3},
+    {0x7f41000000000000, 0x0e4395d69670b12b, 0x00000000af298d05},
+    {0xf88a000000000000, 0x8ea3da61e066ebb2, 0x00000006d79f8232},
+    {0xb564000000000000, 0x926687d2c40534fd, 0x000000446c3b15f9},
+    {0x15e8000000000000, 0xb8014e3ba83411e9, 0x000002ac3a4edbbf},
+    {0xdb10000000000000, 0x300d0e549208b31a, 0x00001aba4714957d},
+    {0x8ea0000000000000, 0xe0828f4db456ff0c, 0x00010b46c6cdd6e3},
+    {0x9240000000000000, 0xc51999090b65f67d, 0x000a70c3c40a64e6},
+    {0xb680000000000000, 0xb2fffa5a71fba0e7, 0x006867a5a867f103},
+    {0x2100000000000000, 0xfdffc78873d4490d, 0x04140c78940f6a24},
+};
+
+/* "00" to "99": the digits two at a time. */
+static const char DIGIT_PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The low 64 bits of a b; the high 64 in *hi. */
+static uint64_t mul64(uint64_t a, uint64_t b, uint64_t *hi)
 {
-    for (int i = 0; i < P10_LIMBS; i++)
-        p10[0][i] = 0;
-    p10[0][0] = 1;
-    for (int j = 1; j <= P10_MAX; j++) {
-        uint64_t carry = 0;
-        for (int i = 0; i < P10_LIMBS; i++) {
-            uint64_t t = (uint64_t)p10[j - 1][i] * 10 + carry;
-            p10[j][i] = (uint32_t)t;
-            carry = t >> 32;
-        }
-    }
+#ifdef __SIZEOF_INT128__
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return mid << 32 | (p00 & 0xffffffffu);
+#endif
 }
 
-/* floor(m p10 / 2^s), below 2^64 by the caller's choice of p10, with in *up
- * the half-to-even rounding increment of the exact remainder. */
-static uint64_t scaled_floor(uint64_t m, int s, const uint32_t *p10, int *up)
+/* The 8 decimal digits of v < 10^8 at d. */
+static void put8(char *d, uint32_t v)
 {
-    uint32_t p[PRODUCT_LIMBS];
-    for (int i = 0; i < PRODUCT_LIMBS; i++)
-        p[i] = 0;
-    for (int i = 0; i < 2; i++) {
-        uint64_t mi = i ? m >> 32 : m & 0xffffffffu, carry = 0;
-        for (int k = 0; k < P10_LIMBS; k++) {
-            uint64_t t = mi * p10[k] + p[i + k] + carry;
-            p[i + k] = (uint32_t)t;
-            carry = t >> 32;
-        }
-        p[i + P10_LIMBS] = (uint32_t)carry;
-    }
-    int limb = s >> 5, off = s & 31;
-    uint64_t lo = p[limb];
-    uint64_t mid = limb + 1 < PRODUCT_LIMBS ? p[limb + 1] : 0;
-    uint64_t hi = limb + 2 < PRODUCT_LIMBS ? p[limb + 2] : 0;
-    uint64_t f = off ? lo >> off | mid << (32 - off) | hi << (64 - off) : lo | mid << 32;
-    *up = 0;
-    if (s > 0) {
-        int hb = s - 1;
-        int half = (p[hb >> 5] >> (hb & 31)) & 1;
-        int sticky = (p[hb >> 5] & ((1u << (hb & 31)) - 1)) != 0;
-        for (int i = 0; i < hb >> 5 && !sticky; i++)
-            sticky = p[i] != 0;
-        *up = half && (sticky || (f & 1));
-    }
-    return f;
+    uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(d, DIGIT_PAIRS + 2 * (hi / 100), 2);
+    memcpy(d + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    memcpy(d + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+    memcpy(d + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
 }
 
-/* Writes x's field at w and returns its end, or NULL outside the fast range. */
-static char *format_field(double x, char *w, const uint32_t p10[P10_MAX + 1][P10_LIMBS])
+/* Writes x's field at w and returns its end, or NULL outside the fast range.
+ * The digits go out in fixed-size copies, which may overwrite bytes past the
+ * field's end up to w[FIELD_MAX - 2], short of its separator's room. */
+static char *format_field(double x, char *w)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
@@ -268,93 +316,118 @@ static char *format_field(double x, char *w, const uint32_t p10[P10_MAX + 1][P10
         *w = '0';
         return w + 1;
     }
-    /* |x| lies in [2^(biased-1023), 2^(biased-1022)), so X is est or est + 1 */
-    int est = (int)floor((biased - 1023) * 0.30102999566398120);
+    /* |x| lies in [2^e, 2^(e+1)) for e = biased - 1023, so X is est or est + 1;
+     * est = floor(e log10 2) exactly for every e of a double */
+    int est = ((biased - 1023) * 78913) >> 18;
     int j = 16 - est;
     if (j < 0 || j > P10_MAX + 1)
         return NULL;
     if (j > P10_MAX)
-        j = P10_MAX;
-    /* x = m / 2^s; est <= 16 keeps a left shift below 5 bits */
+        j = P10_MAX; /* est = -41: X = -40 gives 17 digits, X = -41 too few */
+    /* x = m / 2^s with s >= 1; est <= 16 keeps m below 2^58 */
     uint64_t m = frac | 1ULL << 52;
     int s = 1075 - biased;
-    if (s < 0) {
-        m <<= -s;
-        s = 0;
+    if (s < 1) {
+        m <<= 1 - s;
+        s = 1;
     }
-    int up;
-    uint64_t q = scaled_floor(m, s, p10[j], &up);
-    if (q >= E17 && j > 0)
-        q = scaled_floor(m, s, p10[--j], &up);
-    if (q < E16 || q >= E17)
+    /* p = m 10^j, below 2^(58+187) */
+    uint64_t p[P10_LIMBS + 1], hi, carry;
+    p[0] = mul64(m, P10[j][0], &carry);
+    for (int i = 1; i < P10_LIMBS; i++) {
+        p[i] = mul64(m, P10[j][i], &hi) + carry;
+        carry = hi + (p[i] < carry);
+    }
+    p[P10_LIMBS] = carry;
+    /* q = floor(p / 2^s) < 10^18; half is bit s - 1 of p, sticky any bit below it */
+    int limb = s >> 6, off = s & 63, hb = (s - 1) & 63, hl = (s - 1) >> 6;
+    uint64_t q = p[limb] >> off | p[limb + 1] << 1 << (63 - off);
+    uint64_t half = p[hl] >> hb & 1;
+    uint64_t below = (p[hl] & ((1ULL << hb) - 1)) | (hl > 0 ? p[0] : 0) | (hl > 1 ? p[1] : 0);
+    uint64_t sticky = below != 0;
+    /* X = est + 1 leaves 18 digits: the last, with the bits below it, decides
+     * the rounding of the first 17 */
+    int over = q >= E17;
+    if (q < E16 || (over && j == 0))
         return NULL; /* X is -41 (j was clamped) or 17 */
-    q += up;
+    uint64_t q10 = q / 10, digit = q - 10 * q10;
+    uint64_t up_over = (digit > 5) | ((digit == 5) & (half | sticky | (q10 & 1)));
+    uint64_t up = half & (sticky | (q & 1));
+    q = over ? q10 + up_over : q + up;
+    int exp10 = 16 - j + over;
     if (q == E17) {
         q = E16;
-        j--;
+        exp10++;
     }
-    int exp10 = 16 - j;
-    char d[17];
-    for (int i = 16; i >= 0; i--) {
-        d[i] = (char)('0' + q % 10);
-        q /= 10;
-    }
+    /* the 17 digits, and room for the fixed-size copies below to read past them */
+    char d[40];
+    uint64_t top = q / 100000000; /* the first 9 digits */
+    d[0] = (char)('0' + top / 100000000);
+    put8(d + 1, (uint32_t)(top % 100000000));
+    put8(d + 9, (uint32_t)(q - top * 100000000));
     int nd = 17;
     while (d[nd - 1] == '0')
         nd--;
     if (exp10 < -4 || exp10 >= 17) {
-        *w++ = d[0];
-        if (nd > 1) {
-            *w++ = '.';
-            memcpy(w, d + 1, nd - 1);
-            w += nd - 1;
-        }
+        /* d.ddde-XX: at most 22 bytes written and kept */
+        w[0] = d[0];
+        w[1] = '.';
+        memcpy(w + 2, d + 1, 16);
+        w += nd > 1 ? nd + 1 : 1;
         *w++ = 'e';
         *w++ = exp10 < 0 ? '-' : '+';
         int a = exp10 < 0 ? -exp10 : exp10;
-        *w++ = (char)('0' + a / 10);
-        *w++ = (char)('0' + a % 10);
-    } else if (exp10 >= 0) {
-        /* the integer part: d holds its zeros past nd */
-        memcpy(w, d, exp10 + 1);
-        w += exp10 + 1;
-        if (nd > exp10 + 1) {
-            *w++ = '.';
-            memcpy(w, d + exp10 + 1, nd - exp10 - 1);
-            w += nd - exp10 - 1;
-        }
-    } else {
-        *w++ = '0';
-        *w++ = '.';
-        for (int i = 0; i < -exp10 - 1; i++)
-            *w++ = '0';
-        memcpy(w, d, nd);
-        w += nd;
+        memcpy(w, DIGIT_PAIRS + 2 * a, 2);
+        return w + 2;
     }
-    return w;
+    if (exp10 < 0) {
+        /* 0.000ddd: at most 22 bytes written and kept */
+        memcpy(w, "0.000", 5);
+        w += 1 - exp10;
+        memcpy(w, d, 17);
+        return w + nd;
+    }
+    /* the integer part, then the point and the rest: d holds the integer's
+     * zeros past nd; 18 bytes written, at most 18 kept */
+    int k = exp10 + 1;
+    char t[40];
+    memcpy(t, d, 17);
+    t[k] = '.';
+    memcpy(t + k + 1, d + k, 16);
+    memcpy(w, t, 18);
+    return w + (nd > k ? nd + 1 : k);
 }
 
-/* Formats rows of cols values (row-major) as CSV lines into out, which holds
- * cap bytes.  Stops before the first row holding a value outside the fast
- * range, or one that might not fit.  Returns the number of rows written and
- * stores the number of bytes in *written.
+/* Formats rows first .. first + rows - 1 of cols columns as CSV lines into
+ * out, which holds cap bytes; column c's value in row i is
+ * columns[c][i * strides[c]].  A row holding a value outside the fast range
+ * is left out: pair k of skipped (2 rows entries) receives the k-th such row's
+ * index, counted from first, and the offset in out where its line belongs.
+ * Returns the number of bytes written and stores the number of rows left out
+ * in *n_skipped; returns -1, writing nothing, when cap is below
+ * rows * cols * FIELD_MAX.
  */
-int64_t toroboris_format_rows(int64_t rows, int64_t cols, const double *values, char *out,
-                              int64_t cap, int64_t *written)
+int64_t toroboris_format_rows(int64_t first, int64_t rows, int64_t cols,
+                              const double *const *columns, const int64_t *strides, char *out,
+                              int64_t cap, int64_t *skipped, int64_t *n_skipped)
 {
-    uint32_t p10[P10_MAX + 1][P10_LIMBS];
-    pow10_table(p10);
-    int64_t used = 0, r;
-    for (r = 0; r < rows && cap - used >= cols * FIELD_MAX; r++) {
-        char *w = out + used;
-        for (int64_t c = 0; c < cols; c++) {
-            if (!(w = format_field(values[r * cols + c], w, p10)))
-                goto stop;
-            *w++ = c + 1 < cols ? ',' : '\n';
+    if (cap < rows * cols * FIELD_MAX)
+        return -1;
+    char *w = out;
+    int64_t k = 0;
+    for (int64_t r = first; r < first + rows; r++) {
+        char *line = w;
+        for (int64_t c = 0; c < cols && w; c++) {
+            if ((w = format_field(columns[c][r * strides[c]], w)))
+                *w++ = c + 1 < cols ? ',' : '\n';
         }
-        used = w - out;
+        if (!w) {
+            skipped[2 * k] = r - first;
+            skipped[2 * k + 1] = line - out;
+            k++;
+            w = line;
+        }
     }
-stop:
-    *written = used;
-    return r;
+    *n_skipped = k;
+    return w - out;
 }

@@ -9,10 +9,11 @@ the library (``_kernel.c``) holds three functions:
 - ``drift_rk4`` transcribes drift._rk4_loop line for line, for the same
   family;
 - ``format_rows`` writes CSV rows of ``"%.17g" % x`` fields, the bytes of
-  cli._python_rows, in exact integer arithmetic.  It formats zeros,
-  infinities, NaN and the normal values of decimal exponent -40 to 16
-  (1e-40 <= |x| < 1e17); a row holding any other value (a subnormal,
-  anything smaller or from 1e17 on) goes to the Python formatter instead.
+  cli._python_rows, in exact integer arithmetic on 64-bit limbs, reading
+  the columns in place.  It formats zeros, infinities, NaN and the normal
+  values of decimal exponent -40 to 16 (1e-40 <= |x| < 1e17); the rows
+  holding any other value (a subnormal, anything smaller or from 1e17 on)
+  go to the Python formatter instead, in one call per chunk of rows.
 
 The Python code stays the single definition of each; tests pin each C
 function to its Python twin bitwise.
@@ -134,10 +135,10 @@ def _bind(path: str) -> Kernel:
     rk4_fn.argtypes = (
         [ctypes.c_int64, vec1] + [ctypes.c_double] * 9 + [out3, ctypes.POINTER(ctypes.c_double)]
     )
-    # raw addresses: the wrapper checks the block once, not on every resumed call
+    # raw addresses: the wrapper checks the columns once, not on every chunk
     rows_fn.restype = ctypes.c_int64
-    rows_fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                        ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)]
+    rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
+        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
 
     def two_step_loop(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
                       v_max, x_arr, d_arr, out_t, out_x, out_v):
@@ -160,28 +161,48 @@ def _bind(path: str) -> Kernel:
                         out, bad)
         return status, bad.value
 
-    def format_rows(values, fallback):
-        """The rows of values, (rows, cols) float64, as CSV lines of %.17g fields.
+    def format_rows(columns, fallback, chunk_rows):
+        """CSV lines of %.17g fields, one per value of the float64 columns, in chunks.
 
-        The C formatter stops before a row holding a value outside its
-        range; fallback(values[i:i + 1]) writes that row, and C resumes after it.
+        Line i holds row i: the i-th value of each 1-D column, read in place at
+        any stride.  Each chunk of chunk_rows lines is one C call, which leaves
+        out the rows holding a value outside its range; fallback(block) writes
+        those rows of the chunk, as a (rows, cols) block, and they are spliced in.
         """
-        rows, cols = values.shape
-        if values.dtype != np.float64 or not values.flags.c_contiguous:
-            raise ValueError("values must be a C-contiguous float64 array")
-        out = np.empty(rows * cols * _FIELD_BYTES, dtype=np.uint8)
-        base, out_address, row_bytes = values.ctypes.data, out.ctypes.data, cols * values.itemsize
-        written = ctypes.c_int64(0)
-        parts = []
-        done = 0
-        while done < rows:
-            done += rows_fn(rows - done, cols, base + done * row_bytes, out_address, len(out),
-                            written)
-            parts.append(str(out.data[:written.value], "ascii"))
-            if done < rows:
-                parts.append(fallback(values[done:done + 1]))
-                done += 1
-        return "".join(parts)
+        if not columns:
+            raise ValueError("no columns")
+        for c in columns:
+            # aligned: the data and the stride are whole doubles
+            if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+                    and c.flags.aligned):
+                raise ValueError("columns must be aligned 1-D float64 arrays")
+        rows = len(columns[0])
+        if any(len(c) != rows for c in columns):
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        cols = len(columns)
+        pointers = (ctypes.c_void_p * cols)(*[c.ctypes.data for c in columns])
+        strides = (ctypes.c_int64 * cols)(*[c.strides[0] // c.itemsize for c in columns])
+        most = min(rows, chunk_rows)
+        out = np.empty(most * cols * _FIELD_BYTES, dtype=np.uint8)
+        skipped = np.empty((most, 2), dtype=np.int64)
+        out_address, skipped_address = out.ctypes.data, skipped.ctypes.data
+        n_skipped = ctypes.c_int64(0)
+        chunks = []
+        for first in range(0, rows, chunk_rows):
+            written = rows_fn(first, min(chunk_rows, rows - first), cols, pointers, strides,
+                              out_address, len(out), skipped_address, n_skipped)
+            text = str(out.data[:written], "ascii")
+            if n_skipped.value:
+                left = skipped[:n_skipped.value]
+                block = np.column_stack([c[first + left[:, 0]] for c in columns])
+                parts, end = [], 0
+                for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
+                                    strict=True):
+                    parts += (text[end:at], line)
+                    end = at
+                text = "".join(parts) + text[end:]
+            chunks.append(text)
+        return chunks
 
     return Kernel(two_step_loop, drift_rk4, format_rows)
 

@@ -302,14 +302,12 @@ def _columns_csv(header: str, *columns) -> list[str]:
     otherwise and for the rows the C formatter leaves to it.
     """
     kernel = _kernels.compiled_kernel()
-    chunks = [header + "\n"]
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
-        if kernel is None:
-            chunks.append(_python_rows(block))
-        else:
-            chunks.append(kernel.format_rows(block, _python_rows))
-    return chunks
+    if kernel is not None:
+        return [header + "\n", *kernel.format_rows(columns, _python_rows, _CHUNK_ROWS)]
+    return [header + "\n"] + [
+        _python_rows(np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns]))
+        for start in range(0, len(columns[0]), _CHUNK_ROWS)
+    ]
 
 
 def trajectory_csv(traj: Trajectory) -> list[str]:

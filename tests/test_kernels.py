@@ -247,10 +247,11 @@ def test_compiled_drift_rejects_bad_buffers():
 # CSV rows: the C formatter against cli._python_rows, byte for byte
 
 
-def c_rows(values, cols=1, fallback=cli._python_rows):
-    """values as rows of cols fields through the C formatter."""
-    block = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, cols)
-    return _kernels.compiled_kernel().format_rows(block, fallback)
+def c_rows(values, cols=1, fallback=cli._python_rows, kernel=None):
+    """values as rows of cols fields through the C formatter, read as columns in place."""
+    block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    kernel = kernel or _kernels.compiled_kernel()
+    return "".join(kernel.format_rows(tuple(block.T), fallback, cli._CHUNK_ROWS))
 
 
 def python_rows(values, cols=1):
@@ -301,22 +302,56 @@ def test_c_formatter_matches_python_on_any_float(values, cols):
     assert c_rows(values, cols) == python_rows(values, cols)
 
 
-def no_fallback(row):
-    raise AssertionError(f"{row} fell back")
+def no_fallback(block):
+    raise AssertionError(f"{block} fell back")
+
+
+def marker(block):
+    """A fallback that marks the rows it is given."""
+    return "python\n" * len(block)
+
+
+def random_patterns(n, seed):
+    return np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
 
 
 @needs_cc
 def test_c_formatter_matches_python_on_random_bit_patterns():
     # The C formatter writes every pattern inside its range, the same bytes as
-    # Python; the rest it leaves, each row to _python_rows (checked on a sample:
-    # each one left costs a call).
-    rng = np.random.default_rng(2024)
-    patterns = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+    # Python, and leaves the rest to the fallback.
+    patterns = random_patterns(1_000_000, 2024)
     inside = in_fast_range(patterns)
     assert_same_text(c_rows(patterns[inside], fallback=no_fallback), python_rows(patterns[inside]))
-    outside = patterns[~inside][:20_000]
-    assert_same_text(c_rows(outside, fallback=lambda row: "python\n"), "python\n" * len(outside))
+    outside = patterns[~inside]
+    assert_same_text(c_rows(outside, fallback=marker), "python\n" * len(outside))
     assert_same_text(c_rows(patterns[:120_000], cols=12), python_rows(patterns[:120_000], cols=12))
+
+
+@needs_cc
+def test_c_formatter_falls_back_once_per_chunk():
+    # most random patterns lie outside the fast range: each chunk's rows of
+    # them go to one fallback call and are spliced back in order
+    patterns = random_patterns(12 * (3 * cli._CHUNK_ROWS + 5), 2026)
+    calls = []
+
+    def counted(block):
+        calls.append(len(block))
+        return cli._python_rows(block)
+
+    assert_same_text(c_rows(patterns, cols=12, fallback=counted), python_rows(patterns, cols=12))
+    assert len(calls) == 4 and sum(calls) == np.sum(~in_fast_range(patterns).reshape(-1, 12).all(1))
+
+
+@needs_cc
+def test_c_formatter_matches_python_at_every_binary_exponent():
+    # 2^e and its neighbours for every exponent of a double, subnormals included:
+    # pins the exponent estimate and the 18-digit path at every biased exponent
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert_same_text(c_rows(values), python_rows(values))
+    marked = c_rows(values, fallback=marker).splitlines()
+    assert [line != "python" for line in marked] == in_fast_range(values).tolist()
 
 
 @needs_cc
@@ -336,7 +371,7 @@ def test_c_formatter_matches_python_on_edge_values():
     values = edge_values()
     assert_same_text(c_rows(values), python_rows(values))
     # each value is a row: C writes exactly the documented range and leaves the rest
-    marked = c_rows(values, fallback=lambda row: "python\n").splitlines()
+    marked = c_rows(values, fallback=marker).splitlines()
     inside = in_fast_range(values).tolist()
     assert [x for x, line, i in zip(values, marked, inside) if (line != "python") != i] == []
 
@@ -360,14 +395,39 @@ def test_columns_csv_is_the_same_on_both_backends(monkeypatch, n):
 
 
 @needs_cc
-def test_compiled_formatter_rejects_bad_blocks():
+def test_compiled_formatter_reads_columns_at_any_stride():
+    block = np.arange(60.0).reshape(5, 12) / 7.0
+    columns = (block[:, 0], block.T[3], block[::-1, 5], np.asfortranarray(block)[:, 11])
+    want = python_rows(np.column_stack(columns), cols=4)
+    assert "".join(_kernels.compiled_kernel().format_rows(columns, no_fallback, 2)) == want
+
+
+@needs_cc
+def test_compiled_formatter_rejects_bad_columns():
     format_rows = _kernels.compiled_kernel().format_rows
-    with pytest.raises(ValueError):  # wrong dtype never reaches C
-        format_rows(np.zeros((2, 3), dtype=np.float32), cli._python_rows)
-    with pytest.raises(ValueError):  # a column-major block would be misread
-        format_rows(np.zeros((3, 2)).T, cli._python_rows)
-    with pytest.raises(ValueError):  # rows of fields, not a flat array
-        format_rows(np.zeros(3), cli._python_rows)
+    good = np.zeros(4)
+    for columns in [
+        (good, np.zeros(4, dtype=np.float32)),  # wrong dtype never reaches C
+        (good, np.zeros((4, 1))),  # a 2-D column
+        (good, np.zeros(3)),  # columns of unequal length
+        (good, [0.0] * 4),  # not an array
+        (good, np.zeros(33, dtype=np.uint8)[1:].view(np.float64)),  # misaligned
+        (),  # no columns
+    ]:
+        with pytest.raises(ValueError):
+            format_rows(columns, cli._python_rows, cli._CHUNK_ROWS)
+
+
+@needs_cc
+def test_formatter_without_int128_writes_the_same_bytes(tmp_path):
+    # the 32-bit-halves product, for compilers without unsigned __int128
+    lib = tmp_path / "no_int128.so"
+    subprocess.run([_kernels._CC, *_kernels._CFLAGS, "-U__SIZEOF_INT128__", "-o", str(lib),
+                    _kernels._SOURCE, "-lm"], check=True)
+    kernel = _kernels._bind(str(lib))
+    values = np.concatenate([edge_values(), random_patterns(100_000, 2027)])
+    assert_same_text(c_rows(values, fallback=marker, kernel=kernel),
+                     c_rows(values, fallback=marker))
 
 
 # ---------------------------------------------------------------------------
