@@ -25,14 +25,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels
-from .boris import Trajectory, magnetic_moment
-from .drift import DriftConfig, drift_init, drift_integrate
-from .errors import BudgetExceeded, RunAborted, SchemaError, ToroborisError
+from .boris import Trajectory
+from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
     _ORDER_BAND, _THEOREM1_STEP, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series,
-    _whole_steps, compare, convergence_study, monitor_nondegeneracy, observables, run_trajectory,
-    theorem1_suite,
+    _whole_steps, compare, convergence_study, monitor_nondegeneracy, observables, run_drift,
+    run_trajectory, theorem1_suite,
 )
 
 EXIT_OK = 0
@@ -171,7 +170,7 @@ _LIMITS = {
 _R_MIN = (_POSITIVE, 1e-9)
 _STUDY_OUTPUT = _object({"path": (_STRING, _REQUIRED), "csv_dir": (_STRING, None)})
 
-# simulate, drift and compare; parse_config fills the stride default max(h, 0.5).
+# simulate, drift and compare; a null stride is ExperimentSpec's default.
 _RUN = _object({
     "epsilon": (_UNIT, _REQUIRED),
     "h": (_POSITIVE, _REQUIRED),
@@ -207,7 +206,7 @@ _THEOREM1 = _object({
     "eps_list": (_array(_UNIT, "a non-empty list of numbers", min_size=1), _REQUIRED),
     **_ORBIT,
     "output": (_STUDY_OUTPUT, _REQUIRED),
-    "stride": (_POSITIVE, 0.5),
+    "stride": (_POSITIVE, None),
     **_LIMITS,
 })
 
@@ -245,10 +244,7 @@ def parse_config(text: str) -> dict:
     Unknown keys are rejected; errors carry a JSON-pointer-style path to
     the offending key.  The result is a dict shaped like the JSON.
     """
-    config = _decode(text, _RUN)
-    if config["output"]["stride"] is None:
-        config["output"]["stride"] = max(config["h"], 0.5)
-    return config
+    return _decode(text, _RUN)
 
 
 def serialize_config(config: dict) -> str:
@@ -371,22 +367,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_drift(args) -> int:
     config = parse_config(_read(args.config))
-    model = _model(config["field"], config["epsilon"], config["r_min"])
-    s0 = drift_init(config["x0"], config["v0"], model)
-    mu0 = magnetic_moment(config["x0"], config["v0"], model)
-    dconf = DriftConfig(mu0=mu0, dtau=config["dtau"], budget_steps=config["budget_steps"])
-    t_final, dt_out = config["t_final"], config["output"]["stride"]
-    # refused before the grid is built: every interval takes a step, and a
-    # step covers at most dtau of slow time
-    intervals = t_final / dt_out
-    least = max(intervals, config["epsilon"] * t_final / dconf.dtau)
-    if least > dconf.budget_steps:
-        raise BudgetExceeded(least, dconf.budget_steps)
-    m = int(np.floor(intervals + 1e-9))
-    times = [k * dt_out for k in range(m + 1)]
-    if times[-1] < t_final - 1e-9 * max(1.0, t_final):
-        times.append(t_final)
-    traj = drift_integrate(s0, model, dconf, np.array(times))
+    spec = _run_spec(config)
+    traj = run_drift(spec, spec.sample_times)
     columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
     _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
     return EXIT_OK

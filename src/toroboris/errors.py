@@ -23,7 +23,7 @@ class AxisSingularity(ToroborisError):
 
 
 class DomainError(ToroborisError):
-    """Raised when the field magnitude profile leaves its valid range (b <= b_min)."""
+    """Raised when the field magnitude profile leaves its valid range (b not above b_min)."""
 
     def __init__(self, b: float, b_min: float):
         self.b = b
@@ -66,11 +66,15 @@ class RunAborted(ToroborisError):
 
 
 class GridMismatch(ToroborisError):
-    """Raised when two series to be compared are not on the same time grid."""
+    """Raised when two series to be compared are not on the same time grid.
 
-    def __init__(self, max_diff: float):
+    sizes, the two sample counts, is given when they differ.
+    """
+
+    def __init__(self, max_diff: float, sizes: tuple[int, int] | None = None):
         self.max_diff = max_diff
-        super().__init__(f"time stamps differ by up to {max_diff:.4g} (> 1e-12)")
+        super().__init__(f"the series have {sizes[0]} and {sizes[1]} samples" if sizes
+                         else f"time stamps differ by up to {max_diff:.4g} (> 1e-12)")
 
 
 class SchemaError(ToroborisError):

@@ -196,7 +196,8 @@ class ToroidalFieldModel:
         with _as_floats():
             b = self.b(r, z)
         near = r < self.r_min
-        bad = np.flatnonzero(near | (b <= self.b_min))
+        # written so that a NaN profile is off the domain too
+        bad = np.flatnonzero(near | ~(b > self.b_min))
         if len(bad):
             if np.ravel(near)[bad[0]]:
                 raise AxisSingularity(float(np.ravel(r)[bad[0]]), self.r_min)
@@ -240,7 +241,7 @@ class ToroidalFieldModel:
         x = np.asarray(x, dtype=float)
         r, z = _radius(x), x[..., 2]
         with _as_floats():
-            return ~(r < self.r_min) & ~(self.b(r, z) <= self.b_min)
+            return ~(r < self.r_min) & (self.b(r, z) > self.b_min)
 
 
 # Config-file name of the closed-form field family (see cli module).

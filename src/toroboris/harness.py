@@ -42,13 +42,13 @@ def _whole_steps(t_final: float, h: float) -> bool:
 class ExperimentSpec:
     """One experiment: a field model, initial data, scheme and horizons.
 
-    t_final must be a multiple (>= 2) of h.  dt_out is rounded to the
-    nearest positive multiple of h; t_final must then be a multiple of
-    dt_out so that every comparison grid contains the final time.  The
-    reference step is ref_h_factor * epsilon, rounded down so that it
-    divides dt_out exactly.  t_final may not exceed c divided by epsilon,
-    and the run at step h may not take more than budget_steps steps
-    (BudgetExceeded).
+    t_final must be a whole number n >= 2 of steps h, at most c / epsilon,
+    with n at most budget_steps (BudgetExceeded).  The spec owns the sample
+    grid: its runs sample every k-th step, at sample_times = (0, k, ..., n) h.
+    An explicit dt_out must be k whole steps with k dividing n (ValueError
+    otherwise); by default k is the largest divisor of n not above
+    round(max(h, 0.5) / h).  dt_out then holds k h.  The reference step is
+    ref_h_factor * epsilon, rounded down so that it divides dt_out exactly.
     """
 
     field: ToroidalFieldModel
@@ -70,28 +70,28 @@ class ExperimentSpec:
             raise ValueError(
                 f"t_final={self.t_final} exceeds the horizon c/eps={self.c / eps}"
             )
-        # checked before rounding: a tiny h overflows round() or stalls _aligned_dt_out
+        # checked before rounding: a tiny h overflows round()
         steps = self.t_final / self.h
         if steps > self.budget_steps + 0.5:
             raise BudgetExceeded(steps, self.budget_steps)
         if not _whole_steps(self.t_final, self.h):
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
-        object.__setattr__(self, "dt_out", self._aligned_dt_out())
-        m = round(self.t_final / self.dt_out)
-        if abs(m * self.dt_out - self.t_final) > 1e-9 * max(1.0, self.t_final):
+        n = round(steps)
+        want = max(self.h, 0.5) if self.dt_out is None else self.dt_out
+        # capped before round(): a huge ratio would overflow it
+        k = round(min(want / self.h, n + 1))
+        if self.dt_out is None:
+            k = min(k, n)
+            if n % k:
+                # the largest divisor of n not above k, from the divisor pairs (d, n // d)
+                pairs = ((d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0)
+                k = max(q for pair in pairs for q in pair if q <= k)
+        elif k < 1 or n % k or abs(k * self.h - self.dt_out) > 1e-9 * max(1.0, self.dt_out):
             raise ValueError(
-                f"t_final={self.t_final} is not a multiple of the output stride {self.dt_out}"
+                f"output stride {self.dt_out} must be a whole number of steps h={self.h} "
+                f"that divides t_final={self.t_final}"
             )
-
-    def _aligned_dt_out(self) -> float:
-        want = self.dt_out if self.dt_out is not None else max(self.h, 0.5)
-        n = round(self.t_final / self.h)
-        k = min(max(1, round(want / self.h)), n)
-        if n % k:
-            # the largest divisor of n below k, from the divisor pairs (d, n // d)
-            pairs = ((d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0)
-            k = max(q for pair in pairs for q in pair if q <= k)
-        return k * self.h
+        object.__setattr__(self, "dt_out", k * self.h)
 
     @property
     def epsilon(self) -> float:
@@ -102,9 +102,18 @@ class ExperimentSpec:
         return round(self.dt_out / self.h)
 
     @property
+    def sample_times(self) -> np.ndarray:
+        """The times the run samples, with the bits integrate writes: i h at step i."""
+        return np.arange(0, round(self.t_final / self.h) + 1, self.sample_stride) * self.h
+
+    @property
+    def reference_stride(self) -> int:
+        """Reference steps per sample: the fewest that make a step at most ref_h_factor eps."""
+        return ceil(self.dt_out / (self.ref_h_factor * self.epsilon))
+
+    @property
     def h_ref(self) -> float:
-        raw = self.ref_h_factor * self.epsilon
-        return self.dt_out / ceil(self.dt_out / raw)
+        return self.dt_out / self.reference_stride
 
     @property
     def reference_steps(self) -> int:
@@ -137,12 +146,7 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
     variant = "modified" if spec.ref_filtered_init else "standard"
     config = PusherConfig(h=spec.h_ref, variant=variant, mu0=0.0)
     return integrate(
-        spec.x0,
-        spec.v0,
-        spec.field,
-        config,
-        spec.t_final,
-        sample_every=round(spec.dt_out / spec.h_ref),
+        spec.x0, spec.v0, spec.field, config, spec.t_final, sample_every=spec.reference_stride
     )
 
 
@@ -237,7 +241,7 @@ class ErrorSeries:
 
 def _check_grid(ta, tb) -> None:
     if len(ta) != len(tb):
-        raise GridMismatch(float("inf"))
+        raise GridMismatch(float("inf"), (len(ta), len(tb)))
     if len(ta):
         d = float(np.max(np.abs(np.asarray(ta) - np.asarray(tb))))
         # written so that a NaN time fails the check too
@@ -329,6 +333,7 @@ def _convergence_report(mode: str, points: list, order_band) -> dict:
 
 
 def _respec(base: ExperimentSpec, epsilon: float, h: float) -> ExperimentSpec:
+    """base at (epsilon, h) over c / epsilon, on base's grid: dt_out passed on as explicit."""
     model = replace(base.field, epsilon=epsilon)
     return replace(base, field=model, h=h, t_final=base.c / epsilon, variant="modified")
 
@@ -370,11 +375,13 @@ def convergence_study(
         against = "reference"
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # every point's spec is checked before the first run
+    specs = [_respec(base_spec, eps, h) for eps, h, _ in runs]
     points = []
     series = []
-    for eps, h, label in runs:
+    for spec, (eps, h, label) in zip(specs, runs):
         try:
-            traj, err, _ = compare(_respec(base_spec, eps, h), against)
+            traj, err, _ = compare(spec, against)
         except RunAborted as e:
             raise RuntimeError(f"{e.run} ({label}) aborted: {e.tag}") from e
         sigma_min, warnings = monitor_nondegeneracy(traj)
@@ -396,7 +403,7 @@ def theorem1_suite(
     c: float,
     x0,
     v0,
-    dt_out: float = 0.5,
+    dt_out: float | None = None,
     budget_steps: int = DEFAULT_BUDGET,
     dtau: float = 1e-4,
 ) -> tuple[dict, list[ErrorSeries]]:
@@ -406,7 +413,8 @@ def theorem1_suite(
     (standard Boris, step 0.05 eps rounded down to divide the output stride,
     raw initial velocity) is the main run of a spec compared with the slow
     solution over the horizon c / epsilon; the maxima across consecutive epsilon values must shrink
-    proportionally to epsilon within a factor-3 band.
+    proportionally to epsilon within a factor-3 band.  dt_out is the stride
+    of each epsilon's ExperimentSpec at the nominal step 0.05 eps.
 
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per

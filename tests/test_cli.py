@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroboris import boris, cli
+from toroboris import boris, cli, harness
 from toroboris.errors import SchemaError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -54,7 +54,8 @@ def test_parse_minimal_fills_defaults(tmp_path):
     cfg = cli.parse_config(json.dumps(base_config(tmp_path)))
     assert cfg["r_min"] == 1e-9
     assert cfg["c"] == 0.5
-    assert cfg["output"]["stride"] == 0.5  # max(h, 0.5)
+    # the stride default is ExperimentSpec's, decided with the run's step count
+    assert cfg["output"]["stride"] is None
     assert cfg["budget_steps"] == 500000000
 
 
@@ -288,6 +289,67 @@ def test_compare_csv_mode_grid_mismatch_exit_3(tmp_path, capsys):
          "--out", str(tmp_path / "err.csv")]
     )
     assert code == 3
+    # both runs sample every 0.4: 101 and 201 samples (it read "differ by up to inf")
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "GridMismatch", "message": "the series have 101 and 201 samples"}
+
+
+@pytest.mark.parametrize("stride", [None, 0.4])
+def test_one_config_samples_on_one_grid(tmp_path, capsys, stride):
+    # simulate and drift of one config share their t column, so CSV compare of the
+    # two writes what compare against the drift writes; drift sampled every 0.5
+    # by default here, and compare --csv-a/--csv-b exited 3
+    cfg = base_config(tmp_path, against="drift")
+    cfg["output"].update(stride=stride, path=str(tmp_path / "sim.csv"))
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["output"]["path"] = str(tmp_path / "drift.csv")
+    assert cli.cli_main(["drift", "--config", write_config(tmp_path, cfg)]) == 0
+
+    def t_column(name):
+        return [line.split(",")[0] for line in (tmp_path / name).read_text().splitlines()]
+
+    assert t_column("sim.csv") == t_column("drift.csv")
+    assert len(t_column("sim.csv")) == 102  # the header and 0, 0.4, ..., 40
+    argv = ["compare", "--csv-a", str(tmp_path / "sim.csv"), "--csv-b",
+            str(tmp_path / "drift.csv"), "--out", str(tmp_path / "csv_err.csv")]
+    assert cli.cli_main(argv) == 0
+    cfg["output"]["path"] = str(tmp_path / "config_err.csv")
+    assert cli.cli_main(["compare", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "csv_err.csv").read_bytes() == (tmp_path / "config_err.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "drift", "compare", "converge", "theorem1"])
+def test_a_stride_that_is_not_whole_steps_exits_2(tmp_path, capsys, command):
+    # 0.3 is 7.5 steps of 0.04, and 600 steps of theorem1's 5e-4 that do not
+    # divide its 2000; each used to be rounded to another grid
+    cfg = study_config(command, tmp_path)
+    if command == "theorem1":
+        cfg.update(eps_list=[1e-2], c=0.01, stride=0.3)
+        h = 0.0005
+    elif command == "converge":
+        cfg.update(c=0.02, stride=0.3)
+        h = 0.04
+    else:
+        cfg["output"]["stride"] = 0.3
+        h = 0.04
+    assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError"
+    assert diag["message"].startswith(f"output stride 0.3 must be a whole number of steps h={h} ")
+
+
+def test_a_study_checks_every_grid_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the base grid is 0.4 (10 steps of 0.04 in 30), 13.3 steps of 0.03: exit 2
+    # before any pusher run (the first point used to run, and the second on 0.3)
+    calls = []
+    integrate = harness.integrate
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    cfg = study_config("converge", tmp_path)
+    cfg.update(mode="fixed_eps", epsilon=1e-2, h_list=[0.04, 0.03], c=0.012)
+    del cfg["pairs"]
+    assert cli.cli_main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "output stride 0.4 must be a whole number of steps h=0.03 " in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("line, column, value", [
@@ -589,14 +651,16 @@ def test_simulate_budget_exit_3_no_output(tmp_path, capsys):
     [
         # one step over: both counts used to print as 1e+05
         ("simulate", {"t_final": 4000.0, "c": 4.0}, "100000", 99_999),
-        # a non-integral estimate, the drift's intervals t_final / stride, in full
-        ("drift", {"t_final": 4000.0, "dtau": 3e-4}, "13333.333333333334", 13_333),
+        # the drift's bound on its RK4 steps at dtau 1e-6: 400 per interval of 0.4,
+        # and one more where tau's rounding may need it; the run's own 100000
+        # steps are within the budget
+        ("drift", {"t_final": 4000.0, "c": 4.0, "dtau": 1e-6}, "4009972", 3_999_999),
     ],
 )
 def test_budget_message_prints_both_numbers_exactly(tmp_path, capsys, command, overrides, need,
                                                      budget):
     cfg = base_config(tmp_path, budget_steps=budget, **overrides)
-    cfg["output"]["stride"] = 0.3
+    cfg["output"]["stride"] = 0.4
     assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 3
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "BudgetExceeded"
@@ -746,7 +810,9 @@ def bounded_shipped_configs() -> dict:
     def load(name):
         return json.loads((CONFIGS / name).read_text())
 
-    run = dict(load("simulate_eps1e-3_h0.04.json"), t_final=0.2, budget_steps=5000)
+    run = load("simulate_eps1e-3_h0.04.json")
+    # five steps sampled at the end: the shipped stride of 0.4 is ten steps
+    run = dict(run, t_final=0.2, budget_steps=5000, output=dict(run["output"], stride=0.2))
     check = load("check_field.json")
     check["probes"]["count"] = 5
     return {

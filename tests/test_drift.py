@@ -211,9 +211,9 @@ def test_drift_integrate_rejects_a_step_below_the_resolution_of_tau(model_1e3, m
         tb.drift_integrate(s0, model_1e3, cfg, [1e20, 1e20 + 1e5])
 
 
-def drift_command(tmp_path, capsys, t_final, stride, **limits):
+def drift_command(tmp_path, capsys, t_final, stride, h=0.04, **limits):
     """The drift subcommand on the paper orbit at eps = 1e-3: (exit code, stderr, sample times)."""
-    cfg = {"epsilon": 1e-3, "h": 0.04, "t_final": t_final, "variant": "modified",
+    cfg = {"epsilon": 1e-3, "h": h, "t_final": t_final, "variant": "modified",
            "field": {"preset": "paper-toroidal"}, "x0": list(X0), "v0": list(V0),
            "output": {"path": str(tmp_path / "drift.csv"), "stride": stride}, **limits}
     path = tmp_path / "drift.json"
@@ -226,25 +226,32 @@ def drift_command(tmp_path, capsys, t_final, stride, **limits):
 
 
 def test_default_sampling_lands_on_t_final(tmp_path, capsys):
-    # the stride does not divide t_final: the last interval is shortened to land on it
-    code, err, t = drift_command(tmp_path, capsys, 100.0, 7.0)
+    # the run's grid: 0.5 is 12.5 steps of 0.04, and 10 is the largest divisor of
+    # the 2500 steps not above 12, so the drift samples every 0.4 up to t_final
+    code, err, t = drift_command(tmp_path, capsys, 100.0, None)
     assert (code, err) == (0, "")
-    assert t.tolist() == [k * 7.0 for k in range(15)] + [100.0]
+    assert t.tolist() == (np.arange(0, 2501, 10) * 0.04).tolist()
+    assert t[-1] == 100.0
+    # a stride that does not divide t_final is refused (it used to add a short
+    # last interval to land on it)
+    code, err, _ = drift_command(tmp_path, capsys, 100.0, 7.0)
+    assert (code, err["error"]) == (2, "ConfigError")
 
 
 def test_budget_fires_before_running(tmp_path, capsys):
-    # 10 * 1e-3 / 1e-4 = 100 RK4 steps, one per output interval of 0.1: at the
-    # budget it runs, below it it is refused
-    code, _, t = drift_command(tmp_path, capsys, 10.0, 0.1, budget_steps=100)
+    # 10 * 1e-3 / 5e-5 = 200 RK4 steps, two per output interval of 0.1, over a
+    # run of 100 steps: at the budget it runs, below it it is refused
+    code, _, t = drift_command(tmp_path, capsys, 10.0, 0.1, h=0.1, dtau=5e-5, budget_steps=200)
     assert (code, len(t)) == (0, 101)
-    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, budget_steps=99)
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, h=0.1, dtau=5e-5, budget_steps=199)
     assert (code, err["error"]) == (3, "BudgetExceeded")
+    assert err["message"].startswith("run needs 200 steps, above the budget of 199;")
     # tau + dtau == tau once tau > 1e-284: this loop used to never finish
-    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, dtau=1e-300)
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 0.1, h=0.1, dtau=1e-300)
     assert (code, err["error"]) == (3, "BudgetExceeded")
-    # every output interval takes a step, so 1e301 intervals are over budget
-    # too, refused before a grid of that many samples is built
-    code, err, _ = drift_command(tmp_path, capsys, 10.0, 1e-300)
+    # the grid is the run's, so 1e301 samples would take 1e301 steps, which the
+    # run's budget refuses before any grid is built
+    code, err, _ = drift_command(tmp_path, capsys, 10.0, 1e-300, h=1e-300)
     assert (code, err["error"]) == (3, "BudgetExceeded")
     assert err["message"].startswith(f"run needs {10.0 / 1e-300!r} steps, above the budget of")
 

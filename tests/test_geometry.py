@@ -228,6 +228,19 @@ def test_check_field_nan_fails_its_check():
         assert math.isnan(checks[name]["value"]) and not checks[name]["passed"], name
 
 
+def test_nan_profile_is_off_the_domain():
+    # a1 r is +inf and a2 z^2 -inf, so b is NaN at every probe: the domain test
+    # b <= b_min was false for NaN, the points counted as in the domain and
+    # check_field reported min_b inf
+    m = tb.ToroidalFieldModel(1e-3, a1=1e308, a2=-3e307)
+    probes = tb.toroidal_probes(5, seed=1, r_range=(2, 3), z_range=(2.5, 2.9))
+    with np.errstate(all="ignore"):
+        assert not m.in_domain(probes).any()
+        for check in (m.sample, m.strength, lambda x: tb.check_field(m, x)):
+            with pytest.raises(DomainError, match="b=nan"):
+                check(probes)
+
+
 @pytest.mark.parametrize("n", [0, 1, 50])
 def test_check_field_samples_seven_times(monkeypatch, model_1e3, n):
     sample = tb.ToroidalFieldModel.sample

@@ -73,23 +73,41 @@ def test_spec_tiny_step_aligns_without_counting_down():
 
 
 def test_spec_prime_step_count_aligns_quickly():
-    # n = 9999991 is prime: the stride search counted down from 5e6 to 1 (0.34 s)
+    # n = 9999991 is prime: the default stride's search counted down from 5e5 to 1
     t0 = time.perf_counter()
-    spec = make_spec(eps=1e-2, h=1e-6, t_final=9999991 * 1e-6, dt_out=5.0)
+    spec = make_spec(eps=1e-2, h=1e-6, t_final=9999991 * 1e-6)
     assert time.perf_counter() - t0 < 0.05
     assert spec.sample_stride == 1
     assert spec.dt_out == 1e-6
+    # an explicit stride of 5e6 steps divides nothing and is refused, not rounded to h
+    with pytest.raises(ValueError, match="output stride 5.0 must be a whole number of steps"):
+        make_spec(eps=1e-2, h=1e-6, t_final=9999991 * 1e-6, dt_out=5.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 4000), k=st.integers(1, 8000))
 def test_spec_stride_is_the_largest_divisor_not_above_the_request(n, k):
-    spec = make_spec(h=0.125, t_final=n * 0.125, dt_out=k * 0.125)
+    # the default asks for round(0.5 / h) = k steps
+    h = 0.5 / k
+    spec = make_spec(h=h, t_final=n * h, c=3.0)
     want = min(k, n)
     while n % want:  # the one-at-a-time search the divisor pairs replace
         want -= 1
     assert spec.sample_stride == want
-    assert spec.dt_out == want * 0.125
+    assert spec.dt_out == want * h
+    assert spec.sample_times.tolist() == [i * h for i in range(0, n + 1, want)]
+    # an explicit stride of k steps is run as asked when it divides n, refused otherwise
+    if n % k:
+        with pytest.raises(ValueError, match="must be a whole number of steps"):
+            make_spec(h=h, t_final=n * h, c=3.0, dt_out=k * h)
+    else:
+        assert make_spec(h=h, t_final=n * h, c=3.0, dt_out=k * h).sample_stride == k
+
+
+def test_sample_times_are_the_times_the_run_writes():
+    spec = make_spec(eps=1e-2, h=0.05, t_final=21.0, dt_out=0.35)
+    assert spec.sample_stride == 7 and len(spec.sample_times) == 61
+    np.testing.assert_array_equal(spec.sample_times, tb.run_trajectory(spec).t)
 
 
 def test_run_trajectory_respects_budget():
@@ -349,8 +367,10 @@ def test_theorem1_runs_only_the_fine_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "integrate", recorded)
     eps_list = [1e-2, 5e-3]
-    rep, _ = tb.theorem1_suite(tb.ToroidalFieldModel(1.0), eps_list, 0.1, X0, V0, dt_out=0.3)
-    specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.3)
+    # 0.25 is 500 and 1000 steps of 0.05 eps (0.3, which divides neither run, was
+    # rounded to it)
+    rep, _ = tb.theorem1_suite(tb.ToroidalFieldModel(1.0), eps_list, 0.1, X0, V0, dt_out=0.25)
+    specs = [make_spec(eps=eps, h=0.05 * eps, c=0.1, variant="standard", dt_out=0.25)
              for eps in eps_list]
     assert calls == [(s.h_ref, "standard", 0.0, round(s.dt_out / s.h_ref)) for s in specs]
     assert rep["steps"] == [s.reference_steps for s in specs]

@@ -176,8 +176,8 @@ def test_c_drift_matches_python_rk4_loop(data, eps, dtau, coeffs, state, muhat):
 
 
 def test_c_drift_matches_python_on_the_default_grid(model_1e3, mu0_1e3):
-    # the grid of the drift subcommand for stride 7 over t = 100: the last
-    # output interval is shortened to land on t_final
+    # a stride of 7 that does not divide t = 100: the last output interval is
+    # shortened to land on t_final
     cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-4)
     times = [k * 7.0 for k in range(15)] + [100.0]
     compiled, python = drift_both(tb.drift_init(X0, V0, model_1e3), model_1e3, cfg, times)
