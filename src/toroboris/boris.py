@@ -19,7 +19,7 @@ drift motion be resolved with steps h far above the gyroperiod.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -28,6 +28,18 @@ from .errors import AxisSingularity, DomainError
 from .geometry import ToroidalFieldModel, _scalar, dot3, eval_field
 
 VARIANTS = ("standard", "modified")
+
+# How far, in steps, span / h may lie from a whole n.  From 2.8e5 steps on the
+# bound is 2**-48 n (16-32 ulps of n), above the rounding of c / eps / (0.05 eps).
+_STEP_TOL = 1e-9
+
+
+def _whole_steps(span: float, h: float) -> int:
+    """The whole number n of steps h in span, or 0 when span / h lies further
+    than max(_STEP_TOL, 2**-48 n) steps from n: the one span-to-steps rule."""
+    q = span / h
+    n = round(q) if isfinite(q) else 0
+    return n if abs(q - n) <= max(_STEP_TOL, n * 2**-48) else 0
 
 
 @dataclass(frozen=True)
@@ -301,12 +313,13 @@ def integrate(
     partial trajectory is returned with the matching error tag instead of
     raising.  Subclasses of ToroidalFieldModel, like other models, run on
     the Python loop _generic_loop.
+
+    n is _whole_steps(t_final, h), the rule ExperimentSpec applies too: a
+    t_final that is not a whole number n >= 2 of steps raises ValueError.
     """
-    n = int(round(t_final / config.h))
-    if abs(n * config.h - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"t_final={t_final} is not a multiple of h={config.h}")
+    n = _whole_steps(t_final, config.h)
     if n < 2:
-        raise ValueError(f"need at least 2 steps, got n={n}")
+        raise ValueError(f"t_final={t_final} must be a multiple (>= 2) of h={config.h}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     x0 = np.asarray(x0, dtype=float)

@@ -15,13 +15,16 @@ interpolation anywhere in the error path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from dataclasses import field as dataclass_field
 from math import ceil, isqrt
 
 import numpy as np
 
-from .boris import PusherConfig, Trajectory, integrate, magnetic_moment, nondegeneracy_sigma
+from .boris import (
+    PusherConfig, Trajectory, _whole_steps, integrate, magnetic_moment, nondegeneracy_sigma,
+)
 from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
-from .errors import BudgetExceeded, GridMismatch, RunAborted, Unsupported
+from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError, Unsupported
 from .geometry import ToroidalFieldModel, dot3, frame, potential
 
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
@@ -32,23 +35,19 @@ _THEOREM1_STEP = 0.05
 _ORDER_BAND = (1.7, 2.3)
 
 
-def _whole_steps(t_final: float, h: float) -> bool:
-    """Whether t_final is a whole number, at least 2, of steps h (to 1e-9 of max(1, t_final))."""
-    n = round(t_final / h)
-    return n >= 2 and abs(n * h - t_final) <= 1e-9 * max(1.0, t_final)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a field model, initial data, scheme and horizons.
 
-    t_final must be a whole number n >= 2 of steps h, at most c / epsilon,
-    with n at most budget_steps (BudgetExceeded).  The spec owns the sample
-    grid: its runs sample every k-th step, at sample_times = (0, k, ..., n) h.
-    An explicit dt_out must be k whole steps with k dividing n (ValueError
-    otherwise); by default k is the largest divisor of n not above
-    round(max(h, 0.5) / h).  dt_out then holds k h.  The reference step is
-    ref_h_factor * epsilon, rounded down so that it divides dt_out exactly.
+    t_final must be a whole number n >= 2 of steps h by boris._whole_steps,
+    as in integrate, at most c / epsilon, with n at most budget_steps
+    (BudgetExceeded).  The spec holds n as steps and owns the sample grid:
+    its runs sample every k-th step, k = sample_stride, at sample_times =
+    (0, k, ..., n) h.  An explicit dt_out must be k whole steps with k
+    dividing n (ValueError otherwise); by default k is the largest divisor
+    of n not above round(max(h, 0.5) / h).  dt_out then holds k h.  The
+    reference step is ref_h_factor * epsilon, rounded down to divide dt_out,
+    for n // k * reference_stride steps.
     """
 
     field: ToroidalFieldModel
@@ -63,6 +62,9 @@ class ExperimentSpec:
     c: float = 0.5
     budget_steps: int = DEFAULT_BUDGET
     dtau: float = 1e-4
+    # decided in __post_init__: the step count n and the sample stride k
+    steps: int = dataclass_field(init=False, repr=False)
+    sample_stride: int = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         eps = self.field.epsilon
@@ -70,27 +72,29 @@ class ExperimentSpec:
             raise ValueError(
                 f"t_final={self.t_final} exceeds the horizon c/eps={self.c / eps}"
             )
-        # checked before rounding: a tiny h overflows round()
+        # the budget first: an over-budget horizon exits 3 whether or not it is whole steps
         steps = self.t_final / self.h
         if steps > self.budget_steps + 0.5:
             raise BudgetExceeded(steps, self.budget_steps)
-        if not _whole_steps(self.t_final, self.h):
+        n = _whole_steps(self.t_final, self.h)
+        if n < 2:
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
-        n = round(steps)
-        want = max(self.h, 0.5) if self.dt_out is None else self.dt_out
-        # capped before round(): a huge ratio would overflow it
-        k = round(min(want / self.h, n + 1))
         if self.dt_out is None:
-            k = min(k, n)
+            # capped before round(): a huge ratio would overflow it
+            k = round(min(max(self.h, 0.5) / self.h, n))
             if n % k:
                 # the largest divisor of n not above k, from the divisor pairs (d, n // d)
                 pairs = ((d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0)
                 k = max(q for pair in pairs for q in pair if q <= k)
-        elif k < 1 or n % k or abs(k * self.h - self.dt_out) > 1e-9 * max(1.0, self.dt_out):
-            raise ValueError(
-                f"output stride {self.dt_out} must be a whole number of steps h={self.h} "
-                f"that divides t_final={self.t_final}"
-            )
+        else:
+            k = _whole_steps(self.dt_out, self.h)
+            if k < 1 or n % k:
+                raise ValueError(
+                    f"output stride {self.dt_out} must be a whole number of steps h={self.h} "
+                    f"that divides t_final={self.t_final}"
+                )
+        object.__setattr__(self, "steps", n)
+        object.__setattr__(self, "sample_stride", k)
         object.__setattr__(self, "dt_out", k * self.h)
 
     @property
@@ -98,13 +102,9 @@ class ExperimentSpec:
         return self.field.epsilon
 
     @property
-    def sample_stride(self) -> int:
-        return round(self.dt_out / self.h)
-
-    @property
     def sample_times(self) -> np.ndarray:
         """The times the run samples, with the bits integrate writes: i h at step i."""
-        return np.arange(0, round(self.t_final / self.h) + 1, self.sample_stride) * self.h
+        return np.arange(0, self.steps + 1, self.sample_stride) * self.h
 
     @property
     def reference_stride(self) -> int:
@@ -117,7 +117,7 @@ class ExperimentSpec:
 
     @property
     def reference_steps(self) -> int:
-        return round(self.t_final / self.h_ref)
+        return self.steps // self.sample_stride * self.reference_stride
 
     def mu0(self) -> float:
         return magnetic_moment(self.x0, self.v0, self.field)
@@ -145,8 +145,11 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
         raise BudgetExceeded(steps, spec.budget_steps)
     variant = "modified" if spec.ref_filtered_init else "standard"
     config = PusherConfig(h=spec.h_ref, variant=variant, mu0=0.0)
+    # steps h_ref, not t_final: t_final's offset from the run's grid, counted in
+    # steps, is h / h_ref times larger on the reference's
     return integrate(
-        spec.x0, spec.v0, spec.field, config, spec.t_final, sample_every=spec.reference_stride
+        spec.x0, spec.v0, spec.field, config, steps * spec.h_ref,
+        sample_every=spec.reference_stride,
     )
 
 
@@ -416,6 +419,9 @@ def theorem1_suite(
     proportionally to epsilon within a factor-3 band.  dt_out is the stride
     of each epsilon's ExperimentSpec at the nominal step 0.05 eps.
 
+    Every epsilon's spec is built before the first run; an epsilon whose c /
+    epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>.
+
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per
     epsilon and one ratio and band per consecutive pair, and the error
@@ -424,49 +430,39 @@ def theorem1_suite(
     eps_list = list(eps_list)
     if not eps_list:
         raise ValueError("eps_list must not be empty")
+    specs = []
+    for i, eps in enumerate(eps_list):
+        model_eps, h = replace(model, epsilon=eps), _THEOREM1_STEP * eps
+        try:
+            spec = ExperimentSpec(
+                field=model_eps, x0=tuple(x0), v0=tuple(v0), h=h, t_final=c / eps,
+                variant="standard", dt_out=dt_out, c=c, budget_steps=budget_steps, dtau=dtau,
+            )
+        except ValueError:
+            if _whole_steps(c / eps, h) >= 2:
+                raise  # the stride's error
+            raise SchemaError(
+                f"/eps_list/{i}", f"the horizon c/eps = {c!r}/{eps!r} must be a whole number "
+                f"(>= 2) of steps of {_THEOREM1_STEP}*eps = {h!r}",
+            ) from None
+        specs.append(replace(spec, h=spec.h_ref))
     maxima = []
     steps = []
     series = []
-    for eps in eps_list:
-        spec = ExperimentSpec(
-            field=replace(model, epsilon=eps),
-            x0=tuple(x0),
-            v0=tuple(v0),
-            h=_THEOREM1_STEP * eps,
-            t_final=c / eps,
-            variant="standard",
-            dt_out=dt_out,
-            c=c,
-            budget_steps=budget_steps,
-            dtau=dtau,
-        )
+    for eps, spec in zip(eps_list, specs):
         try:
-            ref, err, _ = compare(replace(spec, h=spec.h_ref), "drift")
+            ref, err, _ = compare(spec, "drift")
         except RunAborted as e:
             raise RuntimeError(f"reference run (eps={eps}) aborted: {e.tag}") from e
         series.append(err)
         maxima.append(err.max_by_component())
         steps.append(ref.steps_completed)
-    ratios = []
-    bands = []
-    passed = True
-    for i in range(len(eps_list) - 1):
-        expected = eps_list[i] / eps_list[i + 1]
-        lo, hi = expected / 3.0, expected * 3.0
-        comp_ratios = {}
-        for comp in ("r", "z", "vpar"):
-            ratio = maxima[i][comp] / maxima[i + 1][comp]
-            comp_ratios[comp] = ratio
-            if not lo <= ratio <= hi:
-                passed = False
-        ratios.append(comp_ratios)
-        bands.append((lo, hi))
-    report = {
-        "eps_list": eps_list,
-        "max_err": maxima,
-        "ratios": ratios,
-        "bands": bands,
-        "passed": passed,
-        "steps": steps,
-    }
+    bands = [(a / b / 3.0, a / b * 3.0) for a, b in zip(eps_list, eps_list[1:])]
+    ratios = [
+        {comp: m0[comp] / m1[comp] for comp in ("r", "z", "vpar")}
+        for m0, m1 in zip(maxima, maxima[1:])
+    ]
+    passed = all(lo <= r <= hi for (lo, hi), rs in zip(bands, ratios) for r in rs.values())
+    report = {"eps_list": eps_list, "max_err": maxima, "ratios": ratios, "bands": bands,
+              "passed": passed, "steps": steps}
     return report, series

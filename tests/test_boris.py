@@ -395,6 +395,10 @@ def test_integrate_rejects_t_final_off_the_step_grid(model_1e3):
     with pytest.raises(ValueError, match="multiple"):
         tb.integrate(X0, V0, model_1e3, cfg, 0.09)
     assert tb.integrate(X0, V0, model_1e3, cfg, 0.12).t[-1] == pytest.approx(0.12)
+    # 1e8 steps of 1e-6 and 0.05 of one: it used to run 1e8 steps, to t = 100
+    cfg = tb.PusherConfig(h=1e-6, variant="standard")
+    with pytest.raises(ValueError, match=r"t_final=100.00000005 must be a multiple \(>= 2\)"):
+        tb.integrate(X0, V0, model_1e3, cfg, 100.00000005, sample_every=10**7)
 
 
 def test_integrate_axis_abort_tags_partial_trajectory():

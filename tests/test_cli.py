@@ -352,6 +352,37 @@ def test_a_study_checks_every_grid_before_it_runs(tmp_path, capsys, monkeypatch)
     assert calls == []
 
 
+def test_simulate_refuses_t_final_a_fraction_of_a_step_off(tmp_path, capsys, monkeypatch):
+    # 1e8 steps of 1e-6 and 0.05 of one: it used to run 1e8 steps, to t = 100
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    cfg = base_config(tmp_path, h=1e-6, t_final=100.00000005, c=1.0)
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "t_final=100.00000005 must be a multiple (>= 2) of h=1e-06",
+    }
+    assert calls == [] and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("eps_list, c, code, error", [
+    # 1e15 steps at 1e-7: found after two reference runs, of 1e5 and 1e7 steps
+    ([1e-2, 1e-3, 1e-7], 0.5, 3, "BudgetExceeded"),
+    # c/eps at 3e-3 is 2222.2 steps of 0.05 eps
+    ([1e-2, 3e-3], 0.1, 2, "SchemaError"),
+])
+def test_theorem1_checks_every_entry_before_it_runs_any(
+    tmp_path, capsys, monkeypatch, eps_list, c, code, error
+):
+    calls = []
+    integrate = harness.integrate
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    cfg = study_config("theorem1", tmp_path)
+    cfg.update(eps_list=eps_list, c=c)
+    assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert calls == [] and not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("line, column, value", [
     pytest.param(2, "r", "nan", id="2-r"),
     pytest.param(3, "t", "nan", id="3-t"),

@@ -7,11 +7,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
 from toroboris import harness
+from toroboris.boris import _whole_steps
 from toroboris.drift import DriftState, DriftTrajectory
 from toroboris.errors import BudgetExceeded, GridMismatch
 from toroboris.harness import _ORDER_BAND, _convergence_report, _respec
@@ -54,6 +55,14 @@ def test_spec_rejects_horizon_violation():
 def test_spec_rejects_non_multiple_t_final():
     with pytest.raises(ValueError):
         make_spec(t_final=500.013)
+    # 0.05 of a step of 1e-6, at 1e8 and 2e8 steps: a tolerance of 1e-9 max(1, t)
+    # in time is 0.1 of a step here, so both used to build and drop the fraction
+    with pytest.raises(ValueError, match=r"t_final=100.00000005 must be a multiple \(>= 2\)"):
+        make_spec(h=1e-6, t_final=100.00000005, c=1.0)
+    with pytest.raises(ValueError, match="output stride 100.00000005 must be a whole number"):
+        make_spec(h=1e-6, t_final=200.0, c=1.0, dt_out=100.00000005)
+    spec = make_spec(h=1e-6, t_final=200.0, c=1.0, dt_out=100.0)
+    assert (spec.steps, spec.sample_stride) == (200_000_000, 100_000_000)
 
 
 def test_budget_check_fires_before_running():
@@ -86,6 +95,8 @@ def test_spec_prime_step_count_aligns_quickly():
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 4000), k=st.integers(1, 8000))
+@example(n=12, k=8)
+@example(n=7, k=7)
 def test_spec_stride_is_the_largest_divisor_not_above_the_request(n, k):
     # the default asks for round(0.5 / h) = k steps
     h = 0.5 / k
@@ -93,15 +104,38 @@ def test_spec_stride_is_the_largest_divisor_not_above_the_request(n, k):
     want = min(k, n)
     while n % want:  # the one-at-a-time search the divisor pairs replace
         want -= 1
-    assert spec.sample_stride == want
+    assert (spec.steps, spec.sample_stride) == (n, want)
     assert spec.dt_out == want * h
     assert spec.sample_times.tolist() == [i * h for i in range(0, n + 1, want)]
+    # the reference covers the same samples, reference_stride steps each
+    assert spec.reference_steps == n // want * spec.reference_stride
+    if spec.reference_steps <= 20_000:  # n <= 2k: the runs stay short
+        assert tb.run_trajectory(spec).steps_completed == n
+        assert tb.run_reference(spec).steps_completed == spec.reference_steps
     # an explicit stride of k steps is run as asked when it divides n, refused otherwise
     if n % k:
         with pytest.raises(ValueError, match="must be a whole number of steps"):
             make_spec(h=h, t_final=n * h, c=3.0, dt_out=k * h)
     else:
-        assert make_spec(h=h, t_final=n * h, c=3.0, dt_out=k * h).sample_stride == k
+        explicit = make_spec(h=h, t_final=n * h, c=3.0, dt_out=k * h)
+        assert (explicit.steps, explicit.sample_stride) == (n, k)
+
+
+@pytest.mark.parametrize("eps, c", [(1e-2, 0.5), (1e-3, 0.5), (1.6e-4, 0.128), (1e-4, 0.1),
+                                    (2.5e-4, 1.0)])
+def test_derived_horizons_keep_their_step_count(eps, c):
+    # theorem1's chain, c / eps in steps of 0.05 eps and then of h_ref, up to
+    # 20 c / eps^2 = 3.2e8 steps, and the reference's steps * h_ref
+    spec = make_spec(eps=eps, h=0.05 * eps, c=c, variant="standard")
+    assert spec.steps == round(20 * c / eps**2)
+    fine = dataclasses.replace(spec, h=spec.h_ref)
+    assert fine.steps == spec.reference_steps
+    assert _whole_steps(spec.reference_steps * spec.h_ref, spec.h_ref) == spec.reference_steps
+    # a study's points: c / eps in steps of h, on the base grid
+    base = make_spec(eps=1e-3, h=0.04)
+    for eps_i, h_i in ((2.5e-4, 0.02), (1e-5, 0.004)):
+        point = _respec(base, eps_i, h_i)
+        assert (point.steps, point.sample_stride) == (round(base.c / eps_i / h_i), round(0.4 / h_i))
 
 
 def test_sample_times_are_the_times_the_run_writes():
@@ -128,6 +162,14 @@ def test_respec_changes_only_epsilon_step_and_horizon():
     assert spec.field == dataclasses.replace(base.field, epsilon=2.5e-4)
     kept = ("x0", "v0", "dt_out", "ref_h_factor", "c", "budget_steps", "dtau")
     assert all(getattr(spec, name) == getattr(base, name) for name in kept)
+
+
+def test_reference_runs_the_step_count_of_its_spec():
+    # 0.9e-9 of a step past 200 steps of 0.05 is 200 steps, but t_final is then
+    # 9e-8 of a step past 20000 reference steps of 5e-4, which integrate refuses
+    spec = make_spec(eps=1e-2, h=0.05, t_final=10 + 0.9e-9 * 0.05)
+    assert (spec.steps, spec.reference_steps) == (200, 20000)
+    assert tb.run_reference(spec).steps_completed == 20000
 
 
 def test_reference_completes_at_moderate_scale():
