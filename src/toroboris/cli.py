@@ -247,10 +247,6 @@ def parse_config(text: str) -> dict:
     return _decode(text, _RUN)
 
 
-def serialize_config(config: dict) -> str:
-    return json.dumps(config, indent=2)
-
-
 def _model(field: dict, epsilon: float, r_min: float = 1e-9) -> ToroidalFieldModel:
     return ToroidalFieldModel(
         epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], r_min=r_min
@@ -367,8 +363,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_drift(args) -> int:
     config = parse_config(_read(args.config))
-    spec = _run_spec(config)
-    traj = run_drift(spec, spec.sample_times)
+    traj = run_drift(_run_spec(config))
     columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
     _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
     return EXIT_OK

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import AxisSingularity, BudgetExceeded, DomainError
+from .errors import AxisSingularity, DomainError
 from .geometry import ToroidalFieldModel, frame
-
-DEFAULT_BUDGET = int(5e8)
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,12 @@ class DriftConfig:
     """Parameters of a drift integration.
 
     mu0 is the frozen magnetic moment of the initial data (as produced by
-    magnetic_moment).  dtau is the fixed RK4 step in slow time; budget_steps
-    caps the RK4 steps a run may need.
+    magnetic_moment).  dtau is the fixed RK4 step in slow time; the step
+    budget is ExperimentSpec's, checked before a run.
     """
 
     mu0: float
     dtau: float = 1e-4
-    budget_steps: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if not 0.0 < self.dtau <= 1e-2:
@@ -200,9 +197,7 @@ def drift_integrate(
     nondecreasing; within each output interval the integrator takes steps
     of config.dtau, shortening the final substep to land on the sample time,
     so no interpolation is ever involved.  Deterministic: identical inputs
-    give bit-identical outputs.  Raises BudgetExceeded before doing any work
-    if the run could need more than config.budget_steps steps: about one per
-    dtau of slow time in each output interval, rounded up per interval.
+    give bit-identical outputs.  No step budget: see ExperimentSpec.check_budget.
 
     The steps run in the C loop of _kernels, bitwise equal to the Python
     loop _rk4_loop, which runs without a compiler and for subclasses of
@@ -212,9 +207,6 @@ def drift_integrate(
     """
     eps = model.epsilon
     sample_times = _sample_grid(sample_times)
-    steps = _rk4_step_bound(sample_times, eps, config.dtau)
-    if not steps <= config.budget_steps:
-        raise BudgetExceeded(steps, config.budget_steps)
     tau_max = eps * max(abs(sample_times[0]), abs(sample_times[-1]))
     if config.dtau < math.ulp(tau_max):
         # tau + dtau == tau: the step loop would never reach the sample time

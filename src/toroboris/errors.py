@@ -45,14 +45,14 @@ def _count(n) -> str:
 
 
 class BudgetExceeded(ToroborisError):
-    """Raised when a run would need more steps than the configured budget."""
+    """Raised when a run ("run", "reference" or "slow-system RK4") would exceed its step budget."""
 
-    def __init__(self, steps: float, budget: float):
+    def __init__(self, steps: float, budget: float, run: str, step: str):
         self.steps = steps
         self.budget = budget
         super().__init__(
-            f"run needs {_count(steps)} steps, above the budget of {_count(budget)}; "
-            "shrink the horizon constant c or use a larger epsilon"
+            f"{run} needs {_count(steps)} steps, above the budget of {_count(budget)}; its step "
+            f"is {step}: take a larger one, a shorter horizon or a larger budget_steps"
         )
 
 

@@ -23,10 +23,11 @@ import numpy as np
 from .boris import (
     PusherConfig, Trajectory, _whole_steps, integrate, magnetic_moment, nondegeneracy_sigma,
 )
-from .drift import DEFAULT_BUDGET, DriftConfig, DriftTrajectory, drift_init, drift_integrate
+from .drift import DriftConfig, DriftTrajectory, _rk4_step_bound, drift_init, drift_integrate
 from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError, Unsupported
 from .geometry import ToroidalFieldModel, dot3, frame, potential
 
+DEFAULT_BUDGET = int(5e8)
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
 _SIGMA_WARN = 0.1
 # theorem1_suite's nominal step, as a multiple of epsilon.
@@ -40,14 +41,14 @@ class ExperimentSpec:
     """One experiment: a field model, initial data, scheme and horizons.
 
     t_final must be a whole number n >= 2 of steps h by boris._whole_steps,
-    as in integrate, at most c / epsilon, with n at most budget_steps
-    (BudgetExceeded).  The spec holds n as steps and owns the sample grid:
-    its runs sample every k-th step, k = sample_stride, at sample_times =
-    (0, k, ..., n) h.  An explicit dt_out must be k whole steps with k
-    dividing n (ValueError otherwise); by default k is the largest divisor
-    of n not above round(max(h, 0.5) / h).  dt_out then holds k h.  The
-    reference step is ref_h_factor * epsilon, rounded down to divide dt_out,
-    for n // k * reference_stride steps.
+    as in integrate, at most c / epsilon.  The spec holds n as steps and
+    owns the sample grid: its runs sample every k-th step, k = sample_stride,
+    at sample_times = (0, k, ..., n) h.  An explicit dt_out must be k whole
+    steps with k dividing n (ValueError otherwise); by default k is the
+    largest divisor of n not above round(max(h, 0.5) / h).  dt_out then
+    holds k h.  The reference step is ref_h_factor * epsilon, rounded down to
+    divide dt_out, for n // k * reference_stride steps.  Only the spec checks
+    budget_steps: for n when built, and for a comparator's run in check_budget.
     """
 
     field: ToroidalFieldModel
@@ -75,7 +76,7 @@ class ExperimentSpec:
         # the budget first: an over-budget horizon exits 3 whether or not it is whole steps
         steps = self.t_final / self.h
         if steps > self.budget_steps + 0.5:
-            raise BudgetExceeded(steps, self.budget_steps)
+            raise BudgetExceeded(steps, self.budget_steps, "run", f"h={self.h:.6g}")
         n = _whole_steps(self.t_final, self.h)
         if n < 2:
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
@@ -119,6 +120,19 @@ class ExperimentSpec:
     def reference_steps(self) -> int:
         return self.steps // self.sample_stride * self.reference_stride
 
+    def check_budget(self, against: str) -> None:
+        """Raise BudgetExceeded if the "reference" or "drift" comparator needs over budget_steps."""
+        if against == "reference":
+            steps, run = self.reference_steps, "reference"
+            step = f"reference.h_factor*epsilon={self.ref_h_factor * self.epsilon:.6g}"
+        elif against == "drift":
+            steps = _rk4_step_bound(self.sample_times, self.epsilon, self.dtau)
+            run, step = "slow-system RK4", f"dtau={self.dtau:.6g}"
+        else:
+            raise ValueError(f"against must be 'drift' or 'reference', got {against!r}")
+        if not steps <= self.budget_steps:
+            raise BudgetExceeded(steps, self.budget_steps, run, step)
+
     def mu0(self) -> float:
         return magnetic_moment(self.x0, self.v0, self.field)
 
@@ -137,27 +151,24 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
 
     Initial velocity is raw by default (the exact problem's data); the
     ref_filtered_init flag switches to the filtered start to isolate the
-    gyroradius contribution from the error.  Raises BudgetExceeded before
-    doing any work if the step count is above budget.
+    gyroradius contribution from the error.  spec.check_budget raises
+    BudgetExceeded before any step when reference_steps is above budget.
     """
-    steps = spec.reference_steps
-    if steps > spec.budget_steps:
-        raise BudgetExceeded(steps, spec.budget_steps)
+    spec.check_budget("reference")
     variant = "modified" if spec.ref_filtered_init else "standard"
     config = PusherConfig(h=spec.h_ref, variant=variant, mu0=0.0)
     # steps h_ref, not t_final: t_final's offset from the run's grid, counted in
     # steps, is h / h_ref times larger on the reference's
-    return integrate(
-        spec.x0, spec.v0, spec.field, config, steps * spec.h_ref,
-        sample_every=spec.reference_stride,
-    )
+    return integrate(spec.x0, spec.v0, spec.field, config, spec.reference_steps * spec.h_ref,
+                     sample_every=spec.reference_stride)
 
 
-def run_drift(spec: ExperimentSpec, sample_times) -> DriftTrajectory:
-    """Slow-system solution at sample_times, the times of the run it is compared with."""
+def run_drift(spec: ExperimentSpec) -> DriftTrajectory:
+    """Slow-system solution at spec.sample_times, the times its run writes, once in budget."""
     s0 = drift_init(spec.x0, spec.v0, spec.field)
-    config = DriftConfig(mu0=spec.mu0(), dtau=spec.dtau, budget_steps=spec.budget_steps)
-    return drift_integrate(s0, spec.field, config, sample_times)
+    config = DriftConfig(mu0=spec.mu0(), dtau=spec.dtau)
+    spec.check_budget("drift")
+    return drift_integrate(s0, spec.field, config, spec.sample_times)
 
 
 def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
@@ -279,17 +290,16 @@ def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries
     against is "drift", the slow solution at the run's sample times, or
     "reference", the fine reference on the same output grid.  Returns the
     run, the errors and the reference's step count (None against the
-    drift).  Raises RunAborted("run" or "reference", tag) when either run
-    ends early.  The nondegeneracy monitor is left to the caller.
+    drift).  Raises BudgetExceeded before any run, and RunAborted("run" or
+    "reference", tag) when either run ends early; the caller runs the monitor.
     """
-    if against not in ("drift", "reference"):
-        raise ValueError(f"against must be 'drift' or 'reference', got {against!r}")
+    spec.check_budget(against)
     run = run_trajectory(spec)
     if run.error is not None:
         raise RunAborted("run", run.error)
     obs = observables(run)
     if against == "drift":
-        return run, error_vs_drift(obs, run_drift(spec, run.t)), None
+        return run, error_vs_drift(obs, run_drift(spec)), None
     ref = run_reference(spec)
     if ref.error is not None:
         raise RunAborted("reference", ref.error)
@@ -378,8 +388,10 @@ def convergence_study(
         against = "reference"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # every point's spec is checked before the first run
+    # every point's grid and budgets are checked before the first run
     specs = [_respec(base_spec, eps, h) for eps, h, _ in runs]
+    for spec in specs:
+        spec.check_budget(against)
     points = []
     series = []
     for spec, (eps, h, label) in zip(specs, runs):
@@ -419,8 +431,8 @@ def theorem1_suite(
     proportionally to epsilon within a factor-3 band.  dt_out is the stride
     of each epsilon's ExperimentSpec at the nominal step 0.05 eps.
 
-    Every epsilon's spec is built before the first run; an epsilon whose c /
-    epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>.
+    Every epsilon's grid and budgets are checked before the first run; an epsilon
+    whose c / epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>.
 
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per
@@ -446,6 +458,7 @@ def theorem1_suite(
                 f"(>= 2) of steps of {_THEOREM1_STEP}*eps = {h!r}",
             ) from None
         specs.append(replace(spec, h=spec.h_ref))
+        specs[-1].check_budget("drift")
     maxima = []
     steps = []
     series = []

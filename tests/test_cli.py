@@ -104,7 +104,7 @@ def test_parse_rejects_deep_nesting():
 def test_parse_serialize_round_trip(tmp_path):
     text = json.dumps(base_config(tmp_path))
     cfg1 = cli.parse_config(text)
-    cfg2 = cli.parse_config(cli.serialize_config(cfg1))
+    cfg2 = cli.parse_config(json.dumps(cfg1))
     assert cfg1 == cfg2
 
 
@@ -114,7 +114,7 @@ def test_round_trip_keeps_optional_nulls(tmp_path):
     cfg = cli.parse_config(json.dumps(raw))
     assert cfg["output"]["summary_path"] is None
     assert cfg["reference"] == {"h_factor": 0.05, "filtered": True}
-    assert cli.parse_config(cli.serialize_config(cfg)) == cfg
+    assert cli.parse_config(json.dumps(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,38 @@ def test_theorem1_checks_every_entry_before_it_runs_any(
     assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == code
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert calls == [] and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # 8e6 reference steps of 5e-5; the run's own 10000 steps are within budget
+    pytest.param("compare", {"t_final": 400.0, "budget_steps": 10_000},
+                 "reference needs 8000000 steps, above the budget of 10000;",
+                 id="compare-reference"),
+    pytest.param("compare", {"t_final": 400.0, "against": "drift", "dtau": 1e-7,
+                             "budget_steps": 10**6},
+                 "slow-system RK4 needs 4000998 steps, above the budget of 1000000;",
+                 id="compare-drift"),
+    # the first entry's whole 1e7-step reference used to run first
+    pytest.param("theorem1", {"eps_list": [1e-3, 2e-3], "dtau": 8e-10},
+                 "slow-system RK4 needs 625001000 steps, above the budget of 500000000;",
+                 id="theorem1-drift"),
+    # RK4 bounds of 100222 and 100550 steps: only the last pair's is over budget
+    pytest.param("converge", {"c": 0.1, "dtau": 1e-6, "budget_steps": 100_300},
+                 "slow-system RK4 needs 100550 steps, above the budget of 100300;",
+                 id="converge-last-pair"),
+])
+def test_every_budget_is_checked_before_the_first_step(tmp_path, capsys, monkeypatch, command,
+                                                        overrides, message):
+    # each used to exit 3 only after the main run, or every run before the last
+    calls = []
+    integrate = harness.integrate
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    cfg = study_config(command, tmp_path)
+    cfg.update(overrides)
+    assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "BudgetExceeded" and diag["message"].startswith(message)
+    assert calls == []
 
 
 @pytest.mark.parametrize("line, column, value", [
@@ -682,7 +714,7 @@ def test_simulate_budget_exit_3_no_output(tmp_path, capsys):
     [
         # one step over: both counts used to print as 1e+05
         ("simulate", {"t_final": 4000.0, "c": 4.0}, "100000", 99_999),
-        # the drift's bound on its RK4 steps at dtau 1e-6: 400 per interval of 0.4,
+        # the slow system's bound on its RK4 steps at dtau 1e-6: 400 per interval of 0.4,
         # and one more where tau's rounding may need it; the run's own 100000
         # steps are within the budget
         ("drift", {"t_final": 4000.0, "c": 4.0, "dtau": 1e-6}, "4009972", 3_999_999),
@@ -695,7 +727,8 @@ def test_budget_message_prints_both_numbers_exactly(tmp_path, capsys, command, o
     assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 3
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "BudgetExceeded"
-    assert diag["message"].startswith(f"run needs {need} steps, above the budget of {budget};")
+    run = "slow-system RK4" if command == "drift" else "run"
+    assert diag["message"].startswith(f"{run} needs {need} steps, above the budget of {budget};")
 
 
 @pytest.mark.parametrize(

@@ -438,7 +438,7 @@ def test_runs_are_deterministic():
     b = tb.run_trajectory(spec)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.v, b.v)
-    da = tb.run_drift(spec, sample_times=a.t)
-    db = tb.run_drift(spec, sample_times=b.t)
+    da = tb.run_drift(spec)
+    db = tb.run_drift(spec)
     np.testing.assert_array_equal(da.r, db.r)
     np.testing.assert_array_equal(da.vpar, db.vpar)
