@@ -1,8 +1,8 @@
 """Charged-particle pushers and slow-drift studies in toroidal fields.
 
 The package provides the standard and modified Boris integrators (in
-equivalent two-step and one-step forms), analytic axisymmetric toroidal
-field models with numerical self-validation, the slow guiding-center
+equivalent two-step and one-step forms), an analytic axisymmetric toroidal
+field model with numerical self-validation, the slow guiding-center
 system as an independent comparator, and an experiment harness for
 error-scaling studies, all driven by a deterministic CSV/JSON CLI.
 """
@@ -34,13 +34,11 @@ from .errors import (
     RunAborted,
     SchemaError,
     ToroborisError,
-    Unsupported,
 )
 from .geometry import (
     CylindricalFrame,
     FieldSample,
     ToroidalFieldModel,
-    UniformFieldModel,
     check_field,
     eval_field,
     frame,
@@ -86,8 +84,6 @@ __all__ = [
     "ToroborisError",
     "ToroidalFieldModel",
     "Trajectory",
-    "UniformFieldModel",
-    "Unsupported",
     "check_field",
     "compare",
     "convergence_study",

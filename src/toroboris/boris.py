@@ -93,7 +93,7 @@ class Trajectory:
     h: float
     variant: str
     mu0: float
-    field: object
+    field: ToroidalFieldModel
     steps_completed: int
     error: str | None = None
 
@@ -228,8 +228,8 @@ _ERROR_TAGS = {
 def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out_t, out_x, out_v):
     """Iterate the two-step recursion from x^1 = x_arr, d^1 = d_arr.
 
-    This is the reference definition of the step, for any field model with
-    a scalar bemod.  The increment d^{n+1} = x^{n+1} - x^n solves the
+    This is the reference definition of the step, for ToroidalFieldModel and
+    its subclasses.  The increment d^{n+1} = x^{n+1} - x^n solves the
     rotation u + c x u = rhs with c = (h/2) B(x^n) and rhs = d^n - c x d^n
     + h^2 E_mod(x^n), in closed form and exactly for any |c|.  Step i
     advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
@@ -311,8 +311,8 @@ def integrate(
     When a step reaches the axis, leaves the field domain or fails the
     runaway guard (a step longer than 10 (|v0| + 1) h, or not finite), the
     partial trajectory is returned with the matching error tag instead of
-    raising.  Subclasses of ToroidalFieldModel, like other models, run on
-    the Python loop _generic_loop.
+    raising.  Subclasses of ToroidalFieldModel run on the Python loop
+    _generic_loop.
 
     n is _whole_steps(t_final, h), the rule ExperimentSpec applies too: a
     t_final that is not a whole number n >= 2 of steps raises ValueError.

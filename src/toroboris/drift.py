@@ -105,14 +105,13 @@ def drift_rhs(s: DriftState, model: ToroidalFieldModel, mu0: float):
     return _rhs(s.r_t, s.z_t, s.v_t, model, mu0 / model.epsilon)
 
 
-def drift_init(x0, v0_raw, field_model) -> DriftState:
+def drift_init(x0, v0_raw, field_model: ToroidalFieldModel) -> DriftState:
     """Slow initial state (r(x0), z(x0), e_par . v0) from full initial data.
 
     Takes the raw initial velocity; the parallel projection is the same
     whether or not the perpendicular component was filtered out.
     """
-    r_min = getattr(field_model, "r_min", 1e-9)
-    fr = frame(x0, r_min)
+    fr = frame(x0, field_model.r_min)
     v0 = np.asarray(v0_raw, dtype=float)
     return DriftState(r_t=fr.r, z_t=float(fr.z), v_t=float(fr.e_par @ v0))
 

@@ -31,10 +31,6 @@ class DomainError(ToroborisError):
         super().__init__(f"field profile b={b:.6g} is not above b_min={b_min:.6g}")
 
 
-class Unsupported(ToroborisError):
-    """Raised when an optional model capability (e.g. a scalar potential) is absent."""
-
-
 def _count(n) -> str:
     """An integer, or a float holding an exact integer below 2**53, in digits; any
     other float (a non-integral or huge estimate) as its repr."""

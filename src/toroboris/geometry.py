@@ -1,4 +1,4 @@
-"""Toroidal axisymmetric geometry and analytic electromagnetic field models.
+"""Toroidal axisymmetric geometry and the analytic electromagnetic field model.
 
 The local frame at a point x off the symmetry axis e_z = (0,0,1) is
 
@@ -8,7 +8,6 @@ with r = sqrt(x1^2 + x2^2) and z = x3.  The toroidal field model prescribes
 a strong magnetic field B = (b(r,z)/epsilon) e_par together with an
 electric field E = E_r(r,z) e_r + E_z(r,z) e_z that has no component along
 B, in the closed form of the paper's experiments (ToroidalFieldModel).
-UniformFieldModel, a constant field, serves exact-orbit checks.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import AxisSingularity, DomainError, Unsupported
+from .errors import AxisSingularity, DomainError
 
 
 @dataclass(frozen=True)
@@ -248,62 +247,13 @@ class ToroidalFieldModel:
 PRESET_NAME = "paper-toroidal"
 
 
-@dataclass(frozen=True)
-class UniformFieldModel:
-    """Constant B and E; validation model for exact-orbit checks.
-
-    E must be orthogonal to B (the package-wide assumption E_par = 0).
-    """
-
-    B0: tuple[float, float, float]
-    E0: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        B = np.asarray(self.B0, float)
-        E = np.asarray(self.E0, float)
-        nb = np.linalg.norm(B)
-        ne = np.linalg.norm(E)
-        if nb > 0 and ne > 0 and abs(B @ E) > 1e-13 * nb * ne:
-            raise ValueError("uniform E must be orthogonal to B")
-
-    def bemod(self, x1, x2, x3, mu0):
-        b1, b2, b3 = self.B0
-        e1, e2, e3 = self.E0
-        return (b1, b2, b3, e1, e2, e3)
-
-    def sample(self, x) -> FieldSample:
-        shape = np.shape(x)[:-1]
-        B = np.asarray(self.B0, float)
-        return FieldSample(
-            B=np.broadcast_to(B, shape + (3,)).copy(),
-            absB=_scalar(np.full(shape, float(np.linalg.norm(B)))),
-            gradAbsB=np.zeros(shape + (3,)),
-            E=np.broadcast_to(np.asarray(self.E0, float), shape + (3,)).copy(),
-            jacB=np.zeros(shape + (3, 3)),
-        )
-
-    def strength(self, x):
-        """B and |B| at a point or at points (..., 3)."""
-        s = self.sample(x)
-        return s.B, s.absB
-
-    def in_domain(self, x) -> np.ndarray:
-        """A uniform field is defined everywhere."""
-        return np.ones(np.shape(x)[:-1], dtype=bool)
-
-
-def eval_field(model, x) -> FieldSample:
+def eval_field(model: ToroidalFieldModel, x) -> FieldSample:
     """Evaluate a field model at a Cartesian point (3,) or at points (..., 3)."""
     return model.sample(x)
 
 
-def potential(model, x):
-    """Scalar potential phi(r(x), z(x)) at a point or points (..., 3).
-
-    Unsupported for a model other than the toroidal one.
-    """
-    if not isinstance(model, ToroidalFieldModel):
-        raise Unsupported("only toroidal models carry a scalar potential")
+def potential(model: ToroidalFieldModel, x):
+    """Scalar potential phi(r(x), z(x)) at a point or points (..., 3)."""
     fr = frame(x, model.r_min)
     with _as_floats():
         return _scalar(model.phi(fr.r, fr.z))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from dataclasses import field as dataclass_field
+from functools import cached_property
 from math import ceil, isqrt
 
 import numpy as np
@@ -24,7 +25,7 @@ from .boris import (
     PusherConfig, Trajectory, _whole_steps, integrate, magnetic_moment, nondegeneracy_sigma,
 )
 from .drift import DriftConfig, DriftTrajectory, _rk4_step_bound, drift_init, drift_integrate
-from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError, Unsupported
+from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
 from .geometry import ToroidalFieldModel, dot3, frame, potential
 
 DEFAULT_BUDGET = int(5e8)
@@ -120,14 +121,17 @@ class ExperimentSpec:
     def reference_steps(self) -> int:
         return self.steps // self.sample_stride * self.reference_stride
 
+    @cached_property  # the RK4 bound check_budget("drift") reads, computed once per spec
+    def _rk4_steps(self) -> float:
+        return _rk4_step_bound(self.sample_times, self.epsilon, self.dtau)
+
     def check_budget(self, against: str) -> None:
         """Raise BudgetExceeded if the "reference" or "drift" comparator needs over budget_steps."""
         if against == "reference":
             steps, run = self.reference_steps, "reference"
             step = f"reference.h_factor*epsilon={self.ref_h_factor * self.epsilon:.6g}"
         elif against == "drift":
-            steps = _rk4_step_bound(self.sample_times, self.epsilon, self.dtau)
-            run, step = "slow-system RK4", f"dtau={self.dtau:.6g}"
+            steps, run, step = self._rk4_steps, "slow-system RK4", f"dtau={self.dtau:.6g}"
         else:
             raise ValueError(f"against must be 'drift' or 'reference', got {against!r}")
         if not steps <= self.budget_steps:
@@ -210,19 +214,14 @@ class ObservableSeries:
 def observables(traj: Trajectory) -> ObservableSeries:
     """Derive per-sample cylindrical observables from a trajectory.
 
-    energy is |v|^2 / 2 plus the scalar potential when the model carries
-    one (kinetic energy only otherwise).  The first sample on the axis or
-    off the field domain raises AxisSingularity or DomainError.
+    energy is |v|^2 / 2 plus the scalar potential.  The first sample on the
+    axis or off the field domain raises AxisSingularity or DomainError.
     """
     model = traj.field
     # first: the field sample raises for the first sample off the domain, in order
     mu = magnetic_moment(traj.x, traj.v, model)
-    fr = frame(traj.x, getattr(model, "r_min", 1e-9))
-    kinetic = 0.5 * dot3(traj.v, traj.v)
-    try:
-        energy = kinetic + potential(model, traj.x)
-    except Unsupported:
-        energy = kinetic
+    fr = frame(traj.x, model.r_min)
+    energy = 0.5 * dot3(traj.v, traj.v) + potential(model, traj.x)
     return ObservableSeries(
         t=traj.t.copy(), r=fr.r, z=fr.z.copy(), vpar=dot3(fr.e_par, traj.v), mu=mu, energy=energy
     )
@@ -432,7 +431,8 @@ def theorem1_suite(
     of each epsilon's ExperimentSpec at the nominal step 0.05 eps.
 
     Every epsilon's grid and budgets are checked before the first run; an epsilon
-    whose c / epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>.
+    whose c / epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>,
+    and one whose run is over budget_steps names its step as 0.05*epsilon.
 
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per
@@ -450,6 +450,10 @@ def theorem1_suite(
                 field=model_eps, x0=tuple(x0), v0=tuple(v0), h=h, t_final=c / eps,
                 variant="standard", dt_out=dt_out, c=c, budget_steps=budget_steps, dtau=dtau,
             )
+            specs.append(replace(spec, h=spec.h_ref))
+        except BudgetExceeded as e:
+            raise BudgetExceeded(e.steps, e.budget, "run",
+                                 f"{_THEOREM1_STEP}*epsilon={h:.6g}") from None
         except ValueError:
             if _whole_steps(c / eps, h) >= 2:
                 raise  # the stride's error
@@ -457,7 +461,6 @@ def theorem1_suite(
                 f"/eps_list/{i}", f"the horizon c/eps = {c!r}/{eps!r} must be a whole number "
                 f"(>= 2) of steps of {_THEOREM1_STEP}*eps = {h!r}",
             ) from None
-        specs.append(replace(spec, h=spec.h_ref))
         specs[-1].check_budget("drift")
     maxima = []
     steps = []

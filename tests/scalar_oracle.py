@@ -12,8 +12,9 @@ from math import sqrt
 
 import numpy as np
 
-import toroboris as tb
-from toroboris.errors import AxisSingularity, DomainError, Unsupported
+from toroboris.errors import AxisSingularity, DomainError
+
+from uniform_model import UniformFieldModel
 
 
 def frame(x, r_min):
@@ -29,7 +30,7 @@ def frame(x, r_min):
 
 def field_sample(model, x):
     """(B, |B|, grad|B|, E, B') at one point."""
-    if isinstance(model, tb.UniformFieldModel):
+    if isinstance(model, UniformFieldModel):
         B = np.asarray(model.B0, float)
         E = np.asarray(model.E0, float)
         return B, float(np.linalg.norm(B)), np.zeros(3), E, np.zeros((3, 3))
@@ -47,8 +48,6 @@ def field_sample(model, x):
 
 
 def potential(model, x):
-    if not isinstance(model, tb.ToroidalFieldModel):
-        raise Unsupported("only toroidal models carry a scalar potential")
     r, z, *_ = frame(x, model.r_min)
     return model.phi(r, z)
 
@@ -100,18 +99,13 @@ def observables(traj):
     model = traj.field
     n = len(traj)
     r, z, vpar, mu, energy = (np.empty(n) for _ in range(5))
-    r_min = getattr(model, "r_min", 1e-9)
     for i in range(n):
         x = traj.x[i]
         v = traj.v[i]
-        r[i], z[i], _, e_par, _ = frame(x, r_min)
+        r[i], z[i], _, e_par, _ = frame(x, model.r_min)
         vpar[i] = float(e_par @ v)
         mu[i] = magnetic_moment(x, v, model)
-        kinetic = 0.5 * float(v @ v)
-        try:
-            energy[i] = kinetic + potential(model, x)
-        except Unsupported:
-            energy[i] = kinetic
+        energy[i] = 0.5 * float(v @ v) + potential(model, x)
     return r, z, vpar, mu, energy
 
 

@@ -19,6 +19,7 @@ import toroboris as tb
 from toroboris.drift import DriftState
 
 from conftest import X0, V0
+from uniform_model import UniformFieldModel
 
 EPS = 1e-3
 MUHAT = F(2847, 2500)
@@ -237,7 +238,7 @@ def test_criterion_7_oracle_spot_values(model_1e3, mu0_1e3):
 
 def test_criterion_8_uniform_circular_orbit():
     w, h, n = 1e3, 1e-4, 100_000
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, w))
+    m = UniformFieldModel(B0=(0.0, 0.0, w))
     cfg = tb.PusherConfig(h=h, variant="standard")
     x0 = np.array([0.0, -1.0 / w, 0.0])
     v0 = np.array([1.0, 0.0, 0.0])

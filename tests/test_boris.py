@@ -18,6 +18,7 @@ from toroboris import _kernels
 from toroboris.errors import AxisSingularity
 
 from conftest import X0, V0, python_backend
+from uniform_model import UniformFieldModel
 
 
 # ---------------------------------------------------------------------------
@@ -25,12 +26,12 @@ from conftest import X0, V0, python_backend
 
 
 def test_moment_uniform_field():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 100.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 100.0))
     assert abs(tb.magnetic_moment((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), m) - 0.005) <= 1e-18
 
 
 def test_moment_parallel_velocity_is_zero():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 100.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 100.0))
     assert tb.magnetic_moment((1.0, 0.0, 0.0), (0.0, 0.0, 3.0), m) <= 1e-30
 
 
@@ -104,7 +105,7 @@ def test_solve_rotation_residual(c, rhs):
 
 
 def test_two_step_free_flight():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 0.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 0.0))
     cfg = tb.PusherConfig(h=0.25, variant="standard")
     traj = tb.integrate((1.0, 2.0, 3.0), (2.0, 2.0, 1.0), m, cfg, 1.0, sample_every=1)
     assert traj.error is None
@@ -115,7 +116,7 @@ def test_two_step_free_flight():
 
 def test_two_step_constant_force():
     # x(t) = v0 t + E t^2 / 2 is quadratic, so the recursion reproduces it exactly
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 0.0), E0=(0.0, 1.0, 0.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 0.0), E0=(0.0, 1.0, 0.0))
     cfg = tb.PusherConfig(h=0.5, variant="standard")
     traj = tb.integrate(np.zeros(3), (1.0, 0.0, 0.0), m, cfg, 2.0, sample_every=1)
     assert traj.error is None
@@ -158,7 +159,7 @@ def test_two_step_sanity_guard():
 def test_one_step_rotation_angle_and_norm():
     w = 50.0
     h = 0.01
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, w))
+    m = UniformFieldModel(B0=(0.0, 0.0, w))
     cfg = tb.PusherConfig(h=h, variant="standard")
     st0 = tb.ParticleState(t=0.0, x=np.zeros(3), v=np.array([1.0, 0.0, 0.0]))
     st1 = tb.one_step_push(st0, m, cfg)
@@ -170,7 +171,7 @@ def test_one_step_rotation_angle_and_norm():
 
 
 def test_one_step_electric_only():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 0.0), E0=(0.3, -0.2, 0.7))
+    m = UniformFieldModel(B0=(0.0, 0.0, 0.0), E0=(0.3, -0.2, 0.7))
     cfg = tb.PusherConfig(h=0.1, variant="standard")
     st0 = tb.ParticleState(t=0.0, x=np.zeros(3), v=np.array([1.0, 1.0, 1.0]))
     st1 = tb.one_step_push(st0, m, cfg)
@@ -178,7 +179,7 @@ def test_one_step_electric_only():
 
 
 def test_one_step_zero_field_free_flight():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 0.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 0.0))
     cfg = tb.PusherConfig(h=0.1, variant="standard")
     st0 = tb.ParticleState(t=0.0, x=np.array([1.0, 0.0, 0.0]), v=np.array([0.0, 2.0, 0.0]))
     st1 = tb.one_step_push(st0, m, cfg)
@@ -252,7 +253,7 @@ def test_scheme_equivalence_modified(model_1e3, mu0_1e3):
 
 
 def test_scheme_equivalence_uniform_field():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 300.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 300.0))
     cfg = tb.PusherConfig(h=1e-3, variant="standard")
     x0 = (0.0, -1.0 / 300.0, 0.0)
     v0 = (1.0, 0.0, 0.1)
@@ -336,7 +337,7 @@ def dense_sigma_oracle(x, v, h, model):
 
 
 def test_sigma_uniform_field_is_one():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 50.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 50.0))
     assert abs(tb.nondegeneracy_sigma((1.0, 0.0, 0.0), (0.3, 0.2, 0.1), 0.1, m) - 1.0) <= 1e-14
 
 

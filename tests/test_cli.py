@@ -396,6 +396,15 @@ def test_theorem1_checks_every_entry_before_it_runs_any(
     pytest.param("theorem1", {"eps_list": [1e-3, 2e-3], "dtau": 8e-10},
                  "slow-system RK4 needs 625001000 steps, above the budget of 500000000;",
                  id="theorem1-drift"),
+    # 1e15 steps of 0.05 eps at 1e-7; theorem1 has no h key, which the message named
+    pytest.param("theorem1", {"eps_list": [1e-2, 1e-3, 1e-7], "c": 0.5},
+                 "run needs 1000000000000000 steps, above the budget of 500000000; its step "
+                 "is 0.05*epsilon=5e-09: ", id="theorem1-run"),
+    # the 40 nominal steps fit; the reference step, rounded down to divide the
+    # stride of 40 steps, makes 41 of them, which the reference's spec refuses
+    pytest.param("theorem1", {"eps_list": [0.037], "c": 0.002738, "budget_steps": 40},
+                 "run needs 40.99999999999999 steps, above the budget of 40; its step is "
+                 "0.05*epsilon=0.00185: ", id="theorem1-reference-step"),
     # RK4 bounds of 100222 and 100550 steps: only the last pair's is over budget
     pytest.param("converge", {"c": 0.1, "dtau": 1e-6, "budget_steps": 100_300},
                  "slow-system RK4 needs 100550 steps, above the budget of 100300;",

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toroboris as tb
-from toroboris.errors import AxisSingularity, DomainError, Unsupported
+from toroboris.errors import AxisSingularity, DomainError
 
 import scalar_oracle
 from conftest import X0
+from uniform_model import UniformFieldModel
 
 
 def rot_z(theta):
@@ -150,11 +151,6 @@ def test_potential_benchmark_value(model_1e3):
 def test_potential_zero_coefficient():
     m = tb.ToroidalFieldModel(1e-3, c=0.0)
     assert tb.potential(m, (0.9, 0.1, -0.3)) == 0.0
-
-
-def test_potential_unsupported():
-    with pytest.raises(Unsupported):
-        tb.potential(tb.UniformFieldModel(B0=(0.0, 0.0, 1.0)), X0)
 
 
 def test_potential_gradient_matches_field(model_1e3):
@@ -311,7 +307,7 @@ def test_probes_deterministic():
 
 
 def test_uniform_model_sample():
-    m = tb.UniformFieldModel(B0=(0.0, 0.0, 2.0), E0=(0.5, 0.0, 0.0))
+    m = UniformFieldModel(B0=(0.0, 0.0, 2.0), E0=(0.5, 0.0, 0.0))
     s = tb.eval_field(m, (3.0, 4.0, 5.0))
     np.testing.assert_array_equal(s.B, [0.0, 0.0, 2.0])
     assert s.absB == 2.0
@@ -321,7 +317,7 @@ def test_uniform_model_sample():
 
 def test_uniform_model_rejects_parallel_e():
     with pytest.raises(ValueError):
-        tb.UniformFieldModel(B0=(0.0, 0.0, 1.0), E0=(0.1, 0.0, 0.5))
+        UniformFieldModel(B0=(0.0, 0.0, 1.0), E0=(0.1, 0.0, 0.5))
 
 
 def test_model_epsilon_validation():

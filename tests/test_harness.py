@@ -428,6 +428,22 @@ def test_theorem1_budget_propagates():
         tb.theorem1_suite(tb.ToroidalFieldModel(1e-3), [1e-3], 0.5, X0, V0, budget_steps=1000)
 
 
+@pytest.mark.parametrize("study, bounds", [
+    (lambda: tb.compare(make_spec(eps=1e-2, h=0.05, t_final=1.0), "drift"), 1),
+    (lambda: tb.convergence_study(make_spec(eps=1e-2, h=0.1, c=0.05), "scaled_pairs",
+                                  pairs=[(1e-2, 0.1), (2.5e-3, 0.05)]), 2),
+    (lambda: tb.theorem1_suite(tb.ToroidalFieldModel(1.0), [1e-2, 5e-3], 0.01, X0, V0), 2),
+], ids=["compare-drift", "scaled-pairs", "theorem1"])
+def test_the_rk4_bound_is_computed_once_per_spec(monkeypatch, study, bounds):
+    # one bound per run against the drift: it used to be recomputed at every
+    # budget check, 2, 6 and 6 times here
+    calls = []
+    bound = harness._rk4_step_bound
+    monkeypatch.setattr(harness, "_rk4_step_bound", lambda *a: calls.append(a) or bound(*a))
+    study()
+    assert len(calls) == bounds
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

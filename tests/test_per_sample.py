@@ -15,6 +15,7 @@ from toroboris import cli
 from toroboris.errors import AxisSingularity, DomainError
 
 from conftest import X0, V0
+from uniform_model import UniformFieldModel
 
 
 def bits(a) -> bytes:
@@ -97,7 +98,7 @@ def test_callable_model_matches_the_oracle(phi, variant):
 
 
 def test_uniform_field_matches_the_oracle():
-    model = tb.UniformFieldModel(B0=(0.0, 0.0, 50.0), E0=(1.0, 0.0, 0.0))
+    model = UniformFieldModel(B0=(0.0, 0.0, 50.0), E0=(1.0, 0.0, 0.0))
     traj = run(model, (1.0, 0.5, 0.0), (0.3, 0.2, 0.1), 0.01, "modified", steps=200)
     assert_observables_match(traj)
     assert_monitor_matches(traj)
@@ -105,7 +106,7 @@ def test_uniform_field_matches_the_oracle():
 
 def test_uniform_field_on_the_axis():
     # the observables need the frame, the monitor does not
-    model = tb.UniformFieldModel(B0=(0.0, 0.0, 50.0))
+    model = UniformFieldModel(B0=(0.0, 0.0, 50.0))
     traj = trajectory(model, [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)], [(0.3, 0.2, 0.1)] * 2)
     with pytest.raises(AxisSingularity) as err:
         tb.observables(traj)
