@@ -110,9 +110,17 @@ struct slow_field {
     double muhat, a0, a1, a2, c_e, r_min, b_min;
 };
 
+/* slow_rhs is inlined into the step loop: out of line, gcc -O2 calls it four
+ * times a step and passes each k through memory. */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
 /* drift._rhs: stores the right-hand side in k, or the offending r or b in *bad. */
-static int slow_rhs(const struct slow_field *f, double rt, double zt, double vt, double *k,
-                    double *bad)
+static ALWAYS_INLINE int slow_rhs(const struct slow_field *f, double rt, double zt, double vt,
+                                  double *k, double *bad)
 {
     if (rt < f->r_min) {
         *bad = rt;
@@ -150,6 +158,7 @@ int toroboris_drift_rk4(
     double tau = times[0] * eps;
     for (int64_t k = 1; k < n_times; k++) {
         double target = times[k] * eps;
+        double snap = 1e-15 * fmax(1.0, fabs(target));
         while (tau < target) {
             double step = target - tau;
             if (step > dtau)
@@ -171,7 +180,7 @@ int toroboris_drift_rk4(
             z = z + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
             v = v + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]);
             tau += step;
-            if (target - tau < 1e-15 * fmax(1.0, fabs(target)))
+            if (target - tau < snap)
                 tau = target;
         }
         out[3 * k + 0] = r;

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AxisSingularity, DomainError
-from .geometry import ToroidalFieldModel, _scalar, dot3, eval_field
+from .geometry import ToroidalFieldModel, _scalar, cross3, dot3, eval_field
 
 VARIANTS = ("standard", "modified")
 
@@ -108,7 +108,7 @@ def magnetic_moment(x, v, field_model):
     returns a float or an array of shape (...).
     """
     B, absB = field_model.strength(x)
-    w = np.cross(np.asarray(v, dtype=float), B)
+    w = cross3(np.asarray(v, dtype=float), B)
     # per element in Python floats: |B|**3 is libm pow (np.power rounds differently)
     # and overflows to OverflowError, as the scalar expression always has
     pairs = zip(np.ravel(dot3(w, w)).tolist(), np.ravel(absB).tolist())
@@ -116,12 +116,16 @@ def magnetic_moment(x, v, field_model):
     return _scalar(np.array(mu, dtype=float).reshape(np.shape(absB)))
 
 
+def _along_B(B, absB, v: np.ndarray) -> np.ndarray:
+    """The projection of v onto the direction of B, whose norm is absB."""
+    e = B / absB
+    return float(e @ v) * e
+
+
 def filter_initial_velocity(x, v, field_model) -> np.ndarray:
     """Project v onto the direction of B(x), removing the gyration component."""
     B, absB = field_model.strength(x)
-    v = np.asarray(v, dtype=float)
-    e = B / absB
-    return float(e @ v) * e
+    return _along_B(B, absB, np.asarray(v, dtype=float))
 
 
 def _emod(sample, mu0: float) -> np.ndarray:
@@ -174,13 +178,14 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     """
     x0 = np.asarray(x0, dtype=float)
     v0_raw = np.asarray(v0_raw, dtype=float)
+    # the one field evaluation at x0: the filter reads B from it too
+    s = eval_field(field_model, x0)
     if config.variant == "modified":
-        v0 = filter_initial_velocity(x0, v0_raw, field_model)
+        v0 = _along_B(s.B, s.absB, v0_raw)
     else:
         v0 = v0_raw.copy()
     h = config.h
-    s = eval_field(field_model, x0)
-    acc = np.cross(v0, s.B) + _emod(s, config.effective_mu0)
+    acc = cross3(v0, s.B) + _emod(s, config.effective_mu0)
     x1 = x0 + h * v0 + 0.5 * h * h * acc
     seed = ParticleState(t=h, x=x1, v=(x1 - x0) / h)
     return seed, v0
@@ -194,7 +199,7 @@ def _perp_basis(e: np.ndarray):
     a = np.where(np.abs(e[..., :1]) <= 0.9, _AXES[0], _AXES[1])
     u1 = a - dot3(a, e)[..., None] * e
     u1 = u1 / np.sqrt(dot3(u1, u1))[..., None]
-    u2 = np.cross(e, u1)
+    u2 = cross3(e, u1)
     return u1, u2
 
 
@@ -211,7 +216,7 @@ def nondegeneracy_sigma(x, v, h: float, field_model):
     e = s.B / np.asarray(s.absB)[..., None]
     u1, u2 = _perp_basis(e)
     quarter_h2 = 0.25 * h * h
-    w1, w2 = (u + quarter_h2 * np.cross(v, (s.jacB @ u[..., None])[..., 0]) for u in (u1, u2))
+    w1, w2 = (u + quarter_h2 * cross3(v, (s.jacB @ u[..., None])[..., 0]) for u in (u1, u2))
     # rows (u1, u2), columns (w1, w2): the 2x2 matrix of the map in the basis
     a = np.stack([dot3(u1, w1), dot3(u1, w2), dot3(u2, w1), dot3(u2, w2)], axis=-1)
     sigma = np.linalg.svd(a.reshape(a.shape[:-1] + (2, 2)), compute_uv=False)[..., -1]

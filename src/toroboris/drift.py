@@ -131,6 +131,7 @@ def _rk4_loop(times, eps, dtau, model, muhat, out):
     tau = times[0] * eps
     for k in range(1, len(times)):
         target = times[k] * eps
+        snap = 1e-15 * max(1.0, abs(target))
         while tau < target:
             step = target - tau
             if step > dtau:
@@ -145,7 +146,7 @@ def _rk4_loop(times, eps, dtau, model, muhat, out):
             z = z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             v = v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             tau += step
-            if target - tau < 1e-15 * max(1.0, abs(target)):
+            if target - tau < snap:
                 tau = target
         out[k] = r, z, v
 

@@ -62,16 +62,35 @@ def dot3(a, b) -> np.ndarray:
     return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
+def cross3(a, b) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis of a and b.
+
+    Each component is one product minus another, the operations np.cross
+    runs in the same order, so every element has the bits of np.cross and
+    an overflow raises under np.errstate as it does there.  It skips
+    np.cross's argument handling, most of its cost on one pair of vectors.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0] = a2 * b3 - a3 * b2
+    out[..., 1] = a3 * b1 - a1 * b3
+    out[..., 2] = a1 * b2 - a2 * b1
+    return out
+
+
 def _frame(x: np.ndarray, r) -> CylindricalFrame:
     x1, x2 = _xy(x)
-    zero = np.zeros_like(r)
-    return CylindricalFrame(
-        r=_scalar(r),
-        z=_scalar(x[..., 2]),
-        e_r=np.stack([x1 / r, x2 / r, zero], axis=-1),
-        e_par=np.stack([-x2 / r, x1 / r, zero], axis=-1),
-        e_z=np.stack([zero, zero, zero + 1.0], axis=-1),
-    )
+    # filled by column: three np.stack calls cost several times more on one point
+    shape = np.shape(r) + (3,)
+    e_r, e_par, e_z = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    e_r[..., 0] = x1 / r
+    e_r[..., 1] = x2 / r
+    e_par[..., 0] = -x2 / r
+    e_par[..., 1] = x1 / r
+    e_z[..., 2] = 1.0
+    return CylindricalFrame(r=_scalar(r), z=_scalar(x[..., 2]), e_r=e_r, e_par=e_par, e_z=e_z)
 
 
 def frame(x, r_min: float = 1e-9) -> CylindricalFrame:

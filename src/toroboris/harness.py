@@ -74,11 +74,13 @@ class ExperimentSpec:
             raise ValueError(
                 f"t_final={self.t_final} exceeds the horizon c/eps={self.c / eps}"
             )
-        # the budget first: an over-budget horizon exits 3 whether or not it is whole steps
-        steps = self.t_final / self.h
+        # the budget first: an over-budget horizon exits 3 whether or not it is whole
+        # steps; the count reported is n when it is, as a float, so that a count
+        # from 2**53 on prints as the quotient's repr
+        n = _whole_steps(self.t_final, self.h)
+        steps = float(n) or self.t_final / self.h
         if steps > self.budget_steps + 0.5:
             raise BudgetExceeded(steps, self.budget_steps, "run", f"h={self.h:.6g}")
-        n = _whole_steps(self.t_final, self.h)
         if n < 2:
             raise ValueError(f"t_final={self.t_final} must be a multiple (>= 2) of h={self.h}")
         if self.dt_out is None:
@@ -137,13 +139,14 @@ class ExperimentSpec:
         if not steps <= self.budget_steps:
             raise BudgetExceeded(steps, self.budget_steps, run, step)
 
+    @cached_property  # run_trajectory and run_drift both read it: computed once per spec
     def mu0(self) -> float:
         return magnetic_moment(self.x0, self.v0, self.field)
 
 
 def run_trajectory(spec: ExperimentSpec) -> Trajectory:
     """The experiment's main run (standard or modified variant at step h)."""
-    mu0 = spec.mu0() if spec.variant == "modified" else 0.0
+    mu0 = spec.mu0 if spec.variant == "modified" else 0.0
     config = PusherConfig(h=spec.h, variant=spec.variant, mu0=mu0)
     return integrate(
         spec.x0, spec.v0, spec.field, config, spec.t_final, sample_every=spec.sample_stride
@@ -170,7 +173,7 @@ def run_reference(spec: ExperimentSpec) -> Trajectory:
 def run_drift(spec: ExperimentSpec) -> DriftTrajectory:
     """Slow-system solution at spec.sample_times, the times its run writes, once in budget."""
     s0 = drift_init(spec.x0, spec.v0, spec.field)
-    config = DriftConfig(mu0=spec.mu0(), dtau=spec.dtau)
+    config = DriftConfig(mu0=spec.mu0, dtau=spec.dtau)
     spec.check_budget("drift")
     return drift_integrate(s0, spec.field, config, spec.sample_times)
 
@@ -197,18 +200,30 @@ def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
 
 
 @dataclass
-class ObservableSeries:
-    """Cylindrical observables of a trajectory: r, z, v_par, mu, energy."""
+class _SlowSeries:
+    """The slow observables r, z, v_par of a trajectory: what an error series compares."""
 
     t: np.ndarray
     r: np.ndarray
     z: np.ndarray
     vpar: np.ndarray
-    mu: np.ndarray
-    energy: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+@dataclass
+class ObservableSeries(_SlowSeries):
+    """Cylindrical observables of a trajectory: r, z, v_par, mu, energy."""
+
+    mu: np.ndarray
+    energy: np.ndarray
+
+
+def _slow_series(traj: Trajectory) -> _SlowSeries:
+    """t, r, z and v_par = e_par . v of a trajectory's samples, from one frame."""
+    fr = frame(traj.x, traj.field.r_min)
+    return _SlowSeries(t=traj.t.copy(), r=fr.r, z=fr.z.copy(), vpar=dot3(fr.e_par, traj.v))
 
 
 def observables(traj: Trajectory) -> ObservableSeries:
@@ -220,11 +235,9 @@ def observables(traj: Trajectory) -> ObservableSeries:
     model = traj.field
     # first: the field sample raises for the first sample off the domain, in order
     mu = magnetic_moment(traj.x, traj.v, model)
-    fr = frame(traj.x, model.r_min)
+    s = _slow_series(traj)
     energy = 0.5 * dot3(traj.v, traj.v) + potential(model, traj.x)
-    return ObservableSeries(
-        t=traj.t.copy(), r=fr.r, z=fr.z.copy(), vpar=dot3(fr.e_par, traj.v), mu=mu, energy=energy
-    )
+    return ObservableSeries(t=s.t, r=s.r, z=s.z, vpar=s.vpar, mu=mu, energy=energy)
 
 
 @dataclass
@@ -273,12 +286,15 @@ def _error_series(a, b) -> ErrorSeries:
     )
 
 
-def error_vs_drift(obs: ObservableSeries, drift_traj: DriftTrajectory) -> ErrorSeries:
-    """Pointwise |r - r~|, |z - z~|, |v_par - v~| on a shared grid."""
+def error_vs_drift(obs: _SlowSeries, drift_traj: DriftTrajectory) -> ErrorSeries:
+    """Pointwise |r - r~|, |z - z~|, |v_par - v~| on a shared grid.
+
+    obs is a run's observables, or any series with t, r, z and vpar.
+    """
     return _error_series(obs, drift_traj)
 
 
-def error_vs_reference(obs: ObservableSeries, ref_obs: ObservableSeries) -> ErrorSeries:
+def error_vs_reference(obs: _SlowSeries, ref_obs: _SlowSeries) -> ErrorSeries:
     """Pointwise observable errors against a reference trajectory's series."""
     return _error_series(obs, ref_obs)
 
@@ -291,18 +307,22 @@ def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries
     run, the errors and the reference's step count (None against the
     drift).  Raises BudgetExceeded before any run, and RunAborted("run" or
     "reference", tag) when either run ends early; the caller runs the monitor.
+
+    Only the compared r, z and v_par are computed, not observables' mu and
+    energy; a completed run's samples all lie on the domain, which its steps
+    checked, so that moves no axis or domain error.
     """
     spec.check_budget(against)
     run = run_trajectory(spec)
     if run.error is not None:
         raise RunAborted("run", run.error)
-    obs = observables(run)
+    obs = _slow_series(run)
     if against == "drift":
         return run, error_vs_drift(obs, run_drift(spec)), None
     ref = run_reference(spec)
     if ref.error is not None:
         raise RunAborted("reference", ref.error)
-    return run, error_vs_reference(obs, observables(ref)), ref.steps_completed
+    return run, error_vs_reference(obs, _slow_series(ref)), ref.steps_completed
 
 
 def fit_loglog_slope(hs, errs) -> float:

@@ -403,7 +403,7 @@ def test_theorem1_checks_every_entry_before_it_runs_any(
     # the 40 nominal steps fit; the reference step, rounded down to divide the
     # stride of 40 steps, makes 41 of them, which the reference's spec refuses
     pytest.param("theorem1", {"eps_list": [0.037], "c": 0.002738, "budget_steps": 40},
-                 "run needs 40.99999999999999 steps, above the budget of 40; its step is "
+                 "run needs 41 steps, above the budget of 40; its step is "
                  "0.05*epsilon=0.00185: ", id="theorem1-reference-step"),
     # RK4 bounds of 100222 and 100550 steps: only the last pair's is over budget
     pytest.param("converge", {"c": 0.1, "dtau": 1e-6, "budget_steps": 100_300},

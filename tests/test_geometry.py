@@ -73,6 +73,81 @@ def test_frame_orthonormality(x1, x2, x3):
     )
 
 
+# Components that stress the bit pins below: signed zeros, infinities, NaNs of
+# both signs and products that overflow.
+EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 1.5, -2.25)
+
+
+def edge_vectors(n, seed):
+    """n vectors of EDGE_VALUES components, about a third replaced by random ones."""
+    rng = np.random.default_rng(seed)
+    v = rng.choice(EDGE_VALUES, size=(n, 3))
+    mixed = rng.random((n, 3)) < 0.3
+    v[mixed] = rng.normal(scale=10.0, size=mixed.sum())
+    return v
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def raising_outcome(fn, *args):
+    """fn(*args) under raising errstate: ("ok", result) or ("raised", exception type)."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return "ok", fn(*args)
+        except FloatingPointError as e:
+            return "raised", type(e)
+
+
+def test_cross3_has_the_bits_of_np_cross():
+    a, b = edge_vectors(400, seed=1), edge_vectors(400, seed=2)
+    with np.errstate(all="ignore"):
+        assert same_bits(tb.geometry.cross3(a, b), np.cross(a, b))
+        # broadcasting one vector against many, as nondegeneracy_sigma's basis does
+        assert same_bits(tb.geometry.cross3(a[0], b), np.cross(a[0], b))
+    for i in range(len(a)):
+        got = raising_outcome(tb.geometry.cross3, a[i], b[i])
+        want = raising_outcome(np.cross, a[i], b[i])
+        assert got[0] == want[0], (a[i], b[i])
+        assert same_bits(got[1], want[1]) if got[0] == "ok" else got[1] is want[1]
+    got, want = raising_outcome(tb.geometry.cross3, a, b), raising_outcome(np.cross, a, b)
+    assert got[0] == want[0] == "raised" and got[1] is want[1]
+
+
+def stacked_frame(x, r):
+    """geometry._frame as three np.stack calls, the form its column fill replaced."""
+    x1, x2 = x[..., 0][()], x[..., 1][()]
+    zero = np.zeros_like(r)
+    return (
+        np.stack([x1 / r, x2 / r, zero], axis=-1),
+        np.stack([-x2 / r, x1 / r, zero], axis=-1),
+        np.stack([zero, zero, zero + 1.0], axis=-1),
+    )
+
+
+def test_frame_has_the_bits_of_the_stacked_form():
+    x = edge_vectors(400, seed=3)
+    with np.errstate(all="ignore"):
+        r = tb.geometry._radius(x)
+        fr = tb.geometry._frame(x, r)
+        assert all(map(same_bits, (fr.e_r, fr.e_par, fr.e_z), stacked_frame(x, r)))
+    assert same_bits(fr.r, r) and same_bits(fr.z, x[:, 2])
+    for i in range(len(x)):
+        with np.errstate(all="ignore"):
+            r = tb.geometry._radius(x[i])
+        got = raising_outcome(lambda: tb.geometry._frame(x[i], r))
+        want = raising_outcome(lambda: stacked_frame(x[i], r))
+        assert got[0] == want[0], x[i]
+        if got[0] == "ok":
+            fr = got[1]
+            assert all(map(same_bits, (fr.e_r, fr.e_par, fr.e_z), want[1]))
+            assert isinstance(fr.r, float) and isinstance(fr.z, float)
+        else:
+            assert got[1] is want[1]
+
+
 # ---------------------------------------------------------------------------
 # eval_field
 

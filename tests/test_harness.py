@@ -444,6 +444,48 @@ def test_the_rk4_bound_is_computed_once_per_spec(monkeypatch, study, bounds):
     assert len(calls) == bounds
 
 
+@pytest.mark.parametrize("against, runs", [("drift", 1), ("reference", 2)])
+def test_one_compare_computes_mu0_once_and_evaluates_x0_once_per_run(monkeypatch, against,
+                                                                      runs):
+    # compare used to compute every observable of both series, and mu0 at every
+    # reader; initialize evaluated the field at x0 once to filter and once to start
+    moments, observed = [], []
+    moment, observables, integrate = harness.magnetic_moment, harness.observables, harness.integrate
+    monkeypatch.setattr(harness, "magnetic_moment", lambda *a: moments.append(a) or moment(*a))
+    monkeypatch.setattr(harness, "observables", lambda *a: observed.append(a) or observables(*a))
+    evaluations = []  # field evaluations inside each integrate call, in call order
+    running = [False]
+
+    def counted(*a, **k):
+        evaluations.append(0)
+        running[0] = True
+        try:
+            return integrate(*a, **k)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(harness, "integrate", counted)
+    for name in ("sample", "strength"):
+        def count(self, x, method=getattr(tb.ToroidalFieldModel, name)):
+            if running[0]:
+                evaluations[-1] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(tb.ToroidalFieldModel, name, count)
+    tb.compare(make_spec(eps=1e-2, h=0.05, t_final=2.0), against)
+    assert len(moments) == 1 and observed == []
+    assert evaluations == [1] * runs
+
+
+def test_a_study_computes_mu0_once_per_spec(monkeypatch):
+    calls = []
+    moment = harness.magnetic_moment
+    monkeypatch.setattr(harness, "magnetic_moment", lambda *a: calls.append(a) or moment(*a))
+    tb.convergence_study(make_spec(eps=1e-2, h=0.1, c=0.05), "scaled_pairs",
+                         pairs=[(1e-2, 0.1), (2.5e-3, 0.05)])
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

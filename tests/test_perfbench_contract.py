@@ -51,9 +51,12 @@ def test_compare_layers_are_traced(tmp_path, monkeypatch, against, other):
     with tracing.Tracer(modules) as tracer:
         assert cli.cli_main(["compare", "--config", str(path)]) == 0
     calls = dict(zip(tracer.labels, tracer.totals()["calls"].tolist()))
-    for label in ("run_trajectory", f"run_{against}", "observables", f"error_vs_{against}"):
+    for label in ("run_trajectory", f"run_{against}", f"error_vs_{against}"):
         assert calls[f"harness.{label}"] > 0, label
     assert calls[f"harness.run_{other}"] == calls[f"harness.error_vs_{other}"] == 0
+    # compare computes only the compared r, z and v_par, and mu0 once per spec
+    assert calls["harness.observables"] == 0
+    assert calls["boris.magnetic_moment"] == 1
 
 
 def test_drift_command_is_traced(tmp_path, monkeypatch):
