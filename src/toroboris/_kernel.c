@@ -21,13 +21,13 @@ enum { STATUS_OK = 0, STATUS_AXIS = 1, STATUS_DOMAIN = 2, STATUS_RUNAWAY = 3 };
 /* Step i advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
  * (d^i + d^{i+1}) / (2h) is recorded whenever i is a multiple of
  * sample_every.  Sample row 0 is filled by the caller.  Returns the status
- * code and stores (rows_written, steps_completed) in result.
+ * code and stores the steps completed in *steps.
  */
 int toroboris_two_step_loop(
     int64_t n_steps, int64_t sample_every, double h, double eps, double mu0,
     double a0, double a1, double a2, double c_e, double r_min, double b_min,
-    double v_max, const double *x_arr, const double *d_arr, double *out_t,
-    double *out_x, double *out_v, int64_t *result)
+    double v_max, const double *x_arr, const double *d_arr, double *out_x,
+    double *out_v, int64_t *steps)
 {
     double x1 = x_arr[0], x2 = x_arr[1], x3 = x_arr[2];
     double d1 = d_arr[0], d2 = d_arr[1], d3 = d_arr[2];
@@ -40,8 +40,7 @@ int toroboris_two_step_loop(
     for (int64_t i = 1; i <= n_steps; i++) {
         double r = sqrt(x1 * x1 + x2 * x2);
         if (r < r_min) {
-            result[0] = k;
-            result[1] = i - 1;
+            *steps = i - 1;
             return STATUS_AXIS;
         }
         double z = x3;
@@ -50,8 +49,7 @@ int toroboris_two_step_loop(
         double er2 = x2 * inv_r;
         double bb = a0 + a1 * r + a2 * z * z;
         if (bb <= b_min) {
-            result[0] = k;
-            result[1] = i - 1;
+            *steps = i - 1;
             return STATUS_DOMAIN;
         }
         double scale = bb * inv_eps;
@@ -79,12 +77,10 @@ int toroboris_two_step_loop(
         double dn3 = (r3 - (cx1 * r2 - cx2 * r1) + dot * cx3) * den;
         /* written so that a NaN step fails the guard too */
         if (!(sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) <= bound)) {
-            result[0] = k;
-            result[1] = i - 1;
+            *steps = i - 1;
             return STATUS_RUNAWAY;
         }
         if (i % sample_every == 0) {
-            out_t[k] = (double)i * h;
             out_x[3 * k + 0] = x1;
             out_x[3 * k + 1] = x2;
             out_x[3 * k + 2] = x3;
@@ -100,8 +96,7 @@ int toroboris_two_step_loop(
         d2 = dn2;
         d3 = dn3;
     }
-    result[0] = k;
-    result[1] = n_steps;
+    *steps = n_steps;
     return STATUS_OK;
 }
 

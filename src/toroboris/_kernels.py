@@ -16,11 +16,15 @@ the library (``_kernel.c``) holds three functions:
   go to the Python formatter instead, in one call per chunk of rows.
 
 The Python code stays the single definition of each; tests pin each C
-function to its Python twin bitwise.
+function to its Python twin bitwise.  A loop's wrapper takes its twin's
+arguments (the model, not its coefficients) and returns or raises what the
+twin does.  ``compiled_kernel(model)`` is the one place that picks the C
+loops, for a model of exactly the type ToroidalFieldModel only: a subclass
+may override the closed form they inline.
 
 The library is built with the system compiler on the first call of
-``compiled_kernel`` (the first integrate on a ToroidalFieldModel, the first
-drift_integrate or the first CSV written), never at import.  It is cached as
+``compiled_kernel`` (the first integrate or drift_integrate on a
+ToroidalFieldModel, or the first CSV), never at import.  It is cached as
 ``$XDG_CACHE_HOME/toroboris/kernel-<key>.so`` (``~/.cache/toroboris`` when
 the variable is unset), where the key is a CRC-32 of the source, the flags
 and the machine type.  When that directory cannot be written, the library
@@ -43,6 +47,9 @@ import zlib
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .errors import AxisSingularity, DomainError
+from .geometry import ToroidalFieldModel
 
 STATUS_OK = 0
 STATUS_AXIS = 1
@@ -123,13 +130,12 @@ def _bind(path: str) -> Kernel:
         raise KernelUnavailable(f"cannot load {path}: {e}") from e
     vec1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     vec3 = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(3,), flags="C_CONTIGUOUS")
-    out1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     out3 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     step_fn.restype = ctypes.c_int
     step_fn.argtypes = (
         [ctypes.c_int64, ctypes.c_int64]
         + [ctypes.c_double] * 10
-        + [vec3, vec3, out1, out3, out3, ctypes.POINTER(ctypes.c_int64)]
+        + [vec3, vec3, out3, out3, ctypes.POINTER(ctypes.c_int64)]
     )
     rk4_fn.restype = ctypes.c_int
     rk4_fn.argtypes = (
@@ -140,26 +146,28 @@ def _bind(path: str) -> Kernel:
     rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
 
-    def two_step_loop(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
-                      v_max, x_arr, d_arr, out_t, out_x, out_v):
-        """Run the C loop; same arguments and (status, rows, steps) as _generic_loop."""
-        if sample_every < 1 or n_steps < 0 or len(out_t) <= n_steps // sample_every:
-            raise ValueError(f"bad loop sizes: n={n_steps}, every={sample_every}, rows={len(out_t)}")
-        if out_x.shape != (len(out_t), 3) or out_v.shape != out_x.shape:
-            raise ValueError("out_x and out_v must have shape (len(out_t), 3)")
-        result = (ctypes.c_int64 * 2)()
-        status = step_fn(n_steps, sample_every, h, eps, mu0, a0, a1, a2, c_e, r_min, b_min,
-                         v_max, x_arr, d_arr, out_t, out_x, out_v, result)
-        return status, result[0], result[1]
+    def two_step_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, model, out_x, out_v):
+        """Run the C loop; same arguments and (status, steps) as boris._generic_loop."""
+        if sample_every < 1 or n < 0 or len(out_x) <= n // sample_every:
+            raise ValueError(f"bad loop sizes: n={n}, every={sample_every}, rows={len(out_x)}")
+        if out_x.shape[1:] != (3,) or out_v.shape != out_x.shape:
+            raise ValueError("out_x and out_v must have the same shape (rows, 3)")
+        m, steps = model, ctypes.c_int64(0)
+        status = step_fn(n, sample_every, h, m.epsilon, mu0, m.a0, m.a1, m.a2, m.c, m.r_min,
+                         m.b_min, v_max, x_arr, d_arr, out_x, out_v, steps)
+        return status, steps.value
 
-    def drift_rk4(times, eps, dtau, muhat, a0, a1, a2, c_e, r_min, b_min, out):
-        """Run the C RK4 over times into out (row 0 preset); (status, offending r or b)."""
+    def drift_rk4(times, eps, dtau, model, muhat, out):
+        """Run the C RK4; same arguments and errors as drift._rk4_loop."""
         if len(times) < 1 or out.shape != (len(times), 3):
             raise ValueError("out must have shape (len(times), 3) with len(times) >= 1")
-        bad = ctypes.c_double(0.0)
-        status = rk4_fn(len(times), times, eps, dtau, muhat, a0, a1, a2, c_e, r_min, b_min,
-                        out, bad)
-        return status, bad.value
+        m, bad = model, ctypes.c_double(0.0)
+        status = rk4_fn(len(times), times, eps, dtau, muhat, m.a0, m.a1, m.a2, m.c, m.r_min,
+                        m.b_min, out, bad)
+        if status == STATUS_AXIS:
+            raise AxisSingularity(bad.value, m.r_min)
+        if status == STATUS_DOMAIN:
+            raise DomainError(bad.value, m.b_min)
 
     def format_rows(columns, fallback, chunk_rows):
         """CSV lines of %.17g fields, one per value of the float64 columns, in chunks.
@@ -230,12 +238,15 @@ def _load_library():
     return _bind(path)
 
 
-def compiled_kernel() -> Kernel | None:
-    """The C loops, built on first use; None when running in Python.
+def compiled_kernel(model=None) -> Kernel | None:
+    """The C loops, built on first use; None when running in Python, or for
+    a model whose type is not exactly ToroidalFieldModel.
 
     Resolves BACKEND (and FALLBACK_REASON) once per process.
     """
     global BACKEND, FALLBACK_REASON, _kernel
+    if model is not None and type(model) is not ToroidalFieldModel:
+        return None
     if BACKEND is None:
         try:
             _kernel = _load_library()

@@ -42,6 +42,11 @@ def _whole_steps(span: float, h: float) -> int:
     return n if abs(q - n) <= max(_STEP_TOL, n * 2**-48) else 0
 
 
+def _sample_times(steps: int, sample_every: int, h: float) -> np.ndarray:
+    """The times a run of steps steps h samples, every sample_every-th: i h at step i."""
+    return np.arange(0, steps + 1, sample_every) * h
+
+
 @dataclass(frozen=True)
 class ParticleState:
     """Time, position and velocity of a particle sample."""
@@ -230,7 +235,7 @@ _ERROR_TAGS = {
 }
 
 
-def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out_t, out_x, out_v):
+def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out_x, out_v):
     """Iterate the two-step recursion from x^1 = x_arr, d^1 = d_arr.
 
     This is the reference definition of the step, for ToroidalFieldModel and
@@ -239,8 +244,9 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
     + h^2 E_mod(x^n), in closed form and exactly for any |c|.  Step i
     advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
     (d^i + d^{i+1}) / (2h) is recorded whenever i is a multiple of
-    sample_every.  Sample row 0 (the initial state) is filled by the
-    caller.  Returns (status, rows_written, steps_completed).
+    sample_every, so a run of s steps writes s // sample_every + 1 rows.
+    Sample row 0 (the initial state) is filled by the caller.  Returns
+    (status, steps_completed).
 
     The recursion is carried in summed form: the increment d^n = x^n -
     x^{n-1} is the solver variable and positions accumulate as x += d,
@@ -260,9 +266,9 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
         try:
             B1, B2, B3, em1, em2, em3 = field_model.bemod(x1, x2, x3, mu0)
         except AxisSingularity:
-            return _kernels.STATUS_AXIS, k, i - 1
+            return _kernels.STATUS_AXIS, i - 1
         except DomainError:
-            return _kernels.STATUS_DOMAIN, k, i - 1
+            return _kernels.STATUS_DOMAIN, i - 1
         cx1 = half_h * B1
         cx2 = half_h * B2
         cx3 = half_h * B3
@@ -279,9 +285,8 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
         dn3 = (r3 - (cx1 * r2 - cx2 * r1) + dot * cx3) * den
         # written so that a NaN step fails the guard too
         if not (sqrt(dn1 * dn1 + dn2 * dn2 + dn3 * dn3) <= bound):
-            return _kernels.STATUS_RUNAWAY, k, i - 1
+            return _kernels.STATUS_RUNAWAY, i - 1
         if i % sample_every == 0:
-            out_t[k] = i * h
             out_x[k, 0] = x1
             out_x[k, 1] = x2
             out_x[k, 2] = x3
@@ -295,7 +300,7 @@ def _generic_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, field_model, out
         d1 = dn1
         d2 = dn2
         d3 = dn3
-    return _kernels.STATUS_OK, k, n
+    return _kernels.STATUS_OK, n
 
 
 def integrate(
@@ -316,8 +321,8 @@ def integrate(
     When a step reaches the axis, leaves the field domain or fails the
     runaway guard (a step longer than 10 (|v0| + 1) h, or not finite), the
     partial trajectory is returned with the matching error tag instead of
-    raising.  Subclasses of ToroidalFieldModel run on the Python loop
-    _generic_loop.
+    raising.  The steps run in the C loop that _kernels.compiled_kernel picks
+    for the model, or else in the Python loop _generic_loop.
 
     n is _whole_steps(t_final, h), the rule ExperimentSpec applies too: a
     t_final that is not a whole number n >= 2 of steps raises ValueError.
@@ -332,33 +337,21 @@ def integrate(
     v_max = 10.0 * (float(np.linalg.norm(v0)) + 1.0)
 
     rows = n // sample_every + 1
-    out_t = np.empty(rows)
     out_x = np.empty((rows, 3))
     out_v = np.empty((rows, 3))
-    out_t[0] = 0.0
     out_x[0] = x0
     out_v[0] = v0
 
     mu0 = config.effective_mu0
-    d1 = seed.x - x0
-    # a subclass may override the closed form the C loop inlines
-    kernel = _kernels.compiled_kernel() if type(field_model) is ToroidalFieldModel else None
-    if kernel is not None:
-        m = field_model
-        status, k, steps = kernel.two_step_loop(
-            n, sample_every, config.h, m.epsilon, mu0, m.a0, m.a1, m.a2, m.c, m.r_min, m.b_min,
-            v_max, seed.x, d1, out_t, out_x, out_v,
-        )
-    else:
-        status, k, steps = _generic_loop(
-            n, sample_every, config.h, mu0, v_max, seed.x, d1, field_model, out_t, out_x,
-            out_v,
-        )
-
+    kernel = _kernels.compiled_kernel(field_model)
+    loop = kernel.two_step_loop if kernel else _generic_loop
+    status, steps = loop(n, sample_every, config.h, mu0, v_max, seed.x, seed.x - x0, field_model,
+                         out_x, out_v)
+    t = _sample_times(steps, sample_every, config.h)
     return Trajectory(
-        t=out_t[:k],
-        x=out_x[:k],
-        v=out_v[:k],
+        t=t,
+        x=out_x[:len(t)],
+        v=out_v[:len(t)],
         h=config.h,
         variant=config.variant,
         mu0=mu0,

@@ -155,6 +155,7 @@ _NONNEGATIVE = _bounded(_finite, lambda v: v >= 0, "must be nonnegative")
 _COUNT = _bounded(_INTEGER, lambda v: 0 < v <= 2**53, "must lie in [1, 2**53]")
 _UNIT = _bounded(_finite, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {}")
 _PAIR = _array(_finite, "[low, high]", size=2)
+_RANGE = _bounded(_PAIR, lambda v: v[0] <= v[1], "expected [low, high] with low <= high")
 _VEC3 = _array(_finite, "an array of 3 numbers", size=3)
 
 # Entries shared by the tables below.
@@ -198,7 +199,7 @@ _CONVERGE = _object({
     "h_list": (_array(_POSITIVE, "a list of at least 2 step sizes", min_size=2), None),
     "epsilon": (_UNIT, None),
     "stride": (_POSITIVE, None),
-    "order_band": (_PAIR, list(_ORDER_BAND)),
+    "order_band": (_RANGE, list(_ORDER_BAND)),
     **_LIMITS,
 })
 
@@ -216,8 +217,9 @@ _CHECK_FIELD = _object({
     "probes": (_object({
         "count": (_COUNT, 50),
         "seed": (_bounded(_INTEGER, lambda v: v >= 0, "must be nonnegative"), 0),
-        "r_range": (_PAIR, [0.25, 1.0]),
-        "z_range": (_PAIR, [-0.75, 0.75]),
+        "r_range": (_bounded(_PAIR, lambda v: 0 < v[0] <= v[1],
+                             "expected [low, high] with 0 < low <= high"), [0.25, 1.0]),
+        "z_range": (_RANGE, [-0.75, 0.75]),
     }), {}),
     "delta": (_finite, 1e-6),
     "output": (_object({"path": (_STRING, _REQUIRED)}), None),

@@ -117,7 +117,7 @@ def drift_init(x0, v0_raw, field_model: ToroidalFieldModel) -> DriftState:
 
 
 def _rk4_loop(times, eps, dtau, model, muhat, out):
-    """Fixed-step RK4 of the slow system over the sample grid times.
+    """Fixed-step RK4 of the slow system over the sample grid times, an array.
 
     This is the reference definition of the slow-time stepping.  Row k of
     out receives (r~, z~, v~) at times[k]; row 0, the initial state, is
@@ -127,6 +127,7 @@ def _rk4_loop(times, eps, dtau, model, muhat, out):
     shapes of both aligned.
     """
     # Python floats: numpy scalars or arrays per stage would cost several times more
+    times = times.tolist()
     r, z, v = map(float, out[0])
     tau = times[0] * eps
     for k in range(1, len(times)):
@@ -199,11 +200,10 @@ def drift_integrate(
     so no interpolation is ever involved.  Deterministic: identical inputs
     give bit-identical outputs.  No step budget: see ExperimentSpec.check_budget.
 
-    The steps run in the C loop of _kernels, bitwise equal to the Python
-    loop _rk4_loop, which runs without a compiler and for subclasses of
-    ToroidalFieldModel.  A slow state reaching the axis or leaving the field
-    domain raises AxisSingularity or DomainError, and one that stops being
-    finite raises FloatingPointError.
+    The steps run in the C loop _kernels picks for the model, bitwise equal
+    to the Python loop _rk4_loop, which runs otherwise.  A slow state
+    reaching the axis or leaving the field domain raises AxisSingularity or
+    DomainError, and one that stops being finite raises FloatingPointError.
     """
     eps = model.epsilon
     sample_times = _sample_grid(sample_times)
@@ -214,18 +214,9 @@ def drift_integrate(
 
     out = np.empty((len(sample_times), 3))
     out[0] = s0.r_t, s0.z_t, s0.v_t
-    muhat = config.mu0 / eps
-    # a subclass may override the closed form the C loop inlines
-    kernel = _kernels.compiled_kernel() if type(model) is ToroidalFieldModel else None
-    if kernel is None:
-        _rk4_loop(sample_times.tolist(), eps, config.dtau, model, muhat, out)
-    else:
-        status, bad = kernel.drift_rk4(sample_times, eps, config.dtau, muhat, model.a0, model.a1,
-                                       model.a2, model.c, model.r_min, model.b_min, out)
-        if status == _kernels.STATUS_AXIS:
-            raise AxisSingularity(bad, model.r_min)
-        if status == _kernels.STATUS_DOMAIN:
-            raise DomainError(bad, model.b_min)
+    kernel = _kernels.compiled_kernel(model)
+    loop = kernel.drift_rk4 if kernel else _rk4_loop
+    loop(sample_times, eps, config.dtau, model, config.mu0 / eps, out)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -22,7 +22,8 @@ from math import ceil, isqrt
 import numpy as np
 
 from .boris import (
-    PusherConfig, Trajectory, _whole_steps, integrate, magnetic_moment, nondegeneracy_sigma,
+    PusherConfig, Trajectory, _sample_times, _whole_steps, integrate, magnetic_moment,
+    nondegeneracy_sigma,
 )
 from .drift import DriftConfig, DriftTrajectory, _rk4_step_bound, drift_init, drift_integrate
 from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
@@ -48,8 +49,9 @@ class ExperimentSpec:
     steps with k dividing n (ValueError otherwise); by default k is the
     largest divisor of n not above round(max(h, 0.5) / h).  dt_out then
     holds k h.  The reference step is ref_h_factor * epsilon, rounded down to
-    divide dt_out, for n // k * reference_stride steps.  Only the spec checks
-    budget_steps: for n when built, and for a comparator's run in check_budget.
+    divide dt_out unless _whole_steps finds dt_out whole steps of it, for
+    n // k * reference_stride steps.  Only the spec checks budget_steps: for
+    n when built, and for a comparator's run in check_budget.
     """
 
     field: ToroidalFieldModel
@@ -108,12 +110,14 @@ class ExperimentSpec:
     @property
     def sample_times(self) -> np.ndarray:
         """The times the run samples, with the bits integrate writes: i h at step i."""
-        return np.arange(0, self.steps + 1, self.sample_stride) * self.h
+        return _sample_times(self.steps, self.sample_stride, self.h)
 
     @property
     def reference_stride(self) -> int:
-        """Reference steps per sample: the fewest that make a step at most ref_h_factor eps."""
-        return ceil(self.dt_out / (self.ref_h_factor * self.epsilon))
+        """Reference steps per sample: dt_out / (ref_h_factor eps) when _whole_steps
+        finds it whole, else the fewest that make a step at most ref_h_factor eps."""
+        step = self.ref_h_factor * self.epsilon
+        return _whole_steps(self.dt_out, step) or ceil(self.dt_out / step)
 
     @property
     def h_ref(self) -> float:

@@ -400,11 +400,6 @@ def test_theorem1_checks_every_entry_before_it_runs_any(
     pytest.param("theorem1", {"eps_list": [1e-2, 1e-3, 1e-7], "c": 0.5},
                  "run needs 1000000000000000 steps, above the budget of 500000000; its step "
                  "is 0.05*epsilon=5e-09: ", id="theorem1-run"),
-    # the 40 nominal steps fit; the reference step, rounded down to divide the
-    # stride of 40 steps, makes 41 of them, which the reference's spec refuses
-    pytest.param("theorem1", {"eps_list": [0.037], "c": 0.002738, "budget_steps": 40},
-                 "run needs 41 steps, above the budget of 40; its step is "
-                 "0.05*epsilon=0.00185: ", id="theorem1-reference-step"),
     # RK4 bounds of 100222 and 100550 steps: only the last pair's is over budget
     pytest.param("converge", {"c": 0.1, "dtau": 1e-6, "budget_steps": 100_300},
                  "slow-system RK4 needs 100550 steps, above the budget of 100300;",
@@ -422,6 +417,20 @@ def test_every_budget_is_checked_before_the_first_step(tmp_path, capsys, monkeyp
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "BudgetExceeded" and diag["message"].startswith(message)
     assert calls == []
+
+
+def test_theorem1_reference_takes_its_whole_nominal_steps(tmp_path):
+    # c/eps is 40 steps of 0.05 eps, and dt_out / (0.05 eps) lands an ulp above 40:
+    # its ceil made the reference 41 steps of 0.00180488, which budget_steps 40 refused
+    eps, c = 0.037, 0.002738
+    spec = harness.ExperimentSpec(harness.ToroidalFieldModel(eps), (1 / 3, 1 / 4, 1 / 2),
+                                  (2 / 5, 2 / 3, 1), h=0.05 * eps, t_final=c / eps,
+                                  variant="standard", c=c)
+    assert spec.reference_stride == spec.sample_stride == 40
+    cfg = study_config("theorem1", tmp_path)
+    cfg.update(eps_list=[eps], c=c, budget_steps=40)
+    assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["steps"] == [40]
 
 
 @pytest.mark.parametrize("line, column, value", [
@@ -817,6 +826,12 @@ INPUT_HOLES = [
     ("compare", "t,r,z,vpar,mu\n0,0.5,0.5,1,abc\n0.5,0.5,0.5,1,\n", ""),
     # c/eps is not a whole number of steps 0.05 eps (it was a ValueError naming that step)
     ("theorem1", {"/eps_list": [1e-2, 3e-3], "/c": 0.1}, "/eps_list/1"),
+    # reversed ranges (numpy's "high - low < 0" with no path), and negative radii,
+    # which were probed silently mirrored to |r|; a reversed band failed the order gate
+    ("check-field", {"/probes/r_range": [1.0, 0.25]}, "/probes/r_range"),
+    ("check-field", {"/probes/r_range": [-1.0, -0.25]}, "/probes/r_range"),
+    ("check-field", {"/probes/z_range": [0.75, -0.75]}, "/probes/z_range"),
+    ("converge", {"/order_band": [2.3, 1.7]}, "/order_band"),
 ]
 
 

@@ -6,6 +6,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -112,15 +113,36 @@ def test_non_finite_step_trips_the_runaway_guard(eps):
     assert_bitwise_equal(compiled, python)
 
 
+@pytest.mark.parametrize("tag", [None, "axis_singularity", "domain_error", "sanity_guard",
+                                 "non_finite"])
+def test_sample_times_are_whole_steps_on_both_backends(tag):
+    # both backends now share one formula for the times, which the bitwise
+    # comparisons above cannot catch: pin it
+    if tag is None:
+        model = tb.ToroidalFieldModel(1e-3)
+        cfg, t_final = tb.PusherConfig(h=0.04, variant="standard"), 40.0
+    elif tag == "non_finite":
+        model, cfg, t_final = tb.ToroidalFieldModel(1e-160), tb.PusherConfig(h=0.04), 0.4
+    else:
+        model, cfg, t_final = _abort_case(tag)
+    for traj in run_both(X0, V0, model, cfg, t_final, sample_every=3):
+        steps = traj.steps_completed
+        assert traj.error == ("sanity_guard" if tag == "non_finite" else tag)
+        assert traj.t.tolist() == [i * cfg.h for i in range(0, steps + 1, 3)]
+        assert len(traj) == steps // 3 + 1 == len(traj.x) == len(traj.v)
+
+
 @needs_cc
 def test_compiled_loop_rejects_bad_buffers():
     loop = _kernels.compiled_kernel().two_step_loop
     x, d = np.array(X0), np.zeros(3)
-    args = (10, 1, 0.04, 1e-3, 0.0, 0.0, 1.0, 1.0, 0.1, 1e-9, 0.0, 10.0, x, d)
+    args = (10, 1, 0.04, 0.0, 10.0, x, d, tb.ToroidalFieldModel(1e-3))
     with pytest.raises(ValueError):  # 10 steps sampled every step need 11 rows
-        loop(*args, np.empty(10), np.empty((10, 3)), np.empty((10, 3)))
+        loop(*args, np.empty((10, 3)), np.empty((10, 3)))
+    with pytest.raises(ValueError):  # out_x and out_v of one shape
+        loop(*args, np.empty((11, 3)), np.empty((12, 3)))
     with pytest.raises(ctypes.ArgumentError):  # wrong dtype never reaches C
-        loop(*args, np.empty(11), np.empty((11, 3), dtype=np.float32), np.empty((11, 3)))
+        loop(*args, np.empty((11, 3), dtype=np.float32), np.empty((11, 3)))
 
 
 def drift_both(s0, model, cfg, sample_times):
@@ -234,7 +256,7 @@ def test_both_drift_backends_abort_alike(tag):
 @needs_cc
 def test_compiled_drift_rejects_bad_buffers():
     rk4 = _kernels.compiled_kernel().drift_rk4
-    args = (1e-3, 1e-4, 1.0, 0.0, 1.0, 1.0, 0.1, 1e-9, 0.0)
+    args = (1e-3, 1e-4, tb.ToroidalFieldModel(1e-3), 1.0)
     with pytest.raises(ValueError):  # one row per sample time
         rk4(np.array([0.0, 1.0]), *args, np.zeros((1, 3)))
     with pytest.raises(ValueError):  # an empty grid has no row 0
@@ -430,6 +452,66 @@ def test_formatter_without_int128_writes_the_same_bytes(tmp_path):
                      c_rows(values, fallback=marker))
 
 
+def sanitizer_rows() -> np.ndarray:
+    """Every +-2^e with its neighbours, the edge values and 200k random bit patterns."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([values, -values, edge_values(), random_patterns(200_000, 2028)])
+
+
+def sanitizer_runs() -> str:
+    """Each loop's runs on the loaded backend: a completed run and every abort, as text."""
+    cases = [(tb.ToroidalFieldModel(1e-3), tb.PusherConfig(h=0.04), 40.0),
+             (tb.ToroidalFieldModel(1e-160), tb.PusherConfig(h=0.04), 0.4)]
+    cases += [_abort_case(tag) for tag in ("axis_singularity", "domain_error", "sanity_guard")]
+    lines = []
+    for model, cfg, t_final in cases:
+        traj = tb.integrate(X0, V0, model, cfg, t_final, sample_every=3)
+        lines.append(f"{traj.error} {traj.steps_completed} {traj.x.tobytes().hex()} "
+                     f"{traj.v.tobytes().hex()}")
+    # a shortened last interval, then both aborts
+    model, grid = tb.ToroidalFieldModel(1e-3), [k * 7.0 for k in range(15)] + [100.0]
+    drift_cases = [(tb.drift_init(X0, V0, model), model, 0.0, grid)]
+    drift_cases += [(*_drift_abort_case(tag)[:3], np.arange(1001.0)) for tag in ("axis", "domain")]
+    for s0, model, mu0, times in drift_cases:
+        try:
+            tr = tb.drift_integrate(s0, model, tb.DriftConfig(mu0=mu0), times)
+            lines.append(np.column_stack([tr.r, tr.z, tr.vpar]).tobytes().hex())
+        except (AxisSingularity, DomainError) as e:
+            lines.append(f"{type(e).__name__}: {e}")
+    return "\n".join(lines)
+
+
+SANITIZED_RUN = """
+import sys
+import test_kernels as tk
+from toroboris import _kernels
+_kernels._kernel, _kernels.BACKEND = _kernels._bind(sys.argv[1]), "c"
+sys.stdout.write(tk.c_rows(tk.sanitizer_rows()) + "\\0" + tk.sanitizer_runs())
+"""
+
+
+@needs_cc
+def test_kernel_runs_clean_under_ubsan(tmp_path):
+    # undefined behaviour in C (a shift past the width, a signed overflow, a
+    # misaligned or out-of-bounds access) stops the run with "runtime error"
+    lib = tmp_path / "ubsan.so"
+    build = subprocess.run([_kernels._CC, *_kernels._CFLAGS, "-fsanitize=undefined",
+                            "-fno-sanitize-recover=all", "-o", str(lib), _kernels._SOURCE, "-lm"],
+                           capture_output=True, text=True)
+    if build.returncode != 0:
+        pytest.skip(f"no UBSan build: {build.stderr.strip()}")
+    src = os.path.dirname(os.path.dirname(tb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    run = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib)], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr[-2000:]
+    rows, runs = run.stdout.split("\0")
+    assert_same_text(rows, python_rows(sanitizer_rows()))
+    with python_backend():
+        assert runs == sanitizer_runs()
+
+
 # ---------------------------------------------------------------------------
 # fallback and loader
 
@@ -523,6 +605,46 @@ def test_library_without_the_format_symbol_is_unavailable(tmp_path):
     subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
     with pytest.raises(_kernels.KernelUnavailable, match="toroboris_format_rows"):
         _kernels._bind(str(lib))
+
+
+def c_signatures() -> dict:
+    """Each toroboris_* definition of _kernel.c: name to (return kind, parameter kinds)."""
+    with open(_kernels._SOURCE) as f:
+        source = f.read()
+    found = re.findall(r"^(int|int64_t)\s+(toroboris_\w+)\(([^)]*)\)", source, re.MULTILINE)
+
+    def kind(declaration: str) -> str:
+        return "pointer" if "*" in declaration else declaration.split()[0]
+
+    return {name: (kind(ret), [kind(p) for p in params.split(",")])
+            for ret, name, params in found}
+
+
+def ctypes_kind(t) -> str:
+    if issubclass(t, (ctypes.c_void_p, ctypes._Pointer)):  # ndpointer types subclass c_void_p
+        return "pointer"
+    return {ctypes.c_double: "double", ctypes.c_int64: "int64_t", ctypes.c_int: "int"}[t]
+
+
+@needs_cc
+def test_bind_declares_the_c_signatures(monkeypatch):
+    # a parameter added, dropped or retyped on one side only would pass
+    # garbage to C without a ctypes error
+    libs = []
+
+    class Recorded(ctypes.CDLL):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            libs.append(self)
+
+    monkeypatch.setattr(ctypes, "CDLL", Recorded)
+    _kernels._load_library()
+    signatures = c_signatures()
+    assert sorted(signatures) == sorted(f"toroboris_{name}" for name in _kernels.Kernel._fields)
+    for name, (ret, params) in signatures.items():
+        fn = getattr(libs[0], name)  # the function object _bind declared
+        assert ctypes_kind(fn.restype) == ret, name
+        assert [ctypes_kind(t) for t in fn.argtypes] == params, name
 
 
 def count_loads(monkeypatch) -> list:
