@@ -138,23 +138,23 @@ static ALWAYS_INLINE int slow_rhs(const struct slow_field *f, double rt, double 
 
 /* Fixed-step RK4 of the slow system over the sample grid times[0..n_times),
  * in slow time tau = eps t.  Row k of out (n_times x 3) receives (r, z, v)
- * at times[k]; row 0 holds the initial state, filled by the caller.
+ * at times[k]; row 0 holds the initial state, filled by the caller.  Interval
+ * k starts at tau = times[k-1] eps and takes counts[k-1] steps (_rk4_counts).
  * Returns the status code; on an abort *bad holds the offending r or b.
  */
 int toroboris_drift_rk4(
-    int64_t n_times, const double *times, double eps, double dtau, double muhat,
-    double a0, double a1, double a2, double c_e, double r_min, double b_min,
+    int64_t n_times, const double *times, const int64_t *counts, double eps, double dtau,
+    double muhat, double a0, double a1, double a2, double c_e, double r_min, double b_min,
     double *out, double *bad)
 {
     struct slow_field f = {muhat, a0, a1, a2, c_e, r_min, b_min};
     double r = out[0], z = out[1], v = out[2];
     double k1[3], k2[3], k3[3], k4[3];
     int status;
-    double tau = times[0] * eps;
     for (int64_t k = 1; k < n_times; k++) {
+        double tau = times[k - 1] * eps;
         double target = times[k] * eps;
-        double snap = 1e-15 * fmax(1.0, fabs(target));
-        while (tau < target) {
+        for (int64_t i = 0; i < counts[k - 1]; i++) {
             double step = target - tau;
             if (step > dtau)
                 step = dtau;
@@ -175,8 +175,6 @@ int toroboris_drift_rk4(
             z = z + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
             v = v + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]);
             tau += step;
-            if (target - tau < snap)
-                tau = target;
         }
         out[3 * k + 0] = r;
         out[3 * k + 1] = z;

@@ -138,8 +138,10 @@ def _bind(path: str) -> Kernel:
         + [vec3, vec3, out3, out3, ctypes.POINTER(ctypes.c_int64)]
     )
     rk4_fn.restype = ctypes.c_int
+    counts1 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     rk4_fn.argtypes = (
-        [ctypes.c_int64, vec1] + [ctypes.c_double] * 9 + [out3, ctypes.POINTER(ctypes.c_double)]
+        [ctypes.c_int64, vec1, counts1] + [ctypes.c_double] * 9
+        + [out3, ctypes.POINTER(ctypes.c_double)]
     )
     # raw addresses: the wrapper checks the columns once, not on every chunk
     rows_fn.restype = ctypes.c_int64
@@ -157,13 +159,13 @@ def _bind(path: str) -> Kernel:
                          m.b_min, v_max, x_arr, d_arr, out_x, out_v, steps)
         return status, steps.value
 
-    def drift_rk4(times, eps, dtau, model, muhat, out):
+    def drift_rk4(times, counts, eps, dtau, model, muhat, out):
         """Run the C RK4; same arguments and errors as drift._rk4_loop."""
-        if len(times) < 1 or out.shape != (len(times), 3):
-            raise ValueError("out must have shape (len(times), 3) with len(times) >= 1")
+        if len(times) < 1 or out.shape != (len(times), 3) or len(counts) != len(times) - 1:
+            raise ValueError("need len(times) >= 1, out (len(times), 3), a count per interval")
         m, bad = model, ctypes.c_double(0.0)
-        status = rk4_fn(len(times), times, eps, dtau, muhat, m.a0, m.a1, m.a2, m.c, m.r_min,
-                        m.b_min, out, bad)
+        status = rk4_fn(len(times), times, counts, eps, dtau, muhat, m.a0, m.a1, m.a2, m.c,
+                        m.r_min, m.b_min, out, bad)
         if status == STATUS_AXIS:
             raise AxisSingularity(bad.value, m.r_min)
         if status == STATUS_DOMAIN:

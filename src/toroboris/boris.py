@@ -34,12 +34,17 @@ VARIANTS = ("standard", "modified")
 _STEP_TOL = 1e-9
 
 
+def _near_whole(q, n):
+    """Whether q lies within max(_STEP_TOL, 2**-48 n) of the whole n; floats or arrays."""
+    return abs(q - n) <= np.maximum(_STEP_TOL, n * 2**-48)
+
+
 def _whole_steps(span: float, h: float) -> int:
-    """The whole number n of steps h in span, or 0 when span / h lies further
-    than max(_STEP_TOL, 2**-48 n) steps from n: the one span-to-steps rule."""
+    """The whole number n of steps h in span, or 0 when span / h is not
+    _near_whole n: the one span-to-steps rule."""
     q = span / h
     n = round(q) if isfinite(q) else 0
-    return n if abs(q - n) <= max(_STEP_TOL, n * 2**-48) else 0
+    return n if _near_whole(q, n) else 0
 
 
 def _sample_times(steps: int, sample_every: int, h: float) -> np.ndarray:

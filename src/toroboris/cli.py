@@ -387,6 +387,10 @@ def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) ->
 
 
 def _cmd_compare(args) -> int:
+    if args.config and (args.csv_a or args.csv_b or args.out or args.summary):
+        _diag("ConfigError", "--config writes the config's outputs: it takes no --csv-a, "
+              "--csv-b, --out or --summary")
+        return EXIT_CONFIG
     if args.csv_a or args.csv_b:
         if not (args.csv_a and args.csv_b and args.out):
             _diag("ConfigError", "CSV mode needs --csv-a, --csv-b and --out")
@@ -436,9 +440,12 @@ def _report_study(output: dict, report: dict, series, csv_names, message: str, *
 def _cmd_converge(args) -> int:
     cfg = _decode(_read(args.config), _CONVERGE)
     scaled = cfg["mode"] == "scaled_pairs"
-    for key in ("pairs",) if scaled else ("epsilon", "h_list"):
-        if cfg[key] is None:
+    for key in ("pairs", "epsilon", "h_list"):
+        used = (key == "pairs") == scaled
+        if used and cfg[key] is None:
             raise SchemaError(f"/{key}", "missing required key")
+        if not used and cfg[key] is not None:
+            raise SchemaError(f"/{key}", f"not used in {cfg['mode']} mode")
     eps0, h0 = cfg["pairs"][0] if scaled else (cfg["epsilon"], cfg["h_list"][0])
     base_spec = ExperimentSpec(
         field=_model(cfg["field"], eps0), x0=cfg["x0"], v0=cfg["v0"], h=h0,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .boris import _near_whole
 from .errors import AxisSingularity, DomainError
 from .geometry import ToroidalFieldModel, frame
 
@@ -116,24 +117,23 @@ def drift_init(x0, v0_raw, field_model: ToroidalFieldModel) -> DriftState:
     return DriftState(r_t=fr.r, z_t=float(fr.z), v_t=float(fr.e_par @ v0))
 
 
-def _rk4_loop(times, eps, dtau, model, muhat, out):
+def _rk4_loop(times, counts, eps, dtau, model, muhat, out):
     """Fixed-step RK4 of the slow system over the sample grid times, an array.
 
     This is the reference definition of the slow-time stepping.  Row k of
     out receives (r~, z~, v~) at times[k]; row 0, the initial state, is
-    filled by the caller.  Each output interval takes steps of dtau in
-    tau = eps t and shortens the last one to land on the sample time.
-    _kernel.c transcribes this loop line for line; keep the expression
-    shapes of both aligned.
+    filled by the caller.  Interval k starts at tau = times[k-1] eps and takes
+    counts[k-1] steps of dtau, the last shortened to land on times[k] eps
+    where they do not fill it whole.  _kernel.c transcribes this loop line for
+    line; keep the expression shapes of both aligned.
     """
     # Python floats: numpy scalars or arrays per stage would cost several times more
     times = times.tolist()
     r, z, v = map(float, out[0])
-    tau = times[0] * eps
-    for k in range(1, len(times)):
+    for k, n in enumerate(counts.tolist(), 1):
+        tau = times[k - 1] * eps
         target = times[k] * eps
-        snap = 1e-15 * max(1.0, abs(target))
-        while tau < target:
+        for _ in range(n):
             step = target - tau
             if step > dtau:
                 step = dtau
@@ -147,8 +147,6 @@ def _rk4_loop(times, eps, dtau, model, muhat, out):
             z = z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             v = v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             tau += step
-            if target - tau < snap:
-                tau = target
         out[k] = r, z, v
 
 
@@ -163,30 +161,18 @@ def _sample_grid(sample_times) -> np.ndarray:
     return times
 
 
-# Unit roundoff of binary64.
-_U = 2.0**-53
+def _rk4_counts(times: np.ndarray, eps: float, dtau: float) -> np.ndarray:
+    """The RK4 steps of each interval of the sample grid times, as whole floats.
 
-
-def _rk4_step_bound(times: np.ndarray, eps: float, dtau: float) -> float:
-    """An upper bound on the RK4 steps _rk4_loop takes over the sample grid times.
-
-    An interval from tau_a to tau_b (tau = eps t) takes full steps of dtau
-    and ends with one step that lands on tau_b or is snapped onto it, so
-    every step but the last leaves at least the snapping threshold s to go.
-    A full step advances tau by dtau less its rounding, at most u max(|tau_a|,
-    |tau_b|), or dtau / 2 once dtau is above the resolution of tau (which
-    drift_integrate checks).  So n steps need n - 1 <= (tau_b - tau_a - s) / d,
-    with d the least advance; each term below is rounded towards more steps.
-    An empty interval takes none.
+    An interval spans tau = eps t from eps times[k-1] to eps times[k]: it takes
+    n >= 1 steps dtau when span / dtau is _near_whole n, as in boris._whole_steps,
+    else ceil(span / dtau), so 0 when empty.  Both RK4 loops take these counts.
     """
-    tau = times * eps
-    a, b = tau[:-1], tau[1:]
-    snap = 1e-15 * np.maximum(1.0, np.abs(b))
-    with np.errstate(over="ignore", divide="ignore"):
-        advance = dtau - np.minimum(2.0 * _U * np.maximum(np.abs(a), np.abs(b)), 0.5 * dtau)
-        q = ((b - a) * (1.0 + 4 * _U) - snap * (1.0 - 4 * _U)) / (advance * (1.0 - 4 * _U))
-        steps = np.where(b > a, np.maximum(1.0, 1.0 + np.floor(q * (1.0 + 8 * _U))), 0.0)
-        return float(np.sum(steps))
+    # inf for a span beyond 1.8e308 steps, which the budget refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.diff(times * eps) / dtau
+        n = np.rint(q)
+        return np.where((n > 0) & _near_whole(q, n), n, np.ceil(q))
 
 
 def drift_integrate(
@@ -195,9 +181,9 @@ def drift_integrate(
     """Integrate the slow system of model with fixed-step RK4 in slow time.
 
     The solution is sampled at sample_times, which must be finite and
-    nondecreasing; within each output interval the integrator takes steps
-    of config.dtau, shortening the final substep to land on the sample time,
-    so no interpolation is ever involved.  Deterministic: identical inputs
+    nondecreasing; each output interval takes the _rk4_counts steps of
+    config.dtau from its first sample time, the last shortened to land on the
+    next, so no interpolation is ever involved.  Deterministic: identical inputs
     give bit-identical outputs.  No step budget: see ExperimentSpec.check_budget.
 
     The steps run in the C loop _kernels picks for the model, bitwise equal
@@ -209,14 +195,15 @@ def drift_integrate(
     sample_times = _sample_grid(sample_times)
     tau_max = eps * max(abs(sample_times[0]), abs(sample_times[-1]))
     if config.dtau < math.ulp(tau_max):
-        # tau + dtau == tau: the step loop would never reach the sample time
+        # tau could not carry a shortened last step; above it every count is below 2**54
         raise ValueError(f"dtau={config.dtau} is below the resolution of slow time {tau_max}")
+    counts = _rk4_counts(sample_times, eps, config.dtau).astype(np.int64)
 
     out = np.empty((len(sample_times), 3))
     out[0] = s0.r_t, s0.z_t, s0.v_t
     kernel = _kernels.compiled_kernel(model)
     loop = kernel.drift_rk4 if kernel else _rk4_loop
-    loop(sample_times, eps, config.dtau, model, config.mu0 / eps, out)
+    loop(sample_times, counts, eps, config.dtau, model, config.mu0 / eps, out)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -283,7 +283,14 @@ _THRESHOLDS = {"grad_b": 1e-6, "epar_dot_E": 1e-13, "curl_E": 1e-10, "div_B_rel"
 
 
 def toroidal_probes(n: int, seed: int = 0, r_range=(0.25, 1.0), z_range=(-0.75, 0.75)):
-    """Deterministic probe points spread over a toroidal shell."""
+    """Deterministic probe points spread over a toroidal shell.
+
+    Raises ValueError unless 0 < low <= high for r_range and low <= high for z_range.
+    """
+    (r_low, r_high), (z_low, z_high) = r_range, z_range
+    if not (0.0 < r_low <= r_high and z_low <= z_high):
+        raise ValueError(f"probe ranges need 0 < low <= high for r and low <= high for z, "
+                         f"got r_range={tuple(r_range)}, z_range={tuple(z_range)}")
     rng = np.random.default_rng(seed)
     r = rng.uniform(*r_range, size=n)
     z = rng.uniform(*z_range, size=n)

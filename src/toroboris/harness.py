@@ -25,7 +25,7 @@ from .boris import (
     PusherConfig, Trajectory, _sample_times, _whole_steps, integrate, magnetic_moment,
     nondegeneracy_sigma,
 )
-from .drift import DriftConfig, DriftTrajectory, _rk4_step_bound, drift_init, drift_integrate
+from .drift import DriftConfig, DriftTrajectory, _rk4_counts, drift_init, drift_integrate
 from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
 from .geometry import ToroidalFieldModel, dot3, frame, potential
 
@@ -127,9 +127,9 @@ class ExperimentSpec:
     def reference_steps(self) -> int:
         return self.steps // self.sample_stride * self.reference_stride
 
-    @cached_property  # the RK4 bound check_budget("drift") reads, computed once per spec
+    @cached_property  # the RK4 steps check_budget("drift") reads, counted once per spec
     def _rk4_steps(self) -> float:
-        return _rk4_step_bound(self.sample_times, self.epsilon, self.dtau)
+        return float(_rk4_counts(self.sample_times, self.epsilon, self.dtau).sum())
 
     def check_budget(self, against: str) -> None:
         """Raise BudgetExceeded if the "reference" or "drift" comparator needs over budget_steps."""

@@ -276,6 +276,22 @@ def test_compare_csv_mode_zero_errors(tmp_path, capsys):
     assert lines[0] == "t,err_r,err_z,err_vpar"
 
 
+@pytest.mark.parametrize("flags", [["--out", "x.csv", "--summary", "x.json"],
+                                   ["--csv-a", "a.csv", "--csv-b", "b.csv", "--out", "x.csv"]],
+                         ids=["out-summary", "csv-mode"])
+def test_compare_config_rejects_the_csv_modes_flags(tmp_path, capsys, flags):
+    # with --out and --summary it wrote the config's output and printed the
+    # summary; with --csv-a and --csv-b it ran CSV mode and never read the config
+    (tmp_path / "a.csv").write_text(CSV)
+    (tmp_path / "b.csv").write_text(CSV)
+    cfg = write_config(tmp_path, base_config(tmp_path, t_final=4.0, against="drift"))
+    argv = ["compare", "--config", cfg, *[str(tmp_path / f) if f[0] != "-" else f for f in flags]]
+    assert cli.cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ConfigError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "config.json"]
+
+
 def test_compare_csv_mode_grid_mismatch_exit_3(tmp_path, capsys):
     cfg = base_config(tmp_path)
     path = write_config(tmp_path, cfg)
@@ -390,19 +406,19 @@ def test_theorem1_checks_every_entry_before_it_runs_any(
                  id="compare-reference"),
     pytest.param("compare", {"t_final": 400.0, "against": "drift", "dtau": 1e-7,
                              "budget_steps": 10**6},
-                 "slow-system RK4 needs 4000998 steps, above the budget of 1000000;",
+                 "slow-system RK4 needs 4000000 steps, above the budget of 1000000;",
                  id="compare-drift"),
     # the first entry's whole 1e7-step reference used to run first
     pytest.param("theorem1", {"eps_list": [1e-3, 2e-3], "dtau": 8e-10},
-                 "slow-system RK4 needs 625001000 steps, above the budget of 500000000;",
+                 "slow-system RK4 needs 625000000 steps, above the budget of 500000000;",
                  id="theorem1-drift"),
     # 1e15 steps of 0.05 eps at 1e-7; theorem1 has no h key, which the message named
     pytest.param("theorem1", {"eps_list": [1e-2, 1e-3, 1e-7], "c": 0.5},
                  "run needs 1000000000000000 steps, above the budget of 500000000; its step "
                  "is 0.05*epsilon=5e-09: ", id="theorem1-run"),
-    # RK4 bounds of 100222 and 100550 steps: only the last pair's is over budget
-    pytest.param("converge", {"c": 0.1, "dtau": 1e-6, "budget_steps": 100_300},
-                 "slow-system RK4 needs 100550 steps, above the budget of 100300;",
+    # RK4 counts of 33500 and 34000 steps: only the last pair's is over budget
+    pytest.param("converge", {"c": 0.1, "dtau": 3e-6, "budget_steps": 33_750},
+                 "slow-system RK4 needs 34000 steps, above the budget of 33750;",
                  id="converge-last-pair"),
 ])
 def test_every_budget_is_checked_before_the_first_step(tmp_path, capsys, monkeypatch, command,
@@ -732,10 +748,9 @@ def test_simulate_budget_exit_3_no_output(tmp_path, capsys):
     [
         # one step over: both counts used to print as 1e+05
         ("simulate", {"t_final": 4000.0, "c": 4.0}, "100000", 99_999),
-        # the slow system's bound on its RK4 steps at dtau 1e-6: 400 per interval of 0.4,
-        # and one more where tau's rounding may need it; the run's own 100000
-        # steps are within the budget
-        ("drift", {"t_final": 4000.0, "c": 4.0, "dtau": 1e-6}, "4009972", 3_999_999),
+        # the slow system's RK4 steps at dtau 1e-6: 400 per interval of 0.4; the
+        # run's own 100000 steps are within the budget
+        ("drift", {"t_final": 4000.0, "c": 4.0, "dtau": 1e-6}, "4000000", 3_999_999),
     ],
 )
 def test_budget_message_prints_both_numbers_exactly(tmp_path, capsys, command, overrides, need,
@@ -832,6 +847,10 @@ INPUT_HOLES = [
     ("check-field", {"/probes/r_range": [-1.0, -0.25]}, "/probes/r_range"),
     ("check-field", {"/probes/z_range": [0.75, -0.75]}, "/probes/z_range"),
     ("converge", {"/order_band": [2.3, 1.7]}, "/order_band"),
+    # the other mode's keys, which were accepted and never read
+    ("converge", {"/epsilon": 0.5}, "/epsilon"),
+    ("converge", {"/h_list": [0.04, 0.02]}, "/h_list"),
+    ("converge", {"/mode": "fixed_eps", "/epsilon": 1e-2, "/h_list": [0.04, 0.02]}, "/pairs"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 from fractions import Fraction as F
 
@@ -256,20 +257,85 @@ def test_budget_fires_before_running(tmp_path, capsys):
 
 
 def test_budget_counts_the_sample_grid():
-    # the grid spans 2000: 20000 steps of dtau, and one more because tau rounds
-    # low over them
-    assert drift._rk4_step_bound(np.array([0.0, 2000.0]), 1e-3, 1e-4) == 20001.0
-    # only the span of the grid counts, not where it starts: 100 dtau and one
-    # step for rounding
-    assert drift._rk4_step_bound(np.array([990.0, 1000.0]), 1e-3, 1e-4) == 101.0
+    # the grid spans 2000: 20000 steps of dtau, however tau rounds over them
+    assert drift._rk4_counts(np.array([0.0, 2000.0]), 1e-3, 1e-4).sum() == 20000.0
+    # only the span of the grid counts, not where it starts: 100 steps of dtau
+    assert drift._rk4_counts(np.array([990.0, 1000.0]), 1e-3, 1e-4).sum() == 100.0
 
 
 def test_budget_caps_strides_just_above_a_step(model_1e3, mu0_1e3):
     # each interval of 0.105 is 1.05 dtau of slow time, so it takes 2 steps: 200
     # in all, which ran under a budget of 105 (the span alone is 105 dtau)
     times = [k * 0.105 for k in range(101)]
-    assert drift._rk4_step_bound(np.array(times), 1e-3, 1e-4) == 200.0
+    assert drift._rk4_counts(np.array(times), 1e-3, 1e-4).sum() == 200.0
     assert count_rk4_steps(model_1e3, tb.DriftConfig(mu0_1e3, dtau=1e-4), times) == 200
+
+
+DTAU = 2.0**-10  # a binary step: a span of q steps is q * DTAU exactly
+
+
+@pytest.mark.parametrize("times, eps, dtau, counts", [
+    pytest.param([0.0, 100 * DTAU, 300 * DTAU], 1.0, DTAU, [100, 200], id="whole"),
+    # within 1e-9 steps of whole: the whole count, the last step a little short or long
+    pytest.param([0.0, (100 - 5e-10) * DTAU], 1.0, DTAU, [100], id="just-below-whole"),
+    pytest.param([0.0, (100 + 5e-10) * DTAU], 1.0, DTAU, [100], id="just-above-whole"),
+    # further off: ceil, the last step shortened
+    pytest.param([0.0, (100 - 1e-8) * DTAU], 1.0, DTAU, [100], id="below-whole"),
+    pytest.param([0.0, (100 + 1e-8) * DTAU], 1.0, DTAU, [101], id="above-whole"),
+    pytest.param([0.0, 0.5 * DTAU, 2.25 * DTAU], 1.0, DTAU, [1, 2], id="fractions"),
+    pytest.param([0.0, 1e-3 * DTAU], 1.0, DTAU, [1], id="a-thousandth-step"),
+    pytest.param([0.0, 1e-12 * DTAU], 1.0, DTAU, [1], id="a-sliver"),
+    pytest.param([3.0, 3.0, 3.0 + DTAU, 3.0 + DTAU], 1.0, DTAU, [0, 1, 0], id="empty"),
+    # far from 0 the span rounds: 10 at t = 1e5 is 0.010000000000005116 of tau
+    pytest.param([1e5, 1e5 + 10.0], 1e-3, 1e-4, [100], id="far-from-0"),
+    pytest.param([-1e5 - 10.0, -1e5], 1e-3, 1e-4, [100], id="far-below-0"),
+    # from 2.8e5 steps on, the tolerance is 2**-48 n: 16 to 32 ulps of n
+    pytest.param([0.0, 4e6 * (1 + 2e-15) * DTAU], 1.0, DTAU, [4e6], id="many-steps"),
+    # the benchmark's slow-compare grid: 1000 whole steps per interval
+    pytest.param(np.arange(0, 2501, 250) * 0.04, 1e-3, 1e-5, [1000] * 10, id="slow-compare"),
+])
+def test_rk4_counts_edge_cases(times, eps, dtau, counts):
+    got = drift._rk4_counts(np.array(times, dtype=float), eps, dtau)
+    assert got.tolist() == counts
+
+
+def test_rk4_counts_never_raise_on_overflow():
+    # the CLI runs under np.errstate(over="raise"): a span of more than 1.8e308
+    # steps counts as inf, which the budget refuses, as the scalar rule returns 0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert drift._rk4_counts(np.array([0.0, 1.0]), 1.0, 5e-324).tolist() == [np.inf]
+
+
+def test_slow_compare_grid_takes_exactly_its_whole_steps(model_1e3, mu0_1e3):
+    # 1000 whole steps of dtau 1e-5 per interval of 10.  In 4 of the 10 intervals
+    # tau, summed over 1000 steps, falls short of the sample time by more than
+    # 1e-15, and a loop run until tau reached it took a 1001st tiny step: 10004 in all
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-5)
+    times = np.arange(0, 2501, 250) * 0.04
+    assert count_rk4_steps(model_1e3, cfg, times) == 10_000
+    s0 = tb.drift_init(X0, V0, model_1e3)
+    compiled = tb.drift_integrate(s0, model_1e3, cfg, times)
+    with python_backend():
+        python = tb.drift_integrate(s0, model_1e3, cfg, times)
+    for name in ("t", "r", "z", "vpar"):
+        assert getattr(compiled, name).tobytes() == getattr(python, name).tobytes(), name
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_each_interval_restarts_from_its_sample_time(model_1e3, mu0_1e3, backend):
+    # 1000 steps of dtau leave tau short of 10 and of 30 (see above); the next
+    # interval's shortened step is still measured from the sample time, so a run
+    # over the grid reaches, at each sample, what a run over that interval alone
+    # reaches from the sample before
+    cfg = tb.DriftConfig(mu0=mu0_1e3, dtau=1e-5)
+    times = [0.0, 10.0, 10.005, 20.0, 30.0, 30.0123]
+    with python_backend() if backend == "python" else contextlib.nullcontext():
+        whole = tb.drift_integrate(tb.drift_init(X0, V0, model_1e3), model_1e3, cfg, times)
+        for k in range(1, len(times)):
+            s = DriftState(whole.r[k - 1], whole.z[k - 1], whole.vpar[k - 1])
+            part = tb.drift_integrate(s, model_1e3, cfg, times[k - 1:k + 1])
+            assert (part.r[1], part.z[1], part.vpar[1]) == (whole.r[k], whole.z[k],
+                                                            whole.vpar[k]), k
 
 
 def count_rk4_steps(model, cfg, times) -> int:
@@ -294,7 +360,7 @@ def step_grids(draw):
     eps = draw(st.sampled_from([1e-3, 1e-2, 0.37]))
     dtau = draw(st.sampled_from([1e-4, 3e-4, 1e-3]))
     step_t = dtau / eps
-    # far from 0, tau rounds by more than the snapping threshold over an interval
+    # far from 0, tau rounds by many ulps over an interval's steps
     t0 = draw(st.sampled_from([0.0, 1.0, 123.456, 1e4, 1e5]))
     kind = draw(st.sampled_from(["whole", "near", "any"]))
     times = [t0]
@@ -318,6 +384,5 @@ def test_an_accepted_run_takes_no_more_steps_than_its_budget(grid):
     model = tb.ToroidalFieldModel(eps)
     cfg = tb.DriftConfig(1e-4 * eps, dtau=dtau)
     steps = count_rk4_steps(model, cfg, times)
-    # the bound, which the budget is checked against, is above the steps taken,
-    # by at most one per interval
-    assert steps <= drift._rk4_step_bound(np.array(times), eps, dtau) <= steps + len(times) - 1
+    # the budget is checked against the counts, which are exactly the steps taken
+    assert steps == drift._rk4_counts(np.array(times), eps, dtau).sum()

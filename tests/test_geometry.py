@@ -181,6 +181,26 @@ def test_eval_field_sample_invariants(model_1e3):
         assert np.max(np.abs(s.B / s.absB - frp.e_par)) <= 1e-13
 
 
+@pytest.mark.parametrize("ranges", [
+    # negative radii were probed mirrored to |r|; a reversed range raised numpy's
+    # "high - low < 0"
+    {"r_range": (-1.0, -0.25)},
+    {"r_range": (0.0, 1.0)},
+    {"r_range": (1.0, 0.25)},
+    {"z_range": (0.75, -0.75)},
+    {"r_range": (math.nan, 1.0)},
+])
+def test_toroidal_probes_rejects_bad_ranges(ranges):
+    with pytest.raises(ValueError, match="probe ranges"):
+        tb.toroidal_probes(5, **ranges)
+
+
+def test_toroidal_probes_accept_degenerate_ranges():
+    p = tb.toroidal_probes(4, r_range=(0.5, 0.5), z_range=(-0.1, -0.1))
+    np.testing.assert_allclose(np.hypot(p[:, 0], p[:, 1]), 0.5, rtol=1e-15)
+    assert (p[:, 2] == -0.1).all()
+
+
 def test_eval_field_domain_guard():
     m = tb.ToroidalFieldModel(1e-3, b_min=1.0)
     with pytest.raises(DomainError):
@@ -345,6 +365,9 @@ def outcome(check):
 
 finite = st.floats(-10.0, 10.0, allow_subnormal=False)
 ordered = st.tuples(finite, finite).map(sorted)
+# toroidal_probes takes radii above 0; below r_min = 0.1 they reach the axis check
+radius = st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False)
+radii = st.tuples(radius, radius).map(sorted)
 
 
 @given(
@@ -352,7 +375,7 @@ ordered = st.tuples(finite, finite).map(sorted)
     coefs=st.tuples(finite, finite, finite, finite),
     n=st.integers(0, 20),
     seed=st.integers(0, 2**32 - 1),
-    r_range=ordered,
+    r_range=radii,
     z_range=ordered,
     r_min=st.sampled_from([1e-9, 0.1]),
     delta=st.floats(1e-8, 1e-3),

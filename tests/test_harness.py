@@ -435,11 +435,11 @@ def test_theorem1_budget_propagates():
     (lambda: tb.theorem1_suite(tb.ToroidalFieldModel(1.0), [1e-2, 5e-3], 0.01, X0, V0), 2),
 ], ids=["compare-drift", "scaled-pairs", "theorem1"])
 def test_the_rk4_bound_is_computed_once_per_spec(monkeypatch, study, bounds):
-    # one bound per run against the drift: it used to be recomputed at every
-    # budget check, 2, 6 and 6 times here
+    # one count of the RK4 steps per run against the drift: the bound it replaced
+    # used to be recomputed at every budget check, 2, 6 and 6 times here
     calls = []
-    bound = harness._rk4_step_bound
-    monkeypatch.setattr(harness, "_rk4_step_bound", lambda *a: calls.append(a) or bound(*a))
+    count = harness._rk4_counts
+    monkeypatch.setattr(harness, "_rk4_counts", lambda *a: calls.append(a) or count(*a))
     study()
     assert len(calls) == bounds
 

@@ -164,9 +164,9 @@ def drift_both(s0, model, cfg, sample_times):
 
 @st.composite
 def sample_grids(draw, eps, dtau):
-    """A regular grid whose stride is a whole number of RK4 steps (so tau's
-    snapping rule decides each interval's end) or a non-integer one (so every
-    interval ends on a shortened substep), or an arbitrary nondecreasing grid."""
+    """A regular grid whose stride is a whole number of RK4 steps (so every
+    step is a full one) or a non-integer one (so every interval ends on a
+    shortened substep), or an arbitrary nondecreasing grid."""
     t0 = draw(st.floats(-50.0, 50.0))
     if draw(st.booleans()):
         whole = draw(st.integers(5, 40))
@@ -257,12 +257,17 @@ def test_both_drift_backends_abort_alike(tag):
 def test_compiled_drift_rejects_bad_buffers():
     rk4 = _kernels.compiled_kernel().drift_rk4
     args = (1e-3, 1e-4, tb.ToroidalFieldModel(1e-3), 1.0)
+    counts = np.array([10], dtype=np.int64)
     with pytest.raises(ValueError):  # one row per sample time
-        rk4(np.array([0.0, 1.0]), *args, np.zeros((1, 3)))
+        rk4(np.array([0.0, 1.0]), counts, *args, np.zeros((1, 3)))
     with pytest.raises(ValueError):  # an empty grid has no row 0
-        rk4(np.empty(0), *args, np.zeros((0, 3)))
+        rk4(np.empty(0), counts[:0], *args, np.zeros((0, 3)))
+    with pytest.raises(ValueError):  # one count per interval
+        rk4(np.array([0.0, 1.0]), np.array([10, 10], dtype=np.int64), *args, np.zeros((2, 3)))
     with pytest.raises(ctypes.ArgumentError):  # wrong dtype never reaches C
-        rk4(np.array([0.0, 1.0], dtype=np.float32), *args, np.zeros((2, 3)))
+        rk4(np.array([0.0, 1.0], dtype=np.float32), counts, *args, np.zeros((2, 3)))
+    with pytest.raises(ctypes.ArgumentError):  # counts are int64, not float
+        rk4(np.array([0.0, 1.0]), counts.astype(float), *args, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
