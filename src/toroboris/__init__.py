@@ -11,7 +11,6 @@ from .boris import (
     ParticleState,
     PusherConfig,
     Trajectory,
-    filter_initial_velocity,
     initialize,
     integrate,
     magnetic_moment,
@@ -93,7 +92,6 @@ __all__ = [
     "error_vs_drift",
     "error_vs_reference",
     "eval_field",
-    "filter_initial_velocity",
     "fit_loglog_slope",
     "frame",
     "initialize",

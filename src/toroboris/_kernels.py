@@ -13,7 +13,9 @@ the library (``_kernel.c``) holds three functions:
   the columns in place.  It formats zeros, infinities, NaN and the normal
   values of decimal exponent -40 to 16 (1e-40 <= |x| < 1e17); the rows
   holding any other value (a subnormal, anything smaller or from 1e17 on)
-  go to the Python formatter instead, in one call per chunk of rows.
+  go to the Python formatter instead, in one call.  The wrapper formats the
+  rows it is given and returns bytes; cli._columns_csv hands it one chunk of
+  rows at a time.
 
 The Python code stays the single definition of each; tests pin each C
 function to its Python twin bitwise.  A loop's wrapper takes its twin's
@@ -143,7 +145,7 @@ def _bind(path: str) -> Kernel:
         [ctypes.c_int64, vec1, counts1] + [ctypes.c_double] * 9
         + [out3, ctypes.POINTER(ctypes.c_double)]
     )
-    # raw addresses: the wrapper checks the columns once, not on every chunk
+    # raw addresses: the wrapper checks the columns itself
     rows_fn.restype = ctypes.c_int64
     rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
@@ -171,13 +173,13 @@ def _bind(path: str) -> Kernel:
         if status == STATUS_DOMAIN:
             raise DomainError(bad.value, m.b_min)
 
-    def format_rows(columns, fallback, chunk_rows):
-        """CSV lines of %.17g fields, one per value of the float64 columns, in chunks.
+    def format_rows(columns, fallback):
+        """CSV lines of %.17g fields, one per value of the float64 columns, as bytes.
 
         Line i holds row i: the i-th value of each 1-D column, read in place at
-        any stride.  Each chunk of chunk_rows lines is one C call, which leaves
-        out the rows holding a value outside its range; fallback(block) writes
-        those rows of the chunk, as a (rows, cols) block, and they are spliced in.
+        any stride.  One C call writes every line but those of the rows holding
+        a value outside its range; fallback(block) writes those rows, given as
+        one (rows, cols) block, as bytes, and they are spliced in.
         """
         if not columns:
             raise ValueError("no columns")
@@ -192,27 +194,20 @@ def _bind(path: str) -> Kernel:
         cols = len(columns)
         pointers = (ctypes.c_void_p * cols)(*[c.ctypes.data for c in columns])
         strides = (ctypes.c_int64 * cols)(*[c.strides[0] // c.itemsize for c in columns])
-        most = min(rows, chunk_rows)
-        out = np.empty(most * cols * _FIELD_BYTES, dtype=np.uint8)
-        skipped = np.empty((most, 2), dtype=np.int64)
-        out_address, skipped_address = out.ctypes.data, skipped.ctypes.data
+        out = np.empty(rows * cols * _FIELD_BYTES, dtype=np.uint8)
+        skipped = np.empty((rows, 2), dtype=np.int64)
         n_skipped = ctypes.c_int64(0)
-        chunks = []
-        for first in range(0, rows, chunk_rows):
-            written = rows_fn(first, min(chunk_rows, rows - first), cols, pointers, strides,
-                              out_address, len(out), skipped_address, n_skipped)
-            text = str(out.data[:written], "ascii")
-            if n_skipped.value:
-                left = skipped[:n_skipped.value]
-                block = np.column_stack([c[first + left[:, 0]] for c in columns])
-                parts, end = [], 0
-                for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
-                                    strict=True):
-                    parts += (text[end:at], line)
-                    end = at
-                text = "".join(parts) + text[end:]
-            chunks.append(text)
-        return chunks
+        written = rows_fn(0, rows, cols, pointers, strides, out.ctypes.data, len(out),
+                          skipped.ctypes.data, n_skipped)
+        text, parts, end = out.data, [], 0
+        if n_skipped.value:
+            left = skipped[:n_skipped.value]
+            block = np.column_stack([c[left[:, 0]] for c in columns])
+            for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
+                                strict=True):
+                parts += (text[end:at], line)
+                end = at
+        return b"".join([*parts, text[end:written]])
 
     return Kernel(two_step_loop, drift_rk4, format_rows)
 

@@ -132,12 +132,6 @@ def _along_B(B, absB, v: np.ndarray) -> np.ndarray:
     return float(e @ v) * e
 
 
-def filter_initial_velocity(x, v, field_model) -> np.ndarray:
-    """Project v onto the direction of B(x), removing the gyration component."""
-    B, absB = field_model.strength(x)
-    return _along_B(B, absB, np.asarray(v, dtype=float))
-
-
 def _emod(sample, mu0: float) -> np.ndarray:
     return sample.E - mu0 * sample.gradAbsB
 

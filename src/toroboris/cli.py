@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,14 +41,14 @@ EXIT_RUNTIME = 3
 EXIT_GATE = 4
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings in chunks to path through a temp file and a rename.
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the bytes chunks to path as they arrive, through a temp file and a rename.
 
-    The temp file is removed when the write or the rename fails.
+    The temp file is removed when a chunk, the write or the rename fails.
     """
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -275,43 +276,47 @@ ERROR_HEADER = "t,err_r,err_z,err_vpar"
 
 
 # Rows per formatted chunk: large enough to amortise the per-chunk work, small
-# enough that each chunk's copies stay a few hundred kB.
+# enough that each chunk's copies stay a few hundred kB.  A CSV is written one
+# chunk at a time, so the writer's memory does not grow with the run.
 _CHUNK_ROWS = 1024
 
 
-def _python_rows(block: np.ndarray) -> str:
+def _python_rows(block: np.ndarray) -> bytes:
     """The rows of a (rows, cols) array as CSV lines, one %.17g field per value.
 
     %.17g round-trips binary64 exactly.  This is the definition of the text:
     the C formatter of _kernels writes the same bytes.
     """
     row = ",".join(["%.17g"] * block.shape[1])
-    return "\n".join([row % values for values in zip(*block.T.tolist())]) + "\n"
+    return ("\n".join([row % values for values in zip(*block.T.tolist())]) + "\n").encode()
 
 
-def _columns_csv(header: str, *columns) -> list[str]:
-    """The CSV text in chunks: the header, then one line per sample, one field per column.
+def _columns_csv(header: str, *columns) -> Iterator[bytes]:
+    """The CSV as bytes chunks: the header line, then _CHUNK_ROWS lines at a time.
 
-    Rows are formatted by the C kernel when it is available, by _python_rows
-    otherwise and for the rows the C formatter leaves to it.
+    Line i holds sample i, one field per column.  Each chunk is formatted
+    when it is asked for: by the C kernel when it is available, by
+    _python_rows otherwise and for the rows the C formatter leaves to it.
     """
     kernel = _kernels.compiled_kernel()
-    if kernel is not None:
-        return [header + "\n", *kernel.format_rows(columns, _python_rows, _CHUNK_ROWS)]
-    return [header + "\n"] + [
-        _python_rows(np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns]))
-        for start in range(0, len(columns[0]), _CHUNK_ROWS)
-    ]
+    yield header.encode() + b"\n"
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+        if kernel is None:
+            yield _python_rows(np.column_stack(chunk))
+        else:
+            yield kernel.format_rows(chunk, _python_rows)
 
 
-def trajectory_csv(traj: Trajectory) -> list[str]:
+def trajectory_csv(traj: Trajectory) -> Iterator[bytes]:
+    """The trajectory CSV's chunks; the observables are computed here, over the whole run."""
     obs = observables(traj)
     return _columns_csv(
         TRAJECTORY_HEADER, traj.t, *traj.x.T, *traj.v.T, obs.r, obs.z, obs.vpar, obs.mu, obs.energy
     )
 
 
-def error_csv(err: ErrorSeries) -> list[str]:
+def error_csv(err: ErrorSeries) -> Iterator[bytes]:
     return _columns_csv(ERROR_HEADER, err.t, err.err_r, err.err_z, err.err_vpar)
 
 
@@ -380,7 +385,7 @@ def _compare_from_csvs(path_a: str, path_b: str) -> ErrorSeries:
 def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) -> int:
     _atomic_write(path, error_csv(err))
     if summary_path:
-        _atomic_write(summary_path, [json.dumps(summary, indent=2) + "\n"])
+        _atomic_write(summary_path, [(json.dumps(summary, indent=2) + "\n").encode()])
     else:
         print(json.dumps(summary))
     return EXIT_OK
@@ -430,7 +435,7 @@ def _report_study(output: dict, report: dict, series, csv_names, message: str, *
         os.makedirs(csv_dir, exist_ok=True)
         for name, err in zip(csv_names, series):
             _atomic_write(os.path.join(csv_dir, name), error_csv(err))
-    _atomic_write(output["path"], [json.dumps(report, indent=2) + "\n"])
+    _atomic_write(output["path"], [(json.dumps(report, indent=2) + "\n").encode()])
     if not report["passed"]:
         _diag("GateFailure", message, **extra)
         return EXIT_GATE
@@ -487,7 +492,7 @@ def _cmd_check_field(args) -> int:
     if cfg["output"] is None:
         print(text, end="")
     else:
-        _atomic_write(cfg["output"]["path"], [text])
+        _atomic_write(cfg["output"]["path"], [text.encode()])
     return EXIT_OK
 
 

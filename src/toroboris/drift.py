@@ -31,6 +31,11 @@ from .boris import _near_whole
 from .errors import AxisSingularity, DomainError
 from .geometry import ToroidalFieldModel, frame
 
+# dtau spans at least 2**k ulps of the largest slow time, k = _DTAU_ULPS_LOG2.
+# Each tau += step rounds by at most half an ulp, so the steps leave at most
+# 2**-(k+1) of an interval uncovered: 4.8e-7 of it at k = 20.
+_DTAU_ULPS_LOG2 = 20
+
 
 @dataclass(frozen=True)
 class DriftState:
@@ -194,9 +199,11 @@ def drift_integrate(
     eps = model.epsilon
     sample_times = _sample_grid(sample_times)
     tau_max = eps * max(abs(sample_times[0]), abs(sample_times[-1]))
-    if config.dtau < math.ulp(tau_max):
-        # tau could not carry a shortened last step; above it every count is below 2**54
-        raise ValueError(f"dtau={config.dtau} is below the resolution of slow time {tau_max}")
+    if config.dtau < 2.0**_DTAU_ULPS_LOG2 * math.ulp(tau_max):
+        # the steps' roundings could leave a visible share of an interval
+        # uncovered; above the bound every count is below 2**34
+        raise ValueError(f"dtau={config.dtau} is below the resolution of slow time {tau_max}: "
+                         f"it must span 2**{_DTAU_ULPS_LOG2} ulps")
     counts = _rk4_counts(sample_times, eps, config.dtau).astype(np.int64)
 
     out = np.empty((len(sample_times), 3))

@@ -9,8 +9,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toroboris import boris, cli, harness
+from conftest import python_backend
+from toroboris import _kernels, boris, cli, harness
 from toroboris.errors import SchemaError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -236,6 +238,38 @@ def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert out.is_dir() and list(out.iterdir()) == []
     assert list(tmp_path.glob("*.tmp-*")) == []
+
+
+def test_failed_chunk_source_leaves_no_file(tmp_path):
+    # the header is written, then formatting the first rows fails
+    def chunks():
+        yield b"t,x\n"
+        raise FloatingPointError("overflow while formatting")
+
+    with pytest.raises(FloatingPointError):
+        cli._atomic_write(str(tmp_path / "out.csv"), chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def csv_write_peak(tmp_path, chunks: int) -> int:
+    """Peak traced bytes while a 12-column CSV of chunks full chunks of rows is written."""
+    columns = np.random.default_rng(chunks).normal(size=(12, chunks * cli._CHUNK_ROWS))
+    tracemalloc.start()
+    try:
+        cli._atomic_write(str(tmp_path / f"{chunks}.csv"), cli._columns_csv("h", *columns))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["loaded", "python"])
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path, python):
+    # each chunk is written as it is formatted: four times the rows, the same peak
+    with python_backend() if python else nullcontext():
+        _kernels.compiled_kernel()  # loaded before the first measurement
+        peaks = {n: csv_write_peak(tmp_path, n) for n in (16, 64)}
+    one_chunk = (tmp_path / "64.csv").stat().st_size / 64
+    assert peaks[64] <= peaks[16] + one_chunk, (peaks, one_chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -209,6 +210,33 @@ def test_drift_integrate_rejects_a_step_below_the_resolution_of_tau(model_1e3, m
     s0 = tb.drift_init(X0, V0, model_1e3)
     with pytest.raises(ValueError, match="resolution"):
         tb.drift_integrate(s0, model_1e3, cfg, [1e20, 1e20 + 1e5])
+
+
+# At tau = 1e6 a step of 1.5 ulps advances tau by 2 ulps: 750 of the 1000 steps
+# reach the sample time and a quarter of the interval would go unintegrated.
+ULP_1E6 = math.ulp(1e6)
+COARSE_TIMES = [1e6, 1e6 + 1500 * ULP_1E6]
+
+
+def test_drift_integrate_rejects_a_step_whose_roundings_lose_part_of_an_interval():
+    model = tb.ToroidalFieldModel(1.0)
+    cfg = tb.DriftConfig(mu0=tb.magnetic_moment(X0, V0, model), dtau=1.5 * ULP_1E6)
+    with pytest.raises(ValueError, match="resolution"):
+        tb.drift_integrate(tb.drift_init(X0, V0, model), model, cfg, COARSE_TIMES)
+
+
+def test_drift_command_exits_2_on_a_step_below_the_resolution_of_tau(tmp_path, capsys):
+    # samples on [0, t], within the horizon c / eps and a budget of 2**53 RK4 steps
+    t = COARSE_TIMES[1]
+    cfg = {"epsilon": 1.0, "h": t / 2, "t_final": t, "variant": "modified", "dtau": 1.5 * ULP_1E6,
+           "c": t, "budget_steps": 2**53, "field": {"preset": "paper-toroidal"}, "x0": list(X0),
+           "v0": list(V0), "output": {"path": str(tmp_path / "drift.csv")}}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.cli_main(["drift", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "resolution" in err["message"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def drift_command(tmp_path, capsys, t_final, stride, h=0.04, **limits):

@@ -278,14 +278,14 @@ def c_rows(values, cols=1, fallback=cli._python_rows, kernel=None):
     """values as rows of cols fields through the C formatter, read as columns in place."""
     block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     kernel = kernel or _kernels.compiled_kernel()
-    return "".join(kernel.format_rows(tuple(block.T), fallback, cli._CHUNK_ROWS))
+    return kernel.format_rows(tuple(block.T), fallback)
 
 
 def python_rows(values, cols=1):
     return cli._python_rows(np.asarray(values, dtype=np.float64).reshape(-1, cols))
 
 
-def assert_same_text(got: str, want: str):
+def assert_same_text(got: bytes, want: bytes):
     """got == want, reporting the first line that differs: a diff of long texts is slow."""
     if got != want:
         lines = zip(got.splitlines(), want.splitlines())
@@ -335,7 +335,7 @@ def no_fallback(block):
 
 def marker(block):
     """A fallback that marks the rows it is given."""
-    return "python\n" * len(block)
+    return b"python\n" * len(block)
 
 
 def random_patterns(n, seed):
@@ -350,23 +350,27 @@ def test_c_formatter_matches_python_on_random_bit_patterns():
     inside = in_fast_range(patterns)
     assert_same_text(c_rows(patterns[inside], fallback=no_fallback), python_rows(patterns[inside]))
     outside = patterns[~inside]
-    assert_same_text(c_rows(outside, fallback=marker), "python\n" * len(outside))
+    assert_same_text(c_rows(outside, fallback=marker), b"python\n" * len(outside))
     assert_same_text(c_rows(patterns[:120_000], cols=12), python_rows(patterns[:120_000], cols=12))
 
 
 @needs_cc
-def test_c_formatter_falls_back_once_per_chunk():
+def test_c_formatter_falls_back_once_per_chunk(monkeypatch):
     # most random patterns lie outside the fast range: each chunk's rows of
     # them go to one fallback call and are spliced back in order
-    patterns = random_patterns(12 * (3 * cli._CHUNK_ROWS + 5), 2026)
+    block = random_patterns(12 * (3 * cli._CHUNK_ROWS + 5), 2026).reshape(-1, 12)
     calls = []
 
-    def counted(block):
-        calls.append(len(block))
-        return cli._python_rows(block)
+    def counted(rows):
+        calls.append(len(rows))
+        return python_formatter(rows)
 
-    assert_same_text(c_rows(patterns, cols=12, fallback=counted), python_rows(patterns, cols=12))
-    assert len(calls) == 4 and sum(calls) == np.sum(~in_fast_range(patterns).reshape(-1, 12).all(1))
+    python_formatter = cli._python_rows
+    monkeypatch.setattr(cli, "_python_rows", counted)
+    got = b"".join(cli._columns_csv("h", *block.T))
+    assert _kernels.BACKEND == "c"
+    assert_same_text(got, b"h\n" + python_formatter(block))
+    assert len(calls) == 4 and sum(calls) == np.sum(~in_fast_range(block).all(1))
 
 
 @needs_cc
@@ -378,7 +382,7 @@ def test_c_formatter_matches_python_at_every_binary_exponent():
     values = np.concatenate([values, -values])
     assert_same_text(c_rows(values), python_rows(values))
     marked = c_rows(values, fallback=marker).splitlines()
-    assert [line != "python" for line in marked] == in_fast_range(values).tolist()
+    assert [line != b"python" for line in marked] == in_fast_range(values).tolist()
 
 
 @needs_cc
@@ -400,7 +404,7 @@ def test_c_formatter_matches_python_on_edge_values():
     # each value is a row: C writes exactly the documented range and leaves the rest
     marked = c_rows(values, fallback=marker).splitlines()
     inside = in_fast_range(values).tolist()
-    assert [x for x, line, i in zip(values, marked, inside) if (line != "python") != i] == []
+    assert [x for x, line, i in zip(values, marked, inside) if (line != b"python") != i] == []
 
 
 CHUNKS = [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 3, 2 * cli._CHUNK_ROWS + 1]
@@ -412,13 +416,13 @@ def test_columns_csv_is_the_same_on_both_backends(monkeypatch, n):
     rng = np.random.default_rng(n)
     spread = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-60, 60, (3, n))
     columns = (0.1 * np.arange(n), *spread, np.resize(np.array(edge_values()), n))
-    compiled = cli._columns_csv("a,b,c,d,e", *columns)
+    compiled = list(cli._columns_csv("a,b,c,d,e", *columns))
     assert _kernels.BACKEND == "c"
     force_fallback(monkeypatch)
     with pytest.warns(RuntimeWarning, match="Python loop"):
-        python = cli._columns_csv("a,b,c,d,e", *columns)
+        python = list(cli._columns_csv("a,b,c,d,e", *columns))
     assert len(compiled) == len(python) == 1 + -(-n // cli._CHUNK_ROWS)
-    assert_same_text("".join(compiled), "".join(python))
+    assert_same_text(b"".join(compiled), b"".join(python))
 
 
 @needs_cc
@@ -426,7 +430,7 @@ def test_compiled_formatter_reads_columns_at_any_stride():
     block = np.arange(60.0).reshape(5, 12) / 7.0
     columns = (block[:, 0], block.T[3], block[::-1, 5], np.asfortranarray(block)[:, 11])
     want = python_rows(np.column_stack(columns), cols=4)
-    assert "".join(_kernels.compiled_kernel().format_rows(columns, no_fallback, 2)) == want
+    assert _kernels.compiled_kernel().format_rows(columns, no_fallback) == want
 
 
 @needs_cc
@@ -442,7 +446,7 @@ def test_compiled_formatter_rejects_bad_columns():
         (),  # no columns
     ]:
         with pytest.raises(ValueError):
-            format_rows(columns, cli._python_rows, cli._CHUNK_ROWS)
+            format_rows(columns, cli._python_rows)
 
 
 @needs_cc
@@ -492,7 +496,7 @@ import sys
 import test_kernels as tk
 from toroboris import _kernels
 _kernels._kernel, _kernels.BACKEND = _kernels._bind(sys.argv[1]), "c"
-sys.stdout.write(tk.c_rows(tk.sanitizer_rows()) + "\\0" + tk.sanitizer_runs())
+sys.stdout.write(tk.c_rows(tk.sanitizer_rows()).decode() + "\\0" + tk.sanitizer_runs())
 """
 
 
@@ -512,7 +516,7 @@ def test_kernel_runs_clean_under_ubsan(tmp_path):
                          text=True, env=env)
     assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr[-2000:]
     rows, runs = run.stdout.split("\0")
-    assert_same_text(rows, python_rows(sanitizer_rows()))
+    assert_same_text(rows.encode(), python_rows(sanitizer_rows()))
     with python_backend():
         assert runs == sanitizer_runs()
 

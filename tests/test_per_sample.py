@@ -194,9 +194,9 @@ def test_columns_csv_bytes_match_per_value_formatting(n):
     b = 0.1 * np.arange(n)
     c = np.random.default_rng(n).normal(size=(n, 3))
     columns = (a, b, *c.T, -a)
-    chunks = cli._columns_csv("t,a,b,c,d,e", *columns)
+    chunks = list(cli._columns_csv("t,a,b,c,d,e", *columns))
     assert len(chunks) == 1 + -(-n // cli._CHUNK_ROWS)
-    assert "".join(chunks) == per_value_csv("t,a,b,c,d,e", *columns)
+    assert b"".join(chunks) == per_value_csv("t,a,b,c,d,e", *columns).encode()
 
 
 def test_trajectory_csv_bytes_match_per_value_formatting(model_1e3, tmp_path):

@@ -17,6 +17,7 @@ REMOVED = (
     "TwoStepWindow",
     "UniformFieldModel",
     "Unsupported",
+    "filter_initial_velocity",
 )
 
 
