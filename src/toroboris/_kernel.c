@@ -400,31 +400,30 @@ static char *format_field(double x, char *w)
     return w + (nd > k ? nd + 1 : k);
 }
 
-/* Formats rows first .. first + rows - 1 of cols columns as CSV lines into
- * out, which holds cap bytes; column c's value in row i is
- * columns[c][i * strides[c]].  A row holding a value outside the fast range
- * is left out: pair k of skipped (2 rows entries) receives the k-th such row's
- * index, counted from first, and the offset in out where its line belongs.
- * Returns the number of bytes written and stores the number of rows left out
- * in *n_skipped; returns -1, writing nothing, when cap is below
- * rows * cols * FIELD_MAX.
+/* Formats rows 0 .. rows - 1 of cols columns as CSV lines into out, which
+ * holds cap bytes; column c's value in row i is columns[c][i * strides[c]].
+ * A row holding a value outside the fast range is left out: pair k of
+ * skipped (2 rows entries) receives the k-th such row's index and the offset
+ * in out where its line belongs.  Returns the number of bytes written and
+ * stores the number of rows left out in *n_skipped; returns -1, writing
+ * nothing, when cap is below rows * cols * FIELD_MAX.
  */
-int64_t toroboris_format_rows(int64_t first, int64_t rows, int64_t cols,
-                              const double *const *columns, const int64_t *strides, char *out,
-                              int64_t cap, int64_t *skipped, int64_t *n_skipped)
+int64_t toroboris_format_rows(int64_t rows, int64_t cols, const double *const *columns,
+                              const int64_t *strides, char *out, int64_t cap, int64_t *skipped,
+                              int64_t *n_skipped)
 {
     if (cap < rows * cols * FIELD_MAX)
         return -1;
     char *w = out;
     int64_t k = 0;
-    for (int64_t r = first; r < first + rows; r++) {
+    for (int64_t r = 0; r < rows; r++) {
         char *line = w;
         for (int64_t c = 0; c < cols && w; c++) {
             if ((w = format_field(columns[c][r * strides[c]], w)))
                 *w++ = c + 1 < cols ? ',' : '\n';
         }
         if (!w) {
-            skipped[2 * k] = r - first;
+            skipped[2 * k] = r;
             skipped[2 * k + 1] = line - out;
             k++;
             w = line;

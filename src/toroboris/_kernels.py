@@ -147,7 +147,7 @@ def _bind(path: str) -> Kernel:
     )
     # raw addresses: the wrapper checks the columns itself
     rows_fn.restype = ctypes.c_int64
-    rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
+    rows_fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
 
     def two_step_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, model, out_x, out_v):
@@ -197,7 +197,7 @@ def _bind(path: str) -> Kernel:
         out = np.empty(rows * cols * _FIELD_BYTES, dtype=np.uint8)
         skipped = np.empty((rows, 2), dtype=np.int64)
         n_skipped = ctypes.c_int64(0)
-        written = rows_fn(0, rows, cols, pointers, strides, out.ctypes.data, len(out),
+        written = rows_fn(rows, cols, pointers, strides, out.ctypes.data, len(out),
                           skipped.ctypes.data, n_skipped)
         text, parts, end = out.data, [], 0
         if n_skipped.value:

@@ -112,10 +112,10 @@ class Trajectory:
 
 
 def magnetic_moment(x, v, field_model):
-    """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|).
+    """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|): mu0's definition.
 
-    Takes a point and velocity (3,), or arrays (..., 3) of them, and
-    returns a float or an array of shape (...).
+    Takes a point and velocity (3,), or arrays (..., 3) of them, and returns
+    a float or an array of shape (...).  observables computes the CSV's mu.
     """
     B, absB = field_model.strength(x)
     w = cross3(np.asarray(v, dtype=float), B)

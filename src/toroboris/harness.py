@@ -27,7 +27,7 @@ from .boris import (
 )
 from .drift import DriftConfig, DriftTrajectory, _rk4_counts, drift_init, drift_integrate
 from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
-from .geometry import ToroidalFieldModel, dot3, frame, potential
+from .geometry import ToroidalFieldModel, _as_floats, cross3, dot3, frame
 
 DEFAULT_BUDGET = int(5e8)
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
@@ -233,14 +233,19 @@ def _slow_series(traj: Trajectory) -> _SlowSeries:
 def observables(traj: Trajectory) -> ObservableSeries:
     """Derive per-sample cylindrical observables from a trajectory.
 
+    mu is |v x e|^2 / (2 |B|), e = B / |B|: magnetic_moment within rounding.
     energy is |v|^2 / 2 plus the scalar potential.  The first sample on the
     axis or off the field domain raises AxisSingularity or DomainError.
     """
     model = traj.field
-    # first: the field sample raises for the first sample off the domain, in order
-    mu = magnetic_moment(traj.x, traj.v, model)
+    # first: strength raises for the first sample off the domain, in order
+    B, absB = model.strength(traj.x)
+    w = cross3(traj.v, B / absB[:, None])
+    mu = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) / (2.0 * absB)
     s = _slow_series(traj)
-    energy = 0.5 * dot3(traj.v, traj.v) + potential(model, traj.x)
+    with _as_floats():
+        phi = model.phi(s.r, s.z)
+    energy = 0.5 * dot3(traj.v, traj.v) + phi
     return ObservableSeries(t=s.t, r=s.r, z=s.z, vpar=s.vpar, mu=mu, energy=energy)
 
 

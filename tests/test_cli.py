@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import python_backend
-from toroboris import _kernels, boris, cli, harness
+from toroboris import _kernels, boris, cli, geometry, harness
 from toroboris.errors import SchemaError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -152,6 +152,34 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert b"\r" not in first
 
 
+@pytest.mark.parametrize("variant, moments", [("modified", 1), ("standard", 0)])
+def test_a_dense_simulate_takes_mu_and_the_frame_once(monkeypatch, tmp_path, variant,
+                                                       moments):
+    # mu0 is the one magnetic_moment a simulate takes: the CSV's mu column has no
+    # per-sample Python expression, and observables takes one frame, not potential's too
+    calls, frames, inside = [], [], [False]
+    moment, observables = harness.magnetic_moment, cli.observables
+    monkeypatch.setattr(harness, "magnetic_moment", lambda *a: calls.append(a) or moment(*a))
+
+    def observed(traj):
+        inside[0] = True
+        try:
+            return observables(traj)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cli, "observables", observed)
+    for module in (harness, geometry):
+        monkeypatch.setattr(module, "frame",
+                            lambda *a, f=module.frame: frames.append(inside[0]) or f(*a))
+    cfg = base_config(tmp_path, variant=variant, t_final=4.0)
+    cfg["output"]["stride"] = 0.04
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 102
+    assert len(calls) == moments
+    assert frames.count(True) == 1
+
+
 def test_simulate_malformed_json_exit_2_no_output(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
@@ -200,10 +228,26 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         diag = json.loads(capsys.readouterr().err)
         assert diag == {"error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
                         "tag": "sanity_guard"}
-        # simulate aborts too, but the mu column of the t = 0 row, |v x B|^2 /
-        # (2 |B|^3), overflows before the abort is reported
-        assert cli.cli_main(["simulate", "--config", path]) == 3
-        assert len(capsys.readouterr().err.splitlines()) == 1
+    # simulate aborts too, after the t = 0 row: its mu, |v x e|^2 / (2 |B|), is
+    # representable where |B|^3 is not.  The modified run's mu0 keeps the scalar
+    # 0.5 |v x B|^2 / |B|**3, which overflows before the run starts: libm pow past
+    # |B| ~ 5.6e102, the matmul past ~1.3e154.  No CSV is written then.
+    out = tmp_path / "out.csv"
+    for eps, mu0_error in ((1e-104, "OverflowError"), (1e-160, "FloatingPointError"),
+                           (1e-300, "FloatingPointError")):
+        out.unlink(missing_ok=True)
+        cfg = base_config(tmp_path, variant="standard", t_final=0.4, epsilon=eps)
+        assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
+            "tag": "sanity_guard", "steps": 0}
+        assert len(out.read_text().splitlines()) == 2
+        out.unlink()
+        cfg["variant"] = "modified"
+        assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == mu0_error
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,41 @@ def test_array_calls_keep_the_leading_shape(model_1e3):
         assert sigma[i, j] == oracle.nondegeneracy_sigma(x[i, j], v[i, j], 0.04, model_1e3)
 
 
+def mu_forms_apart_in_ulps(traj) -> float:
+    """The largest |observables' mu - magnetic_moment| in ulps of 0.5 |v|^2 / |B|.
+
+    Not relative to mu: on modified runs v_perp is at the level of rounding,
+    so both forms of mu are rounding noise there.
+    """
+    mu = tb.magnetic_moment(traj.x, traj.v, traj.field)
+    _, absB = traj.field.strength(traj.x)
+    scale = 0.5 * np.sum(traj.v * traj.v, axis=1) / absB
+    return float(np.max(np.abs(tb.observables(traj).mu - mu) / np.spacing(scale)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    angle=st.floats(0.0, 2.0 * math.pi),
+    eps=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    variant=st.sampled_from(tb.boris.VARIANTS),
+    coeffs=st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1.5), st.floats(0.0, 1.5),
+                     st.just(0.0) | st.floats(-0.5, 0.5)),
+)
+def test_the_two_forms_of_mu_agree_to_8_ulps_of_their_scale(angle, eps, variant, coeffs):
+    # mu is written twice, on purpose: magnetic_moment's 0.5 |v x B|^2 / |B|**3
+    # defines mu0, and observables' |v x e|^2 / (2 |B|) the CSV column (6 ulps seen)
+    model = tb.ToroidalFieldModel(eps, *coeffs)
+    traj = run(model, rotated(X0, angle), rotated(V0, angle), 0.04, variant)
+    assert mu_forms_apart_in_ulps(traj) <= 8
+
+
+@pytest.mark.parametrize("variant", tb.boris.VARIANTS)
+def test_the_two_forms_of_mu_agree_on_the_uniform_field(variant):
+    model = UniformFieldModel(B0=(0.3, -1.2, 50.0), E0=(1.0, 0.0, -0.006))
+    traj = run(model, (1.0, 0.5, 0.0), (0.3, 0.2, 0.1), 0.01, variant, steps=200)
+    assert mu_forms_apart_in_ulps(traj) <= 8
+
+
 def test_mu_overflow_raises_like_the_scalar_expression():
     # |B|^3 overflows from |B| > 5.6e102: the libm pow error, on every path
     model = tb.ToroidalFieldModel(1e-104)
