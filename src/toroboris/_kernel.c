@@ -21,13 +21,12 @@ enum { STATUS_OK = 0, STATUS_AXIS = 1, STATUS_DOMAIN = 2, STATUS_RUNAWAY = 3 };
 /* Step i advances (x^i, d^i) to (x^{i+1}, d^{i+1}); the centered velocity
  * (d^i + d^{i+1}) / (2h) is recorded whenever i is a multiple of
  * sample_every.  Sample row 0 is filled by the caller.  Returns the status
- * code and stores the steps completed in *steps.
+ * code and stores the steps completed in *steps.  The domain is b > 0, as in bemod.
  */
 int toroboris_two_step_loop(
     int64_t n_steps, int64_t sample_every, double h, double eps, double mu0,
-    double a0, double a1, double a2, double c_e, double r_min, double b_min,
-    double v_max, const double *x_arr, const double *d_arr, double *out_x,
-    double *out_v, int64_t *steps)
+    double a0, double a1, double a2, double c_e, double r_min, double v_max,
+    const double *x_arr, const double *d_arr, double *out_x, double *out_v, int64_t *steps)
 {
     double x1 = x_arr[0], x2 = x_arr[1], x3 = x_arr[2];
     double d1 = d_arr[0], d2 = d_arr[1], d3 = d_arr[2];
@@ -48,7 +47,7 @@ int toroboris_two_step_loop(
         double er1 = x1 * inv_r;
         double er2 = x2 * inv_r;
         double bb = a0 + a1 * r + a2 * z * z;
-        if (bb <= b_min) {
+        if (bb <= 0.0) {
             *steps = i - 1;
             return STATUS_DOMAIN;
         }
@@ -100,9 +99,9 @@ int toroboris_two_step_loop(
     return STATUS_OK;
 }
 
-/* The slow system's closed-form profile and its frozen moment muhat = mu0/eps. */
+/* The slow system's closed-form profile on b > 0 and its frozen moment muhat = mu0/eps. */
 struct slow_field {
-    double muhat, a0, a1, a2, c_e, r_min, b_min;
+    double muhat, a0, a1, a2, c_e, r_min;
 };
 
 /* slow_rhs is inlined into the step loop: out of line, gcc -O2 calls it four
@@ -122,7 +121,7 @@ static ALWAYS_INLINE int slow_rhs(const struct slow_field *f, double rt, double 
         return STATUS_AXIS;
     }
     double b = f->a0 + f->a1 * rt + f->a2 * zt * zt;
-    if (b <= f->b_min) {
+    if (b <= 0.0) {
         *bad = b;
         return STATUS_DOMAIN;
     }
@@ -144,10 +143,10 @@ static ALWAYS_INLINE int slow_rhs(const struct slow_field *f, double rt, double 
  */
 int toroboris_drift_rk4(
     int64_t n_times, const double *times, const int64_t *counts, double eps, double dtau,
-    double muhat, double a0, double a1, double a2, double c_e, double r_min, double b_min,
-    double *out, double *bad)
+    double muhat, double a0, double a1, double a2, double c_e, double r_min, double *out,
+    double *bad)
 {
-    struct slow_field f = {muhat, a0, a1, a2, c_e, r_min, b_min};
+    struct slow_field f = {muhat, a0, a1, a2, c_e, r_min};
     double r = out[0], z = out[1], v = out[2];
     double k1[3], k2[3], k3[3], k4[3];
     int status;

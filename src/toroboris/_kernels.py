@@ -133,16 +133,17 @@ def _bind(path: str) -> Kernel:
     vec1 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     vec3 = np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(3,), flags="C_CONTIGUOUS")
     out3 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    # a model enters as its coefficients and r_min: both loops fix the domain b > 0
     step_fn.restype = ctypes.c_int
     step_fn.argtypes = (
         [ctypes.c_int64, ctypes.c_int64]
-        + [ctypes.c_double] * 10
+        + [ctypes.c_double] * 9
         + [vec3, vec3, out3, out3, ctypes.POINTER(ctypes.c_int64)]
     )
     rk4_fn.restype = ctypes.c_int
     counts1 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     rk4_fn.argtypes = (
-        [ctypes.c_int64, vec1, counts1] + [ctypes.c_double] * 9
+        [ctypes.c_int64, vec1, counts1] + [ctypes.c_double] * 8
         + [out3, ctypes.POINTER(ctypes.c_double)]
     )
     # raw addresses: the wrapper checks the columns itself
@@ -158,7 +159,7 @@ def _bind(path: str) -> Kernel:
             raise ValueError("out_x and out_v must have the same shape (rows, 3)")
         m, steps = model, ctypes.c_int64(0)
         status = step_fn(n, sample_every, h, m.epsilon, mu0, m.a0, m.a1, m.a2, m.c, m.r_min,
-                         m.b_min, v_max, x_arr, d_arr, out_x, out_v, steps)
+                         v_max, x_arr, d_arr, out_x, out_v, steps)
         return status, steps.value
 
     def drift_rk4(times, counts, eps, dtau, model, muhat, out):
@@ -167,11 +168,11 @@ def _bind(path: str) -> Kernel:
             raise ValueError("need len(times) >= 1, out (len(times), 3), a count per interval")
         m, bad = model, ctypes.c_double(0.0)
         status = rk4_fn(len(times), times, counts, eps, dtau, muhat, m.a0, m.a1, m.a2, m.c,
-                        m.r_min, m.b_min, out, bad)
+                        m.r_min, out, bad)
         if status == STATUS_AXIS:
             raise AxisSingularity(bad.value, m.r_min)
         if status == STATUS_DOMAIN:
-            raise DomainError(bad.value, m.b_min)
+            raise DomainError(bad.value)
 
     def format_rows(columns, fallback):
         """CSV lines of %.17g fields, one per value of the float64 columns, as bytes.

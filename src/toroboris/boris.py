@@ -111,19 +111,16 @@ class Trajectory:
         return len(self.t)
 
 
-def magnetic_moment(x, v, field_model):
+def magnetic_moment(x, v, field_model) -> float:
     """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|): mu0's definition.
 
-    Takes a point and velocity (3,), or arrays (..., 3) of them, and returns
-    a float or an array of shape (...).  observables computes the CSV's mu.
+    Takes one point and velocity (3,).  observables computes the CSV's mu.
     """
     B, absB = field_model.strength(x)
     w = cross3(np.asarray(v, dtype=float), B)
-    # per element in Python floats: |B|**3 is libm pow (np.power rounds differently)
-    # and overflows to OverflowError, as the scalar expression always has
-    pairs = zip(np.ravel(dot3(w, w)).tolist(), np.ravel(absB).tolist())
-    mu = [0.5 * ww / b**3 for ww, b in pairs]
-    return _scalar(np.array(mu, dtype=float).reshape(np.shape(absB)))
+    # a Python float: |B|**3 is libm pow (np.power rounds differently) and
+    # overflows to OverflowError, as the scalar expression always has
+    return 0.5 * float(dot3(w, w)) / absB**3
 
 
 def _along_B(B, absB, v: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .boris import Trajectory
+from .drift import DEFAULT_DTAU
 from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
@@ -166,10 +167,10 @@ _FIELD = _object({
 })
 _ORBIT = {"field": (_FIELD, _REQUIRED), "x0": (_VEC3, _REQUIRED), "v0": (_VEC3, _REQUIRED)}
 _LIMITS = {
-    "c": (_POSITIVE, 0.5), "dtau": (_POSITIVE, 1e-4),
+    "c": (_POSITIVE, 0.5), "dtau": (_POSITIVE, DEFAULT_DTAU),
     "budget_steps": (_COUNT, DEFAULT_BUDGET),
 }
-_R_MIN = (_POSITIVE, 1e-9)
+_R_MIN = (_POSITIVE, ToroidalFieldModel.r_min)
 _STUDY_OUTPUT = _object({"path": (_STRING, _REQUIRED), "csv_dir": (_STRING, None)})
 
 # simulate, drift and compare; a null stride is ExperimentSpec's default.
@@ -250,15 +251,15 @@ def parse_config(text: str) -> dict:
     return _decode(text, _RUN)
 
 
-def _model(field: dict, epsilon: float, r_min: float = 1e-9) -> ToroidalFieldModel:
+def _model(field: dict, epsilon: float, **r_min) -> ToroidalFieldModel:
     return ToroidalFieldModel(
-        epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], r_min=r_min
+        epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], **r_min
     )
 
 
 def _run_spec(config: dict) -> ExperimentSpec:
     return ExperimentSpec(
-        field=_model(config["field"], config["epsilon"], config["r_min"]),
+        field=_model(config["field"], config["epsilon"], r_min=config["r_min"]),
         x0=config["x0"], v0=config["v0"], h=config["h"], t_final=config["t_final"],
         variant=config["variant"], dt_out=config["output"]["stride"],
         ref_h_factor=config["reference"]["h_factor"],
@@ -487,7 +488,7 @@ def _cmd_check_field(args) -> int:
     points = toroidal_probes(
         probes["count"], seed=probes["seed"], r_range=probes["r_range"], z_range=probes["z_range"]
     )
-    model = _model(cfg["field"], cfg["epsilon"], cfg["r_min"])
+    model = _model(cfg["field"], cfg["epsilon"], r_min=cfg["r_min"])
     text = json.dumps(check_field(model, points, delta=cfg["delta"]), indent=2) + "\n"
     if cfg["output"] is None:
         print(text, end="")

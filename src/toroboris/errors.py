@@ -23,12 +23,11 @@ class AxisSingularity(ToroborisError):
 
 
 class DomainError(ToroborisError):
-    """Raised when the field magnitude profile leaves its valid range (b not above b_min)."""
+    """Raised when the field magnitude profile b leaves its domain b > 0."""
 
-    def __init__(self, b: float, b_min: float):
+    def __init__(self, b: float):
         self.b = b
-        self.b_min = b_min
-        super().__init__(f"field profile b={b:.6g} is not above b_min={b_min:.6g}")
+        super().__init__(f"field profile b={b:.6g} is not above b_min=0")
 
 
 def _count(n) -> str:

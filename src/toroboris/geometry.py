@@ -148,8 +148,8 @@ class ToroidalFieldModel:
     inline the same arithmetic in the same operand order.
 
     Evaluation raises AxisSingularity for r < r_min and DomainError where
-    b(r,z) <= b_min.  Instances are immutable and safe to share between
-    concurrent runs.
+    b(r,z) <= 0, which would leave |B| = b / epsilon no strong field.
+    Instances are immutable and safe to share between concurrent runs.
     """
 
     epsilon: float
@@ -158,15 +158,12 @@ class ToroidalFieldModel:
     a2: float = 1.0
     c: float = 0.1
     r_min: float = 1e-9
-    b_min: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if not (isfinite(self.r_min) and self.r_min > 0.0):
             raise ValueError(f"r_min must be positive and finite, got {self.r_min}")
-        if not isfinite(self.b_min):
-            raise ValueError(f"b_min must be finite, got {self.b_min}")
 
     def b(self, r, z):
         return self.a0 + self.a1 * r + self.a2 * z * z
@@ -201,8 +198,8 @@ class ToroidalFieldModel:
         er2 = x2 * inv_r
         inv_eps = 1.0 / self.epsilon
         bb = self.b(r, z)
-        if bb <= self.b_min:
-            raise DomainError(bb, self.b_min)
+        if bb <= 0.0:
+            raise DomainError(bb)
         scale = bb * inv_eps
         em_r = self.E_r(r, z) - self.db_dr(r, z) * inv_eps * mu0
         em_z = self.E_z(r, z) - self.db_dz(r, z) * inv_eps * mu0
@@ -215,11 +212,11 @@ class ToroidalFieldModel:
             b = self.b(r, z)
         near = r < self.r_min
         # written so that a NaN profile is off the domain too
-        bad = np.flatnonzero(near | ~(b > self.b_min))
+        bad = np.flatnonzero(near | ~(b > 0.0))
         if len(bad):
             if np.ravel(near)[bad[0]]:
                 raise AxisSingularity(float(np.ravel(r)[bad[0]]), self.r_min)
-            raise DomainError(float(np.ravel(b)[bad[0]]), self.b_min)
+            raise DomainError(float(np.ravel(b)[bad[0]]))
         with _as_floats():
             absB = b * (1.0 / self.epsilon)
             b_over_r = b / r
@@ -253,13 +250,6 @@ class ToroidalFieldModel:
             - np.asarray(b_over_r)[..., None, None] * outer_r_par
         )
         return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E, jacB=jacB)
-
-    def in_domain(self, x) -> np.ndarray:
-        """Which of the points (..., 3) lie off the axis and where b > b_min."""
-        x = np.asarray(x, dtype=float)
-        r, z = _radius(x), x[..., 2]
-        with _as_floats():
-            return ~(r < self.r_min) & (self.b(r, z) > self.b_min)
 
 
 # Config-file name of the closed-form field family (see cli module).

@@ -25,7 +25,8 @@ from .boris import (
     PusherConfig, Trajectory, _sample_times, _whole_steps, integrate, magnetic_moment,
     nondegeneracy_sigma,
 )
-from .drift import DriftConfig, DriftTrajectory, _rk4_counts, drift_init, drift_integrate
+from .drift import (DEFAULT_DTAU, DriftConfig, DriftTrajectory, _rk4_counts, drift_init,
+                    drift_integrate)
 from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
 from .geometry import ToroidalFieldModel, _as_floats, cross3, dot3, frame
 
@@ -65,7 +66,7 @@ class ExperimentSpec:
     ref_filtered_init: bool = False
     c: float = 0.5
     budget_steps: int = DEFAULT_BUDGET
-    dtau: float = 1e-4
+    dtau: float = DEFAULT_DTAU
     # decided in __post_init__: the step count n and the sample stride k
     steps: int = dataclass_field(init=False, repr=False)
     sample_stride: int = dataclass_field(init=False, repr=False)
@@ -182,23 +183,20 @@ def run_drift(spec: ExperimentSpec) -> DriftTrajectory:
     return drift_integrate(s0, spec.field, config, spec.sample_times)
 
 
-def monitor_nondegeneracy(traj: Trajectory) -> tuple[float | None, list]:
+def monitor_nondegeneracy(traj: Trajectory) -> tuple[float, list]:
     """Check the large-step nondegeneracy condition on every sample of a run.
 
     Returns (sigma_min, warnings): the smallest nondegeneracy_sigma over the
-    samples (None when no sample could be evaluated), and one warning dict
-    {"kind": "nondegeneracy", "t", "sigma"} per sample whose sigma is below
-    0.1.  Samples on the axis or outside the field domain are skipped.  A
-    low sigma is reported, never an abort.
+    samples, and one warning dict {"kind": "nondegeneracy", "t", "sigma"}
+    per sample whose sigma is below 0.1.  A low sigma is reported, never an
+    abort.  The first sample on the axis or off the field domain raises, as
+    in observables; integrate writes none, as its steps check each sample.
     """
-    ok = traj.field.in_domain(traj.x)
-    if not ok.any():
-        return None, []
-    sigma = nondegeneracy_sigma(traj.x[ok], traj.v[ok], traj.h, traj.field)
+    sigma = nondegeneracy_sigma(traj.x, traj.v, traj.h, traj.field)
     low = sigma < _SIGMA_WARN
     warnings = [
         {"kind": "nondegeneracy", "t": t, "sigma": sig}
-        for t, sig in zip(traj.t[ok][low].tolist(), sigma[low].tolist())
+        for t, sig in zip(traj.t[low].tolist(), sigma[low].tolist())
     ]
     return float(sigma.min()), warnings
 
@@ -233,7 +231,7 @@ def _slow_series(traj: Trajectory) -> _SlowSeries:
 def observables(traj: Trajectory) -> ObservableSeries:
     """Derive per-sample cylindrical observables from a trajectory.
 
-    mu is |v x e|^2 / (2 |B|), e = B / |B|: magnetic_moment within rounding.
+    mu is |v x e|^2 / |B| / 2 (2 |B| may overflow), e = B / |B|: magnetic_moment within rounding.
     energy is |v|^2 / 2 plus the scalar potential.  The first sample on the
     axis or off the field domain raises AxisSingularity or DomainError.
     """
@@ -241,7 +239,7 @@ def observables(traj: Trajectory) -> ObservableSeries:
     # first: strength raises for the first sample off the domain, in order
     B, absB = model.strength(traj.x)
     w = cross3(traj.v, B / absB[:, None])
-    mu = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) / (2.0 * absB)
+    mu = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) / absB * 0.5
     s = _slow_series(traj)
     with _as_floats():
         phi = model.phi(s.r, s.z)
@@ -448,7 +446,7 @@ def theorem1_suite(
     v0,
     dt_out: float | None = None,
     budget_steps: int = DEFAULT_BUDGET,
-    dtau: float = 1e-4,
+    dtau: float = DEFAULT_DTAU,
 ) -> tuple[dict, list[ErrorSeries]]:
     """Linear-in-epsilon scaling of the fine reference against the drift.
 

@@ -6,7 +6,7 @@ must match to the last bit.  They read the models' profile methods and
 parameters and call nothing else in the package.  Each 3-vector dot is
 ``a @ b``.  The moment has two definitions, as in the package:
 magnetic_moment, mu0's, is 0.5 |v x B|^2 / |B|**3 in Python floats, and the
-mu of observables is |v x e|^2 / (2 |B|) with e = B / |B|, its squares
+mu of observables is |v x e|^2 / |B| / 2 with e = B / |B|, its squares
 summed left to right.
 """
 
@@ -40,8 +40,8 @@ def field_sample(model, x):
         return B, float(np.linalg.norm(B)), np.zeros(3), E, np.zeros((3, 3))
     r, z, e_r, e_par, e_z = frame(x, model.r_min)
     bb = model.b(r, z)
-    if bb <= model.b_min:
-        raise DomainError(bb, model.b_min)
+    if bb <= 0.0:
+        raise DomainError(bb)
     inv_eps = 1.0 / model.epsilon
     absB = bb * inv_eps
     B = absB * e_par
@@ -85,17 +85,15 @@ def nondegeneracy_sigma(x, v, h, model) -> float:
 
 
 def monitor_nondegeneracy(traj):
+    """(sigma_min, warnings); the first sample on the axis or off the domain raises."""
     sigma_min = np.inf
     warnings = []
     for t, x, v in zip(traj.t, traj.x, traj.v):
-        try:
-            sig = nondegeneracy_sigma(x, v, traj.h, traj.field)
-        except (AxisSingularity, DomainError):
-            continue
+        sig = nondegeneracy_sigma(x, v, traj.h, traj.field)
         sigma_min = min(sigma_min, sig)
         if sig < 0.1:
             warnings.append({"kind": "nondegeneracy", "t": float(t), "sigma": sig})
-    return (float(sigma_min) if np.isfinite(sigma_min) else None), warnings
+    return float(sigma_min), warnings
 
 
 def observables(traj):
@@ -110,7 +108,7 @@ def observables(traj):
         vpar[i] = float(e_par @ v)
         B, absB, *_ = field_sample(model, x)
         w = np.cross(v, B / absB)
-        mu[i] = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) / (2.0 * absB)
+        mu[i] = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) / absB * 0.5
         energy[i] = 0.5 * float(v @ v) + potential(model, x)
     return r, z, vpar, mu, energy
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import toroboris as tb
 from toroboris import _kernels
-from toroboris.errors import AxisSingularity
+from toroboris.errors import AxisSingularity, DomainError
 
 from conftest import X0, V0, python_backend
 from uniform_model import UniformFieldModel
@@ -376,11 +376,17 @@ def test_monitor_collects_warnings(model_1e3):
     ]
 
 
-def test_monitor_skips_samples_off_the_domain(model_1e3):
+def test_monitor_raises_off_the_domain_like_observables(model_1e3):
+    # samples no run writes: on the axis (r_min 1) or off the domain (b = r + z^2 - 1 < 0)
     cfg = tb.PusherConfig(h=0.04, variant="standard")
     traj = tb.integrate(X0, V0, model_1e3, cfg, 0.4, sample_every=1)
-    off_domain = dataclasses.replace(traj, field=dataclasses.replace(model_1e3, r_min=1.0))
-    assert tb.monitor_nondegeneracy(off_domain) == (None, [])
+    for bound, error in (({"r_min": 1.0}, AxisSingularity), ({"a0": -1.0}, DomainError)):
+        off_domain = dataclasses.replace(traj, field=dataclasses.replace(model_1e3, **bound))
+        with pytest.raises(error) as want:
+            tb.observables(off_domain)
+        with pytest.raises(error) as got:
+            tb.monitor_nondegeneracy(off_domain)
+        assert got.value.args == want.value.args
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +424,8 @@ def test_integrate_axis_abort_tags_partial_trajectory():
 
 
 def test_integrate_domain_abort(model_1e3):
-    # the drift carries this orbit into b < 0.3 around t ~ 750
-    m = dataclasses.replace(model_1e3, b_min=0.3)
+    # the drift carries this orbit into b = r + z^2 - 0.3 < 0 around t ~ 390
+    m = dataclasses.replace(model_1e3, a0=-0.3)
     mu0 = tb.magnetic_moment(X0, V0, model_1e3)
     cfg = tb.PusherConfig(h=0.04, variant="modified", mu0=mu0)
     traj = tb.integrate(X0, V0, m, cfg, 1000.0, sample_every=1)

@@ -228,7 +228,7 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         diag = json.loads(capsys.readouterr().err)
         assert diag == {"error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
                         "tag": "sanity_guard"}
-    # simulate aborts too, after the t = 0 row: its mu, |v x e|^2 / (2 |B|), is
+    # simulate aborts too, after the t = 0 row: its mu, |v x e|^2 / |B| / 2, is
     # representable where |B|^3 is not.  The modified run's mu0 keeps the scalar
     # 0.5 |v x B|^2 / |B|**3, which overflows before the run starts: libm pow past
     # |B| ~ 5.6e102, the matmul past ~1.3e154.  No CSV is written then.
@@ -248,6 +248,16 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == mu0_error
         assert not out.exists()
+    # from |B| ~ 9e307 on 2 |B| overflows, so the CSV's mu halves last: here |B|
+    # is about 1.66e308 and the t = 0 row's mu subnormal
+    cfg = base_config(tmp_path, variant="standard", t_final=0.4, epsilon=1.5e-308,
+                      x0=[2, 1, 0.5])
+    assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
+        "tag": "sanity_guard", "steps": 0}
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["mu"] == "4.3147117310341416e-309"
 
 
 @pytest.mark.parametrize(
@@ -784,6 +794,23 @@ def test_check_field_cli_overflow_exit_3(tmp_path, capsys):
     assert cli.cli_main(["check-field", "--config", write_config(tmp_path, cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "FloatingPointError"
+
+
+@pytest.mark.parametrize("python", [False, True])
+def test_domain_error_exits_3_with_one_line(tmp_path, capsys, python):
+    # b = a0 + r + z^2 falls through 0: on the slow orbit of the shipped
+    # simulate config at a0 -0.4, and at the default probes at a0 -2
+    cfg = json.loads((CONFIGS / "simulate_eps1e-3_h0.04.json").read_text())
+    cfg["field"]["a0"] = -0.4
+    cfg["output"]["path"] = str(tmp_path / "drift.csv")
+    check = {"epsilon": 1e-3, "field": {"preset": "paper-toroidal", "a0": -2}}
+    with python_backend() if python else nullcontext():
+        for command, config, b in (("drift", cfg, "-0.289392"), ("check-field", check, "-1.08682")):
+            assert cli.cli_main([command, "--config", write_config(tmp_path, config)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == ('{"error": "DomainError", "message": "field profile '
+                                         f'b={b} is not above b_min=0"}}\n')
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_unknown_subcommand_exit_2():

@@ -61,7 +61,7 @@ def test_rhs_zero_parallel_velocity(model_1e3, mu0_1e3):
 
 
 def test_rhs_domain_guards(mu0_1e3):
-    m = tb.ToroidalFieldModel(1e-3, b_min=0.5)
+    m = tb.ToroidalFieldModel(1e-3, a0=-0.5)  # b = r + z^2 - 0.5
     with pytest.raises(DomainError):
         tb.drift_rhs(DriftState(r_t=0.3, z_t=0.0, v_t=0.1), m, mu0_1e3)
     with pytest.raises(AxisSingularity):

@@ -83,8 +83,8 @@ def _abort_case(tag):
         model = tb.ToroidalFieldModel(1e-3, r_min=0.416)
         return model, tb.PusherConfig(h=0.04, variant="modified", mu0=0.0), 400.0
     if tag == "domain_error":
-        # the drift carries the orbit into b < 0.3
-        model = tb.ToroidalFieldModel(1e-3, b_min=0.3)
+        # the drift carries the orbit into b = r + z^2 - 0.4 < 0, at step 2831
+        model = tb.ToroidalFieldModel(1e-3, a0=-0.4)
         mu0 = tb.magnetic_moment(X0, V0, model)
         return model, tb.PusherConfig(h=0.04, variant="modified", mu0=mu0), 1000.0
     # a strong electric field in a weak magnetic one speeds the orbit past the
@@ -234,8 +234,8 @@ def _drift_abort_case(tag):
         model = tb.ToroidalFieldModel(1e-3, r_min=0.416)
         return tb.drift_init(X0, V0, model), model, 0.0, AxisSingularity
     if tag == "domain":
-        # z~ falls through 0, where b = r~ + z~^2 drops below 0.5
-        model = tb.ToroidalFieldModel(1e-3, b_min=0.5)
+        # z~ falls through 0, where b = r~ + z~^2 - 0.5 drops below 0
+        model = tb.ToroidalFieldModel(1e-3, a0=-0.5)
         return tb.drift_init(X0, V0, model), model, tb.magnetic_moment(X0, V0, model), DomainError
     # v~^2 overflows: the slow state stops being finite
     model = tb.ToroidalFieldModel(1e-3)
@@ -654,6 +654,10 @@ def test_bind_declares_the_c_signatures(monkeypatch):
         fn = getattr(libs[0], name)  # the function object _bind declared
         assert ctypes_kind(fn.restype) == ret, name
         assert [ctypes_kind(t) for t in fn.argtypes] == params, name
+    # a model enters as a0, a1, a2, c and r_min, with eps and mu0 or muhat: the
+    # domain b > 0 is no argument
+    assert signatures["toroboris_two_step_loop"][1].count("double") == 9
+    assert signatures["toroboris_drift_rk4"][1].count("double") == 8
 
 
 def count_loads(monkeypatch) -> list:

@@ -1,9 +1,9 @@
 """A constant field for the exact-orbit checks: a circle, a straight line, a parabola.
 
 The package's one field family is ToroidalFieldModel; this model carries
-what the package reads from a model (bemod, sample, strength, in_domain,
-r_min and phi), so integrate, observables and the monitor run on it
-through the Python loop.
+what the package reads from a model (bemod, sample, strength, r_min and
+phi), so integrate, observables and the monitor run on it through the
+Python loop.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class UniformFieldModel:
         """B and |B| at a point or at points (..., 3)."""
         s = self.sample(x)
         return s.B, s.absB
-
-    def in_domain(self, x) -> np.ndarray:
-        """A uniform field is defined everywhere."""
-        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def phi(self, r, z):
         """No potential: the energy the observables report is the kinetic one."""
