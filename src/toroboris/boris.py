@@ -30,7 +30,7 @@ from .geometry import ToroidalFieldModel, _scalar, cross3, dot3, eval_field
 VARIANTS = ("standard", "modified")
 
 # How far, in steps, span / h may lie from a whole n.  From 2.8e5 steps on the
-# bound is 2**-48 n (16-32 ulps of n), above the rounding of c / eps / (0.05 eps).
+# bound is 2**-48 n (16-32 ulps of n), above the rounding of c / eps / (ref_h_factor eps).
 _STEP_TOL = 1e-9
 
 

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .drift import DEFAULT_DTAU
 from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
-    _ORDER_BAND, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, compare,
-    convergence_study, monitor_nondegeneracy, observables, run_drift, run_trajectory,
+    _ORDER_BAND, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, _SlowSeries,
+    compare, convergence_study, monitor_nondegeneracy, observables, run_drift, run_trajectory,
     theorem1_suite,
 )
 
@@ -72,7 +71,9 @@ def _diag(name: str, message: str, **extra) -> None:
 # each key to (check, default): _REQUIRED keys must be present; a default of
 # None makes the key optional with no value (an explicit null is accepted);
 # any other default goes through the check when the key is absent, which
-# fills the defaults of nested objects.
+# fills the defaults of nested objects.  Defaults are read from their owners:
+# ToroidalFieldModel, ExperimentSpec, drift, harness and the signatures of
+# toroidal_probes and check_field; only probes.count and against are the CLI's.
 
 _REQUIRED = object()
 
@@ -163,11 +164,11 @@ _VEC3 = _array(_finite, "an array of 3 numbers", size=3)
 # Entries shared by the tables below.
 _FIELD = _object({
     "preset": (_choice(PRESET_NAME), _REQUIRED),
-    "a0": (_finite, 0.0), "a1": (_finite, 1.0), "a2": (_finite, 1.0), "c": (_finite, 0.1),
+    **{key: (_finite, getattr(ToroidalFieldModel, key)) for key in ("a0", "a1", "a2", "c")},
 })
 _ORBIT = {"field": (_FIELD, _REQUIRED), "x0": (_VEC3, _REQUIRED), "v0": (_VEC3, _REQUIRED)}
 _LIMITS = {
-    "c": (_POSITIVE, 0.5), "dtau": (_POSITIVE, DEFAULT_DTAU),
+    "c": (_POSITIVE, ExperimentSpec.c), "dtau": (_POSITIVE, DEFAULT_DTAU),
     "budget_steps": (_COUNT, DEFAULT_BUDGET),
 }
 _R_MIN = (_POSITIVE, ToroidalFieldModel.r_min)
@@ -188,7 +189,8 @@ _RUN = _object({
     "r_min": _R_MIN,
     **_LIMITS,
     "against": (_choice("reference", "drift"), "reference"),
-    "reference": (_object({"h_factor": (_UNIT, 0.05), "filtered": (_BOOLEAN, False)}), {}),
+    "reference": (_object({"h_factor": (_UNIT, ExperimentSpec.ref_h_factor),
+                           "filtered": (_BOOLEAN, ExperimentSpec.ref_filtered_init)}), {}),
 })
 
 # converge: scaled_pairs mode needs pairs, fixed_eps mode epsilon and h_list.
@@ -213,17 +215,19 @@ _THEOREM1 = _object({
     **_LIMITS,
 })
 
+_PROBE_SEED, _PROBE_R, _PROBE_Z = toroidal_probes.__defaults__
+(_DELTA,) = check_field.__defaults__
 _CHECK_FIELD = _object({
     "epsilon": (_UNIT, _REQUIRED),
     "field": (_FIELD, _REQUIRED),
     "probes": (_object({
         "count": (_COUNT, 50),
-        "seed": (_bounded(_INTEGER, lambda v: v >= 0, "must be nonnegative"), 0),
+        "seed": (_bounded(_INTEGER, lambda v: v >= 0, "must be nonnegative"), _PROBE_SEED),
         "r_range": (_bounded(_PAIR, lambda v: 0 < v[0] <= v[1],
-                             "expected [low, high] with 0 < low <= high"), [0.25, 1.0]),
-        "z_range": (_RANGE, [-0.75, 0.75]),
+                             "expected [low, high] with 0 < low <= high"), list(_PROBE_R)),
+        "z_range": (_RANGE, list(_PROBE_Z)),
     }), {}),
-    "delta": (_finite, 1e-6),
+    "delta": (_finite, _DELTA),
     "output": (_object({"path": (_STRING, _REQUIRED)}), None),
     "r_min": _R_MIN,
 })
@@ -252,9 +256,8 @@ def parse_config(text: str) -> dict:
 
 
 def _model(field: dict, epsilon: float, **r_min) -> ToroidalFieldModel:
-    return ToroidalFieldModel(
-        epsilon, a0=field["a0"], a1=field["a1"], a2=field["a2"], c=field["c"], **r_min
-    )
+    coefficients = {key: value for key, value in field.items() if key != "preset"}
+    return ToroidalFieldModel(epsilon, **coefficients, **r_min)
 
 
 def _run_spec(config: dict) -> ExperimentSpec:
@@ -377,12 +380,6 @@ def _cmd_drift(args) -> int:
     return EXIT_OK
 
 
-def _compare_from_csvs(path_a: str, path_b: str) -> ErrorSeries:
-    cols = ("t", "r", "z", "vpar")
-    a, b = (SimpleNamespace(**read_series_csv(path, cols)) for path in (path_a, path_b))
-    return _error_series(a, b)
-
-
 def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) -> int:
     _atomic_write(path, error_csv(err))
     if summary_path:
@@ -401,7 +398,9 @@ def _cmd_compare(args) -> int:
         if not (args.csv_a and args.csv_b and args.out):
             _diag("ConfigError", "CSV mode needs --csv-a, --csv-b and --out")
             return EXIT_CONFIG
-        err = _compare_from_csvs(args.csv_a, args.csv_b)
+        cols = ("t", "r", "z", "vpar")
+        a, b = (_SlowSeries(**read_series_csv(path, cols)) for path in (args.csv_a, args.csv_b))
+        err = _error_series(a, b)
         summary = {"max_err": err.max_by_component(), "n_samples": len(err.t)}
         return _report_compare(err, summary, args.out, args.summary)
     if not args.config:
@@ -484,10 +483,8 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_check_field(args) -> int:
     cfg = _decode(_read(args.config), _CHECK_FIELD)
-    probes = cfg["probes"]
-    points = toroidal_probes(
-        probes["count"], seed=probes["seed"], r_range=probes["r_range"], z_range=probes["z_range"]
-    )
+    probes = dict(cfg["probes"])
+    points = toroidal_probes(probes.pop("count"), **probes)
     model = _model(cfg["field"], cfg["epsilon"], r_min=cfg["r_min"])
     text = json.dumps(check_field(model, points, delta=cfg["delta"]), indent=2) + "\n"
     if cfg["output"] is None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from numbers import Integral
 
+_GRID_TOL = 1e-12  # the most two time stamps of one grid may differ by
+
 
 class ToroborisError(Exception):
     """Base class for all package errors."""
@@ -69,7 +71,7 @@ class GridMismatch(ToroborisError):
     def __init__(self, max_diff: float, sizes: tuple[int, int] | None = None):
         self.max_diff = max_diff
         super().__init__(f"the series have {sizes[0]} and {sizes[1]} samples" if sizes
-                         else f"time stamps differ by up to {max_diff:.4g} (> 1e-12)")
+                         else f"time stamps differ by up to {max_diff:.4g} (> {_GRID_TOL})")
 
 
 class SchemaError(ToroborisError):

@@ -93,19 +93,6 @@ def _frame(x: np.ndarray, r) -> CylindricalFrame:
     return CylindricalFrame(r=_scalar(r), z=_scalar(x[..., 2]), e_r=e_r, e_par=e_par, e_z=e_z)
 
 
-def frame(x, r_min: float = 1e-9) -> CylindricalFrame:
-    """Cylindrical coordinates and local frame at a point (3,) or points (..., 3).
-
-    Raises AxisSingularity for the first point within r_min of the axis.
-    """
-    x = np.asarray(x, dtype=float)
-    r = _radius(x)
-    near = np.flatnonzero(r < r_min)
-    if len(near):
-        raise AxisSingularity(float(np.ravel(r)[near[0]]), r_min)
-    return _frame(x, r)
-
-
 @dataclass(frozen=True)
 class FieldSample:
     """Field quantities B, |B|, grad|B|, E and the Jacobian of B.
@@ -250,6 +237,19 @@ class ToroidalFieldModel:
             - np.asarray(b_over_r)[..., None, None] * outer_r_par
         )
         return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E, jacB=jacB)
+
+
+def frame(x, r_min: float = ToroidalFieldModel.r_min) -> CylindricalFrame:
+    """Cylindrical coordinates and local frame at a point (3,) or points (..., 3).
+
+    Raises AxisSingularity for the first point within r_min of the axis.
+    """
+    x = np.asarray(x, dtype=float)
+    r = _radius(x)
+    near = np.flatnonzero(r < r_min)
+    if len(near):
+        raise AxisSingularity(float(np.ravel(r)[near[0]]), r_min)
+    return _frame(x, r)
 
 
 # Config-file name of the closed-form field family (see cli module).

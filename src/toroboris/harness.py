@@ -1,7 +1,7 @@
 """Experiment orchestration: reference runs, error series and scaling suites.
 
 Two kinds of comparisons are supported.  Reference-based errors measure a
-large-step run against a fine standard-Boris solution (step factor 0.05
+large-step run against a fine standard-Boris solution (step ref_h_factor
 times epsilon), matching the qualitative figure-style experiments.
 Drift-based errors measure runs against the slow system integrated by RK4,
 which is the comparator of the quantitative scaling statements: the slow
@@ -27,14 +27,12 @@ from .boris import (
 )
 from .drift import (DEFAULT_DTAU, DriftConfig, DriftTrajectory, _rk4_counts, drift_init,
                     drift_integrate)
-from .errors import BudgetExceeded, GridMismatch, RunAborted, SchemaError
+from .errors import _GRID_TOL, BudgetExceeded, GridMismatch, RunAborted, SchemaError
 from .geometry import ToroidalFieldModel, _as_floats, cross3, dot3, frame
 
 DEFAULT_BUDGET = int(5e8)
 # A sample whose nondegeneracy sigma falls below this is reported as a warning.
 _SIGMA_WARN = 0.1
-# theorem1_suite's nominal step, as a multiple of epsilon.
-_THEOREM1_STEP = 0.05
 # Default band a fitted convergence slope must lie in: second order.
 _ORDER_BAND = (1.7, 2.3)
 
@@ -275,11 +273,10 @@ class ErrorSeries:
 def _check_grid(ta, tb) -> None:
     if len(ta) != len(tb):
         raise GridMismatch(float("inf"), (len(ta), len(tb)))
-    if len(ta):
-        d = float(np.max(np.abs(np.asarray(ta) - np.asarray(tb))))
-        # written so that a NaN time fails the check too
-        if not (d <= 1e-12):
-            raise GridMismatch(d)
+    d = float(np.max(np.abs(np.asarray(ta) - np.asarray(tb)), initial=0.0))
+    # written so that a NaN time fails the check too
+    if not (d <= _GRID_TOL):
+        raise GridMismatch(d)
 
 
 def _error_series(a, b) -> ErrorSeries:
@@ -386,12 +383,12 @@ def convergence_study(
 ) -> tuple[dict, list[ErrorSeries]]:
     """Modified-Boris convergence study in one of two modes.
 
-    scaled_pairs: runs the (epsilon, h) pairs, which must keep h^2/epsilon
-    constant, against the slow drift solution over the slow horizon c.
+    scaled_pairs: runs the (epsilon, h) pairs, which must have distinct h and
+    h^2/epsilon constant, against the slow drift solution over the slow horizon c.
     This is the quantitative order test; the expected slope is 2.
 
-    fixed_eps: runs the steps in h_list at the base spec's epsilon against
-    the fine reference.  The reference carries an order-eps gyration
+    fixed_eps: runs the distinct steps in h_list at the base spec's epsilon
+    against the fine reference.  The reference carries an order-eps gyration
     floor, so this mode is qualitative.
 
     Returns (report, series): the report {"mode", "points", "slopes",
@@ -414,6 +411,9 @@ def convergence_study(
         against = "reference"
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # a slope needs distinct steps, and each point's CSV is named by its h
+    if len({h for _, h, _ in runs}) < len(runs):
+        raise ValueError(f"{mode} mode needs distinct step sizes, got h={[r[1] for r in runs]}")
     # every point's grid and budgets are checked before the first run
     specs = [_respec(base_spec, eps, h) for eps, h, _ in runs]
     for spec in specs:
@@ -451,15 +451,15 @@ def theorem1_suite(
     """Linear-in-epsilon scaling of the fine reference against the drift.
 
     For each epsilon, in model with its epsilon replaced, the fine reference
-    (standard Boris, step 0.05 eps rounded down to divide the output stride,
-    raw initial velocity) is the main run of a spec compared with the slow
-    solution over the horizon c / epsilon; the maxima across consecutive epsilon values must shrink
-    proportionally to epsilon within a factor-3 band.  dt_out is the stride
-    of each epsilon's ExperimentSpec at the nominal step 0.05 eps.
+    (standard Boris, the nominal step ExperimentSpec.ref_h_factor eps rounded
+    down to divide the output stride dt_out, raw initial velocity) is the main
+    run of a spec compared with the slow solution over the horizon c / epsilon;
+    the maxima across consecutive epsilon values must shrink proportionally to
+    epsilon within a factor-3 band.
 
     Every epsilon's grid and budgets are checked before the first run; an epsilon
     whose c / epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>,
-    and one whose run is over budget_steps names its step as 0.05*epsilon.
+    and one whose run is over budget_steps names its step as <factor>*epsilon.
 
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per
@@ -470,8 +470,9 @@ def theorem1_suite(
     if not eps_list:
         raise ValueError("eps_list must not be empty")
     specs = []
+    factor = ExperimentSpec.ref_h_factor
     for i, eps in enumerate(eps_list):
-        model_eps, h = replace(model, epsilon=eps), _THEOREM1_STEP * eps
+        model_eps, h = replace(model, epsilon=eps), factor * eps
         try:
             spec = ExperimentSpec(
                 field=model_eps, x0=tuple(x0), v0=tuple(v0), h=h, t_final=c / eps,
@@ -480,13 +481,13 @@ def theorem1_suite(
             specs.append(replace(spec, h=spec.h_ref))
         except BudgetExceeded as e:
             raise BudgetExceeded(e.steps, e.budget, "run",
-                                 f"{_THEOREM1_STEP}*epsilon={h:.6g}") from None
+                                 f"{factor}*epsilon={h:.6g}") from None
         except ValueError:
             if _whole_steps(c / eps, h) >= 2:
                 raise  # the stride's error
             raise SchemaError(
                 f"/eps_list/{i}", f"the horizon c/eps = {c!r}/{eps!r} must be a whole number "
-                f"(>= 2) of steps of {_THEOREM1_STEP}*eps = {h!r}",
+                f"(>= 2) of steps of {factor}*eps = {h!r}",
             ) from None
         specs[-1].check_budget("drift")
     maxima = []

@@ -59,6 +59,13 @@ def test_parse_minimal_fills_defaults(tmp_path):
     # the stride default is ExperimentSpec's, decided with the run's step count
     assert cfg["output"]["stride"] is None
     assert cfg["budget_steps"] == 500000000
+    # the CLI adds no default of its own: the required keys alone give the spec
+    # that the model and ExperimentSpec build from them
+    raw = base_config(tmp_path, field={"preset": "paper-toroidal"})
+    assert cli._run_spec(cli.parse_config(json.dumps(raw))) == harness.ExperimentSpec(
+        geometry.ToroidalFieldModel(1e-3), tuple(raw["x0"]), tuple(raw["v0"]), h=0.04,
+        t_final=40.0, variant="modified",
+    )
 
 
 def test_parse_rejects_unknown_variant(tmp_path):
@@ -705,6 +712,25 @@ def test_converge_rejects_inconsistent_pairs(tmp_path, capsys):
     assert cli.cli_main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["scaled_pairs", "fixed_eps"])
+def test_converge_rejects_a_repeated_step(tmp_path, capsys, monkeypatch, mode):
+    # every run used to complete; then the slope fit divided 0/0 and exited 3
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    cfg = study_config("converge", tmp_path)
+    cfg.update(c=0.04, pairs=[[1e-2, 0.04], [1e-2, 0.04]])
+    cfg["output"]["csv_dir"] = str(tmp_path / "runs")
+    if mode == "fixed_eps":
+        del cfg["pairs"]
+        cfg.update(mode=mode, epsilon=1e-2, h_list=[0.04, 0.04])
+    assert cli.cli_main(["converge", "--config", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": f"{mode} mode needs distinct step sizes, got h=[0.04, 0.04]",
+    }
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_an_aborted_reference_is_reported(tmp_path, capsys):
     # the main runs complete and the fine reference leaves the field domain; in
     # converge this used to surface as a grid mismatch of its shortened series
@@ -777,7 +803,7 @@ def test_check_field_cli(tmp_path, capsys):
     assert names == {"grad_b", "epar_dot_E", "curl_E", "div_B_rel"}
 
 
-def test_check_field_cli_writes_file(tmp_path):
+def test_check_field_cli_writes_file(tmp_path, capsys):
     cfg = {
         "epsilon": 1e-3,
         "field": {"preset": "paper-toroidal"},
@@ -785,6 +811,12 @@ def test_check_field_cli_writes_file(tmp_path):
     }
     assert cli.cli_main(["check-field", "--config", write_config(tmp_path, cfg)]) == 0
     assert json.loads((tmp_path / "field.json").read_text())["passed"]
+    # the minimal config prints, and writes, the report of the library's defaults
+    report = geometry.check_field(geometry.ToroidalFieldModel(1e-3), geometry.toroidal_probes(50))
+    del cfg["output"]
+    assert cli.cli_main(["check-field", "--config", write_config(tmp_path, cfg)]) == 0
+    text = json.dumps(report, indent=2) + "\n"
+    assert capsys.readouterr().out == text == (tmp_path / "field.json").read_text()
 
 
 def test_check_field_cli_overflow_exit_3(tmp_path, capsys):
@@ -956,6 +988,11 @@ INPUT_HOLES = [
     ("converge", {"/epsilon": 0.5}, "/epsilon"),
     ("converge", {"/h_list": [0.04, 0.02]}, "/h_list"),
     ("converge", {"/mode": "fixed_eps", "/epsilon": 1e-2, "/h_list": [0.04, 0.02]}, "/pairs"),
+    # a null where the default is an owner's value, not the CLI's null
+    ("simulate", {"/field/a0": None}, "/field/a0"),
+    ("simulate", {"/reference": {"h_factor": None}}, "/reference/h_factor"),
+    ("check-field", {"/probes/seed": None}, "/probes/seed"),
+    ("check-field", {"/delta": None}, "/delta"),
 ]
 
 
