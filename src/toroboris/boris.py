@@ -61,12 +61,19 @@ class ParticleState:
     v: np.ndarray
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class PusherConfig:
-    """Step size and scheme variant for a run.
+    """Step size, scheme variant and the moment mu0 the pusher applies.
 
-    mu0 is only used by the modified variant and is expected to come from
-    magnetic_moment at the initial state.
+    The pusher's force is E - mu0 grad|B|.  The modified variant takes mu0
+    from magnetic_moment at the initial state; the standard variant applies
+    none, so a nonzero mu0 there raises ValueError, as does a negative or
+    non-finite one.
     """
 
     h: float
@@ -76,14 +83,11 @@ class PusherConfig:
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("step size h must be positive")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.mu0 < 0.0:
-            raise ValueError("mu0 must be nonnegative")
-
-    @property
-    def effective_mu0(self) -> float:
-        return self.mu0 if self.variant == "modified" else 0.0
+        _check_variant(self.variant)
+        if not (isfinite(self.mu0) and self.mu0 >= 0.0):
+            raise ValueError(f"mu0 must be finite and nonnegative, got {self.mu0}")
+        if self.variant == "standard" and self.mu0 != 0.0:
+            raise ValueError(f"the standard variant applies no mu0, got {self.mu0}")
 
 
 @dataclass
@@ -101,8 +105,6 @@ class Trajectory:
     x: np.ndarray
     v: np.ndarray
     h: float
-    variant: str
-    mu0: float
     field: ToroidalFieldModel
     steps_completed: int
     error: str | None = None
@@ -141,7 +143,7 @@ def one_step_push(state: ParticleState, field_model, config: PusherConfig) -> Pa
     h = config.h
     half_h = 0.5 * h
     x1, x2, x3 = state.x
-    B1, B2, B3, em1, em2, em3 = field_model.bemod(x1, x2, x3, config.effective_mu0)
+    B1, B2, B3, em1, em2, em3 = field_model.bemod(x1, x2, x3, config.mu0)
     # half kick
     vm1, vm2, vm3 = state.v
     vm1 = vm1 + half_h * em1
@@ -186,7 +188,7 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     else:
         v0 = v0_raw.copy()
     h = config.h
-    acc = cross3(v0, s.B) + _emod(s, config.effective_mu0)
+    acc = cross3(v0, s.B) + _emod(s, config.mu0)
     x1 = x0 + h * v0 + 0.5 * h * h * acc
     seed = ParticleState(t=h, x=x1, v=(x1 - x0) / h)
     return seed, v0
@@ -338,19 +340,16 @@ def integrate(
     out_x[0] = x0
     out_v[0] = v0
 
-    mu0 = config.effective_mu0
     kernel = _kernels.compiled_kernel(field_model)
     loop = kernel.two_step_loop if kernel else _generic_loop
-    status, steps = loop(n, sample_every, config.h, mu0, v_max, seed.x, seed.x - x0, field_model,
-                         out_x, out_v)
+    status, steps = loop(n, sample_every, config.h, config.mu0, v_max, seed.x, seed.x - x0,
+                         field_model, out_x, out_v)
     t = _sample_times(steps, sample_every, config.h)
     return Trajectory(
         t=t,
         x=out_x[:len(t)],
         v=out_v[:len(t)],
         h=config.h,
-        variant=config.variant,
-        mu0=mu0,
         field=field_model,
         steps_completed=steps,
         error=_ERROR_TAGS.get(status),

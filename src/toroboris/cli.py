@@ -26,12 +26,12 @@ import numpy as np
 
 from . import _kernels
 from .boris import Trajectory
-from .drift import DEFAULT_DTAU
+from .drift import DEFAULT_DTAU, _SlowSeries
 from .errors import RunAborted, SchemaError, ToroborisError
 from .geometry import PRESET_NAME, ToroidalFieldModel, check_field, toroidal_probes
 from .harness import (
-    _ORDER_BAND, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, _SlowSeries,
-    compare, convergence_study, monitor_nondegeneracy, observables, run_drift, run_trajectory,
+    _ORDER_BAND, DEFAULT_BUDGET, ErrorSeries, ExperimentSpec, _error_series, compare,
+    convergence_study, monitor_nondegeneracy, observables, run_drift, run_trajectory,
     theorem1_suite,
 )
 
@@ -407,8 +407,9 @@ def _cmd_compare(args) -> int:
         _diag("ConfigError", "compare needs either --config or --csv-a/--csv-b/--out")
         return EXIT_CONFIG
     config = parse_config(_read(args.config))
+    spec, against = _run_spec(config), config["against"]
     try:
-        traj, err, ref_steps = compare(_run_spec(config), config["against"])
+        traj, err = compare(spec, against)
     except RunAborted as e:
         _diag("RuntimeDomainError", str(e), tag=e.tag)
         return EXIT_RUNTIME
@@ -416,11 +417,12 @@ def _cmd_compare(args) -> int:
     summary = {
         "max_err": err.max_by_component(),
         "n_samples": len(err.t),
-        "against": config["against"],
+        "against": against,
         "epsilon": config["epsilon"],
         "h": config["h"],
         "variant": config["variant"],
-        "steps": {"run": traj.steps_completed, "reference": ref_steps},
+        "steps": {"run": traj.steps_completed,
+                  "reference": spec.reference_steps if against == "reference" else None},
         "sigma_min": sigma_min,
         "warnings": warnings,
     }

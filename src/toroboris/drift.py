@@ -67,18 +67,23 @@ class DriftConfig:
 
 
 @dataclass
-class DriftTrajectory:
-    """Sampled slow solution on a physical-time grid."""
+class _SlowSeries:
+    """The slow observables r, z, v_par of a trajectory: what an error series compares."""
 
     t: np.ndarray
     r: np.ndarray
     z: np.ndarray
     vpar: np.ndarray
-    epsilon: float
-    mu0: float
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+@dataclass
+class DriftTrajectory(_SlowSeries):
+    """Sampled slow solution on a physical-time grid."""
+
+    epsilon: float
 
     @property
     def rv_invariant(self) -> np.ndarray:
@@ -222,5 +227,4 @@ def drift_integrate(
         z=out[:, 1],
         vpar=out[:, 2],
         epsilon=eps,
-        mu0=config.mu0,
     )

@@ -22,11 +22,11 @@ from math import ceil, isqrt
 import numpy as np
 
 from .boris import (
-    PusherConfig, Trajectory, _sample_times, _whole_steps, integrate, magnetic_moment,
-    nondegeneracy_sigma,
+    PusherConfig, Trajectory, _check_variant, _sample_times, _whole_steps, integrate,
+    magnetic_moment, nondegeneracy_sigma,
 )
-from .drift import (DEFAULT_DTAU, DriftConfig, DriftTrajectory, _rk4_counts, drift_init,
-                    drift_integrate)
+from .drift import (DEFAULT_DTAU, DriftConfig, DriftTrajectory, _rk4_counts, _SlowSeries,
+                    drift_init, drift_integrate)
 from .errors import _GRID_TOL, BudgetExceeded, GridMismatch, RunAborted, SchemaError
 from .geometry import ToroidalFieldModel, _as_floats, cross3, dot3, frame
 
@@ -70,6 +70,7 @@ class ExperimentSpec:
     sample_stride: int = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_variant(self.variant)
         eps = self.field.epsilon
         if self.t_final > self.c / eps * (1.0 + 1e-12):
             raise ValueError(
@@ -200,19 +201,6 @@ def monitor_nondegeneracy(traj: Trajectory) -> tuple[float, list]:
 
 
 @dataclass
-class _SlowSeries:
-    """The slow observables r, z, v_par of a trajectory: what an error series compares."""
-
-    t: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    vpar: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-@dataclass
 class ObservableSeries(_SlowSeries):
     """Cylindrical observables of a trajectory: r, z, v_par, mu, energy."""
 
@@ -254,20 +242,9 @@ class ErrorSeries:
     err_z: np.ndarray
     err_vpar: np.ndarray
 
-    @property
-    def max_r(self) -> float:
-        return float(np.max(self.err_r))
-
-    @property
-    def max_z(self) -> float:
-        return float(np.max(self.err_z))
-
-    @property
-    def max_vpar(self) -> float:
-        return float(np.max(self.err_vpar))
-
     def max_by_component(self) -> dict:
-        return {"r": self.max_r, "z": self.max_z, "vpar": self.max_vpar}
+        return {"r": float(np.max(self.err_r)), "z": float(np.max(self.err_z)),
+                "vpar": float(np.max(self.err_vpar))}
 
 
 def _check_grid(ta, tb) -> None:
@@ -303,14 +280,14 @@ def error_vs_reference(obs: _SlowSeries, ref_obs: _SlowSeries) -> ErrorSeries:
     return _error_series(obs, ref_obs)
 
 
-def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries, int | None]:
+def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries]:
     """The experiment's main run and its error series against a comparator.
 
     against is "drift", the slow solution at the run's sample times, or
-    "reference", the fine reference on the same output grid.  Returns the
-    run, the errors and the reference's step count (None against the
-    drift).  Raises BudgetExceeded before any run, and RunAborted("run" or
-    "reference", tag) when either run ends early; the caller runs the monitor.
+    "reference", the fine reference on the same output grid, which takes
+    spec.reference_steps steps.  Returns (run, errors).  Raises
+    BudgetExceeded before any run, and RunAborted("run" or "reference", tag)
+    when either run ends early; the caller runs the monitor.
 
     Only the compared r, z and v_par are computed, not observables' mu and
     energy; a completed run's samples all lie on the domain, which its steps
@@ -322,11 +299,11 @@ def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries
         raise RunAborted("run", run.error)
     obs = _slow_series(run)
     if against == "drift":
-        return run, error_vs_drift(obs, run_drift(spec)), None
+        return run, error_vs_drift(obs, run_drift(spec))
     ref = run_reference(spec)
     if ref.error is not None:
         raise RunAborted("reference", ref.error)
-    return run, error_vs_reference(obs, _slow_series(ref)), ref.steps_completed
+    return run, error_vs_reference(obs, _slow_series(ref))
 
 
 def fit_loglog_slope(hs, errs) -> float:
@@ -422,7 +399,7 @@ def convergence_study(
     series = []
     for spec, (eps, h, label) in zip(specs, runs):
         try:
-            traj, err, _ = compare(spec, against)
+            traj, err = compare(spec, against)
         except RunAborted as e:
             raise RuntimeError(f"{e.run} ({label}) aborted: {e.tag}") from e
         sigma_min, warnings = monitor_nondegeneracy(traj)
@@ -455,11 +432,14 @@ def theorem1_suite(
     down to divide the output stride dt_out, raw initial velocity) is the main
     run of a spec compared with the slow solution over the horizon c / epsilon;
     the maxima across consecutive epsilon values must shrink proportionally to
-    epsilon within a factor-3 band.
+    epsilon within a factor-3 band.  A ratio whose later maximum is zero is None
+    and fails the gate.
 
-    Every epsilon's grid and budgets are checked before the first run; an epsilon
-    whose c / epsilon is not whole nominal steps is a SchemaError at /eps_list/<index>,
-    and one whose run is over budget_steps names its step as <factor>*epsilon.
+    The epsilon values must be distinct (ValueError otherwise): a repeated one
+    would give a ratio of 1, inside its band.  Every epsilon's grid and budgets
+    are checked before the first run; an epsilon whose c / epsilon is not whole
+    nominal steps is a SchemaError at /eps_list/<index>, and one whose run is
+    over budget_steps names its step as <factor>*epsilon.
 
     Returns (report, series): the report {"eps_list", "max_err", "ratios",
     "bands", "passed", "steps"}, with one entry of max_err and steps per
@@ -469,6 +449,8 @@ def theorem1_suite(
     eps_list = list(eps_list)
     if not eps_list:
         raise ValueError("eps_list must not be empty")
+    if len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"eps_list needs distinct values, got {eps_list}")
     specs = []
     factor = ExperimentSpec.ref_h_factor
     for i, eps in enumerate(eps_list):
@@ -495,7 +477,7 @@ def theorem1_suite(
     series = []
     for eps, spec in zip(eps_list, specs):
         try:
-            ref, err, _ = compare(spec, "drift")
+            ref, err = compare(spec, "drift")
         except RunAborted as e:
             raise RuntimeError(f"reference run (eps={eps}) aborted: {e.tag}") from e
         series.append(err)
@@ -503,10 +485,11 @@ def theorem1_suite(
         steps.append(ref.steps_completed)
     bands = [(a / b / 3.0, a / b * 3.0) for a, b in zip(eps_list, eps_list[1:])]
     ratios = [
-        {comp: m0[comp] / m1[comp] for comp in ("r", "z", "vpar")}
+        {comp: m0[comp] / m1[comp] if m1[comp] else None for comp in ("r", "z", "vpar")}
         for m0, m1 in zip(maxima, maxima[1:])
     ]
-    passed = all(lo <= r <= hi for (lo, hi), rs in zip(bands, ratios) for r in rs.values())
+    passed = all(r is not None and lo <= r <= hi
+                 for (lo, hi), rs in zip(bands, ratios) for r in rs.values())
     report = {"eps_list": eps_list, "max_err": maxima, "ratios": ratios, "bands": bands,
               "passed": passed, "steps": steps}
     return report, series

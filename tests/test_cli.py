@@ -731,6 +731,36 @@ def test_converge_rejects_a_repeated_step(tmp_path, capsys, monkeypatch, mode):
     assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_theorem1_rejects_a_repeated_epsilon(tmp_path, capsys, monkeypatch):
+    # every ratio used to be 1, inside its band [1/3, 3]: the gate passed and one
+    # error CSV was written twice
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    cfg = study_config("theorem1", tmp_path)
+    cfg.update(eps_list=[1e-2, 1e-2], c=0.01)
+    cfg["output"]["csv_dir"] = str(tmp_path / "runs")
+    assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "eps_list needs distinct values, got [0.01, 0.01]",
+    }
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_theorem1_fails_its_gate_on_a_zero_maximum(tmp_path, capsys):
+    # an orbit at rest with no electric field: every error is 0, and the ratio
+    # 0 / 0 used to raise ZeroDivisionError, exiting 3 with no report
+    cfg = study_config("theorem1", tmp_path)
+    cfg.update(eps_list=[1e-2, 5e-3], c=0.01, v0=[0, 0, 0],
+               field={"preset": "paper-toroidal", "a0": 1, "a1": 0, "a2": 0, "c": 0})
+    assert cli.cli_main(["theorem1", "--config", write_config(tmp_path, cfg)]) == 4
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["max_err"] == [{"r": 0.0, "z": 0.0, "vpar": 0.0}] * 2
+    assert report["ratios"] == [{"r": None, "z": None, "vpar": None}]
+    assert report["passed"] is False
+    diag = json.loads(capsys.readouterr().err)
+    assert (diag["error"], diag["ratios"]) == ("GateFailure", report["ratios"])
+
+
 def test_an_aborted_reference_is_reported(tmp_path, capsys):
     # the main runs complete and the fine reference leaves the field domain; in
     # converge this used to surface as a grid mismatch of its shortened series

@@ -183,9 +183,19 @@ def test_reference_completes_at_moderate_scale():
 def test_reference_filtered_flag(model_1e3):
     spec = make_spec(eps=1e-2, h=0.05, t_final=0.1, ref_filtered_init=True)
     ref = tb.run_reference(spec)
-    assert ref.error is None and ref.variant == "modified"
+    assert ref.error is None
     fr = tb.frame(X0)
     assert abs(float(fr.e_r @ ref.v[0])) <= 1e-15
+
+
+def test_spec_rejects_an_unknown_variant():
+    # run_drift used to run such a spec; only run_trajectory refused it
+    with pytest.raises(ValueError) as spec_error:
+        make_spec(eps=1e-2, h=0.05, t_final=0.1, variant="boris")
+    with pytest.raises(ValueError) as config_error:
+        tb.PusherConfig(h=0.05, variant="boris")
+    assert str(spec_error.value) == str(config_error.value)
+    assert "variant must be one of ('standard', 'modified'), got 'boris'" in str(spec_error.value)
 
 
 def test_spec_rejects_a_horizon_below_two_steps():
@@ -215,8 +225,6 @@ def test_observables_zero_velocity_state(model_1e3):
         x=np.asarray(X0).reshape(1, 3),
         v=np.zeros((1, 3)),
         h=0.1,
-        variant="standard",
-        mu0=0.0,
         field=model_1e3,
         steps_completed=0,
     )
@@ -256,15 +264,15 @@ def test_error_identical_series_is_zero():
     t = np.linspace(0, 10, 21)
     a = synth_obs(t, 0.4, 0.5, 0.3)
     err = tb.error_vs_reference(a, synth_obs(t, 0.4, 0.5, 0.3))
-    assert err.max_r == 0.0 and err.max_z == 0.0 and err.max_vpar == 0.0
+    assert err.max_by_component() == {"r": 0.0, "z": 0.0, "vpar": 0.0}
 
 
 def test_error_injected_offset_is_exact():
     t = np.linspace(0, 10, 21)
     a = synth_obs(t, 0.4 + 1e-3, 0.5, 0.3)
     err = tb.error_vs_reference(a, synth_obs(t, 0.4, 0.5, 0.3))
-    assert err.max_r == pytest.approx(1e-3, abs=1e-18)
-    assert err.max_z == 0.0
+    assert err.max_by_component()["r"] == pytest.approx(1e-3, abs=1e-18)
+    assert err.max_by_component()["z"] == 0.0
 
 
 def test_error_against_drift_series():
@@ -276,11 +284,10 @@ def test_error_against_drift_series():
         z=np.full(11, 0.7),
         vpar=np.full(11, 0.3),
         epsilon=1e-3,
-        mu0=0.0,
     )
     err = tb.error_vs_drift(obs, dr)
-    assert err.max_z == pytest.approx(0.2, rel=1e-15)
-    assert err.max_r == 0.0
+    assert err.max_by_component()["z"] == pytest.approx(0.2, rel=1e-15)
+    assert err.max_by_component()["r"] == 0.0
 
 
 def test_grid_mismatch_raises():
@@ -305,7 +312,7 @@ def test_reference_subset_on_shared_points():
         t=a.t[::2], r=a.r[::2], z=a.z[::2], vpar=a.vpar[::2], mu=a.mu[::2], energy=a.energy[::2]
     )
     err = tb.error_vs_reference(sub, coarse)
-    assert err.max_r == 0.0 and err.max_z == 0.0 and err.max_vpar == 0.0
+    assert err.max_by_component() == {"r": 0.0, "z": 0.0, "vpar": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +385,7 @@ def test_fixed_eps_mode_bounded_and_ordered():
     assert errs[0] > errs[1]
     assert all(e < 0.2 for e in errs)
     assert report["points"][0]["steps"] == 625
-    assert [err.max_z for err in series] == errs
+    assert [err.max_by_component()["z"] for err in series] == errs
 
 
 def test_theorem1_field_line_oracle():

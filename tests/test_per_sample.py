@@ -50,7 +50,7 @@ def trajectory(model, xs, vs):
     n = len(xs)
     return tb.Trajectory(
         t=0.1 * np.arange(n), x=np.array(xs, dtype=float), v=np.array(vs, dtype=float),
-        h=0.04, variant="standard", mu0=0.0, field=model, steps_completed=n,
+        h=0.04, field=model, steps_completed=n,
     )
 
 
