@@ -430,16 +430,27 @@ def _cmd_compare(args) -> int:
     return _report_compare(err, summary, output["path"], output["summary_path"])
 
 
-def _report_study(output: dict, report: dict, series, csv_names, message: str, **extra) -> int:
-    """Write a study's error CSVs (when csv_dir is set) and report; exit 4 on a failed gate."""
+def _run_study(output: dict, path: str, entries: list, study, message: str, key: str) -> int:
+    """Run study(), write its error CSVs (when csv_dir is set) and report; exit 4 on a failed gate.
+
+    Entry i, (epsilon[, h]), names its CSV in {:g}'s 6 digits.  With csv_dir set, a name
+    that an earlier, different entry gives is a SchemaError at path/<i> before any run;
+    a repeated entry is the study's to refuse.
+    """
     csv_dir = output["csv_dir"]
+    names = ["errors_" + "_".join(f"{k}{v:g}" for k, v in zip(("eps", "h"), entry)) + ".csv"
+             for entry in entries]
+    for i, name in enumerate(names):
+        if csv_dir is not None and entries[names.index(name)] != entries[i]:
+            raise SchemaError(f"{path}/{i}", f"its error CSV name {name} is an earlier entry's")
+    report, series = study()
     if csv_dir is not None:
         os.makedirs(csv_dir, exist_ok=True)
-        for name, err in zip(csv_names, series):
+        for name, err in zip(names, series):
             _atomic_write(os.path.join(csv_dir, name), error_csv(err))
     _atomic_write(output["path"], [(json.dumps(report, indent=2) + "\n").encode()])
     if not report["passed"]:
-        _diag("GateFailure", message, **extra)
+        _diag("GateFailure", message, **{key: report[key]})
         return EXIT_GATE
     return EXIT_OK
 
@@ -453,33 +464,30 @@ def _cmd_converge(args) -> int:
             raise SchemaError(f"/{key}", "missing required key")
         if not used and cfg[key] is not None:
             raise SchemaError(f"/{key}", f"not used in {cfg['mode']} mode")
-    eps0, h0 = cfg["pairs"][0] if scaled else (cfg["epsilon"], cfg["h_list"][0])
+    pairs = cfg["pairs"] if scaled else [(cfg["epsilon"], h) for h in cfg["h_list"]]
+    eps0, h0 = pairs[0]
     base_spec = ExperimentSpec(
         field=_model(cfg["field"], eps0), x0=cfg["x0"], v0=cfg["v0"], h=h0,
         t_final=cfg["c"] / eps0, variant="modified", dt_out=cfg["stride"], c=cfg["c"],
         budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
-    report, series = convergence_study(
-        base_spec, cfg["mode"], h_list=cfg["h_list"], pairs=cfg["pairs"],
-        order_band=cfg["order_band"],
-    )
-    names = [f"errors_eps{p['epsilon']:g}_h{p['h']:g}.csv" for p in report["points"]]
-    return _report_study(
-        cfg["output"], report, series, names, "convergence order gate failed",
-        slopes=report["slopes"],
+    return _run_study(
+        cfg["output"], "/pairs" if scaled else "/h_list", pairs,
+        lambda: convergence_study(base_spec, cfg["mode"], h_list=cfg["h_list"],
+                                  pairs=cfg["pairs"], order_band=cfg["order_band"]),
+        "convergence order gate failed", "slopes",
     )
 
 
 def _cmd_theorem1(args) -> int:
     cfg = _decode(_read(args.config), _THEOREM1)
-    report, series = theorem1_suite(
-        _model(cfg["field"], cfg["eps_list"][0]), cfg["eps_list"], cfg["c"], cfg["x0"], cfg["v0"],
-        dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
-    )
-    names = [f"errors_eps{eps:g}.csv" for eps in report["eps_list"]]
-    return _report_study(
-        cfg["output"], report, series, names, "epsilon scaling gate failed",
-        ratios=report["ratios"],
+    return _run_study(
+        cfg["output"], "/eps_list", [(eps,) for eps in cfg["eps_list"]],
+        lambda: theorem1_suite(
+            _model(cfg["field"], cfg["eps_list"][0]), cfg["eps_list"], cfg["c"], cfg["x0"],
+            cfg["v0"], dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
+        ),
+        "epsilon scaling gate failed", "ratios",
     )
 
 

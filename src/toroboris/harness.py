@@ -293,6 +293,11 @@ def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries
     energy; a completed run's samples all lie on the domain, which its steps
     checked, so that moves no axis or domain error.
     """
+    return _compare(spec, against, {})
+
+
+def _compare(spec: ExperimentSpec, against: str, references: dict):
+    """compare, with each reference series kept in references by the inputs it runs from."""
     spec.check_budget(against)
     run = run_trajectory(spec)
     if run.error is not None:
@@ -300,10 +305,14 @@ def compare(spec: ExperimentSpec, against: str) -> tuple[Trajectory, ErrorSeries
     obs = _slow_series(run)
     if against == "drift":
         return run, error_vs_drift(obs, run_drift(spec))
-    ref = run_reference(spec)
-    if ref.error is not None:
-        raise RunAborted("reference", ref.error)
-    return run, error_vs_reference(obs, _slow_series(ref))
+    key = (spec.field, tuple(spec.x0), tuple(spec.v0), spec.h_ref, spec.reference_steps,
+           spec.reference_stride, spec.ref_filtered_init)
+    if key not in references:
+        ref = run_reference(spec)
+        if ref.error is not None:
+            raise RunAborted("reference", ref.error)
+        references[key] = _slow_series(ref)
+    return run, error_vs_reference(obs, references[key])
 
 
 def fit_loglog_slope(hs, errs) -> float:
@@ -351,6 +360,27 @@ def _respec(base: ExperimentSpec, epsilon: float, h: float) -> ExperimentSpec:
     return replace(base, field=model, h=h, t_final=base.c / epsilon, variant="modified")
 
 
+def _study(specs: list, against: str, label: str) -> tuple[list[Trajectory], list[ErrorSeries]]:
+    """(runs, series) of the specs: every budget is checked before the first run, and
+    specs that agree on all the fine reference's inputs share one reference run.
+
+    A run that ends early raises RuntimeError("<label> aborted: <tag>"), label
+    formatted with run ("run" or "reference") and the spec's eps and h.
+    """
+    for spec in specs:
+        spec.check_budget(against)
+    references, runs, series = {}, [], []
+    for spec in specs:
+        try:
+            run, err = _compare(spec, against, references)
+        except RunAborted as e:
+            where = label.format(run=e.run, eps=spec.epsilon, h=spec.h)
+            raise RuntimeError(f"{where} aborted: {e.tag}") from e
+        runs.append(run)
+        series.append(err)
+    return runs, series
+
+
 def convergence_study(
     base_spec: ExperimentSpec,
     mode: str,
@@ -365,8 +395,9 @@ def convergence_study(
     This is the quantitative order test; the expected slope is 2.
 
     fixed_eps: runs the distinct steps in h_list at the base spec's epsilon
-    against the fine reference.  The reference carries an order-eps gyration
-    floor, so this mode is qualitative.
+    against the fine reference, run once for all the steps that agree on its
+    inputs.  The reference carries an order-eps gyration floor, so this mode is
+    qualitative, and a short horizon on that floor fails the default order_band.
 
     Returns (report, series): the report {"mode", "points", "slopes",
     "order_band", "passed", "diagnostics"}, with one point {"h", "epsilon",
@@ -379,36 +410,26 @@ def convergence_study(
         ratios = [h * h / eps for eps, h in pairs]
         if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise ValueError(f"h^2/eps must be constant across pairs, got {ratios}")
-        runs = [(eps, h, f"eps={eps}, h={h}") for eps, h in pairs]
-        against = "drift"
+        against, label = "drift", "{run} (eps={eps}, h={h})"
     elif mode == "fixed_eps":
         if not h_list or len(h_list) < 2:
             raise ValueError("fixed_eps mode needs at least 2 step sizes")
-        runs = [(base_spec.epsilon, h, f"h={h}") for h in h_list]
-        against = "reference"
+        pairs = [(base_spec.epsilon, h) for h in h_list]
+        against, label = "reference", "{run} (h={h})"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # a slope needs distinct steps, and each point's CSV is named by its h
-    if len({h for _, h, _ in runs}) < len(runs):
-        raise ValueError(f"{mode} mode needs distinct step sizes, got h={[r[1] for r in runs]}")
-    # every point's grid and budgets are checked before the first run
-    specs = [_respec(base_spec, eps, h) for eps, h, _ in runs]
-    for spec in specs:
-        spec.check_budget(against)
+    # a slope needs distinct steps
+    if len({h for _, h in pairs}) < len(pairs):
+        raise ValueError(f"{mode} mode needs distinct step sizes, got h={[h for _, h in pairs]}")
+    runs, series = _study([_respec(base_spec, eps, h) for eps, h in pairs], against, label)
     points = []
-    series = []
-    for spec, (eps, h, label) in zip(specs, runs):
-        try:
-            traj, err = compare(spec, against)
-        except RunAborted as e:
-            raise RuntimeError(f"{e.run} ({label}) aborted: {e.tag}") from e
-        sigma_min, warnings = monitor_nondegeneracy(traj)
-        series.append(err)
+    for (eps, h), run, err in zip(pairs, runs, series):
+        sigma_min, warnings = monitor_nondegeneracy(run)
         points.append({
             "h": h,
             "epsilon": eps,
             "max_err": err.max_by_component(),
-            "steps": traj.steps_completed,
+            "steps": run.steps_completed,
             "sigma_min": sigma_min,
             "warnings": len(warnings),
         })
@@ -471,18 +492,8 @@ def theorem1_suite(
                 f"/eps_list/{i}", f"the horizon c/eps = {c!r}/{eps!r} must be a whole number "
                 f"(>= 2) of steps of {factor}*eps = {h!r}",
             ) from None
-        specs[-1].check_budget("drift")
-    maxima = []
-    steps = []
-    series = []
-    for eps, spec in zip(eps_list, specs):
-        try:
-            ref, err = compare(spec, "drift")
-        except RunAborted as e:
-            raise RuntimeError(f"reference run (eps={eps}) aborted: {e.tag}") from e
-        series.append(err)
-        maxima.append(err.max_by_component())
-        steps.append(ref.steps_completed)
+    runs, series = _study(specs, "drift", "reference run (eps={eps})")
+    maxima = [err.max_by_component() for err in series]
     bands = [(a / b / 3.0, a / b * 3.0) for a, b in zip(eps_list, eps_list[1:])]
     ratios = [
         {comp: m0[comp] / m1[comp] if m1[comp] else None for comp in ("r", "z", "vpar")}
@@ -491,5 +502,5 @@ def theorem1_suite(
     passed = all(r is not None and lo <= r <= hi
                  for (lo, hi), rs in zip(bands, ratios) for r in rs.values())
     report = {"eps_list": eps_list, "max_err": maxima, "ratios": ratios, "bands": bands,
-              "passed": passed, "steps": steps}
+              "passed": passed, "steps": [run.steps_completed for run in runs]}
     return report, series

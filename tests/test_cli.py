@@ -746,6 +746,32 @@ def test_theorem1_rejects_a_repeated_epsilon(tmp_path, capsys, monkeypatch):
     assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("command, overrides, path, name", [
+    # 2000000 and 1999999 whole reference steps
+    ("theorem1", {"eps_list": [0.01, 0.010000002500000937], "c": 10.0}, "/eps_list/1",
+     "errors_eps0.01.csv"),
+    ("converge", {"pairs": [[1e-2, 0.1], [1.00000001e-2, 0.1]]}, "/pairs/1",
+     "errors_eps0.01_h0.1.csv"),
+    ("converge", {"mode": "fixed_eps", "epsilon": 1e-2, "h_list": [0.04, 0.02, 0.0400000001],
+                  "c": 0.04}, "/h_list/2", "errors_eps0.01_h0.04.csv"),
+], ids=["theorem1", "scaled_pairs", "fixed_eps"])
+def test_a_study_refuses_error_csv_names_that_collide(tmp_path, capsys, monkeypatch, command,
+                                                      overrides, path, name):
+    # the later entry's CSV used to overwrite the earlier's, with exit 0
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    cfg = study_config(command, tmp_path)
+    cfg.update(overrides)
+    if "h_list" in overrides:
+        del cfg["pairs"]
+    cfg["output"]["csv_dir"] = str(tmp_path / "runs")
+    assert cli.cli_main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "SchemaError", "path": path,
+                    "message": f"{path}: its error CSV name {name} is an earlier entry's"}
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_theorem1_fails_its_gate_on_a_zero_maximum(tmp_path, capsys):
     # an orbit at rest with no electric field: every error is 0, and the ratio
     # 0 / 0 used to raise ZeroDivisionError, exiting 3 with no report

@@ -388,6 +388,37 @@ def test_fixed_eps_mode_bounded_and_ordered():
     assert [err.max_by_component()["z"] for err in series] == errs
 
 
+def test_a_fixed_eps_study_runs_its_reference_once(monkeypatch):
+    # one main run per step and one reference for all of them: the reference used
+    # to run once per step, 2 len(h_list) integrate calls in all
+    calls = []
+    integrate = harness.integrate
+
+    def recorded(x0, v0, model, config, t_final, sample_every):
+        calls.append((config.h, config.variant))
+        return integrate(x0, v0, model, config, t_final, sample_every)
+
+    monkeypatch.setattr(harness, "integrate", recorded)
+    base = make_spec(eps=1e-2, h=0.08, dt_out=0.4, c=0.1)
+    h_list = [0.08, 0.04, 0.02]
+    report, series = tb.convergence_study(base, "fixed_eps", h_list=h_list)
+    assert calls == [(0.08, "modified"), (base.h_ref, "standard"), (0.04, "modified"),
+                     (0.02, "modified")]
+    # the same bits as one compare per step
+    points, expected = [], []
+    for h in h_list:
+        run, err = tb.compare(_respec(base, base.epsilon, h), "reference")
+        sigma_min, warnings = tb.monitor_nondegeneracy(run)
+        points.append({"h": h, "epsilon": base.epsilon, "max_err": err.max_by_component(),
+                       "steps": run.steps_completed, "sigma_min": sigma_min,
+                       "warnings": len(warnings)})
+        expected.append(err)
+    assert report == _convergence_report("fixed_eps", points, _ORDER_BAND)
+    for got, want in zip(series, expected, strict=True):
+        for name in ("t", "err_r", "err_z", "err_vpar"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_theorem1_field_line_oracle():
     # constant-magnitude profile, no electric field, start along the field:
     # the slow system freezes r and v and drifts z linearly; the fine
