@@ -187,9 +187,12 @@ int toroboris_drift_rk4(
  *
  * A finite normal x = m / 2^s whose decimal exponent X = floor(log10 |x|)
  * lies in [-40, 16] gets its 17 significant digits from the exact integer
- * m 10^(16-X) / 2^s, held in 64-bit limbs and rounded half to even on the
- * exact remainder.  Zeros, infinities and NaN are literals.  Any other value
- * (a subnormal, |x| below 1e-40 or from 1e17 on) is left to the caller.
+ * m 10^(16-X) / 2^s, rounded half to even on the exact remainder: for
+ * |x| >= 2^-9, where 10^(16-X) fits one limb, from one 64x64-bit product in
+ * two registers, below that from 64-bit limbs.  The digits are written four
+ * at a time from a table, in 8-byte stores.  Zeros, infinities and NaN are
+ * literals.  Any other value (a subnormal, |x| below 1e-40 or from 1e17 on)
+ * is left to the caller.
  */
 enum { P10_MAX = 56, P10_LIMBS = 3 };
 /* The longest field, -1.2345678901234567e-40, and its separator. */
@@ -258,13 +261,20 @@ static const uint64_t P10[P10_MAX + 1][P10_LIMBS] = {
     {0x2100000000000000, 0xfdffc78873d4490d, 0x04140c78940f6a24},
 };
 
-/* "00" to "99": the digits two at a time. */
-static const char DIGIT_PAIRS[201] =
-    "0001020304050607080910111213141516171819"
-    "2021222324252627282930313233343536373839"
-    "4041424344454647484950515253545556575859"
-    "6061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
+/* DIGITS4 + 4 n: the four digits of n < 10^4.  The preprocessor spells the
+ * table out, so the library holds it fully formed and no call writes it. */
+#define DIGITS_1(p) p "0" p "1" p "2" p "3" p "4" p "5" p "6" p "7" p "8" p "9"
+#define DIGITS_2(p) DIGITS_1(p "0") DIGITS_1(p "1") DIGITS_1(p "2") DIGITS_1(p "3") \
+    DIGITS_1(p "4") DIGITS_1(p "5") DIGITS_1(p "6") DIGITS_1(p "7") DIGITS_1(p "8") DIGITS_1(p "9")
+#define DIGITS_3(p) DIGITS_2(p "0") DIGITS_2(p "1") DIGITS_2(p "2") DIGITS_2(p "3") \
+    DIGITS_2(p "4") DIGITS_2(p "5") DIGITS_2(p "6") DIGITS_2(p "7") DIGITS_2(p "8") DIGITS_2(p "9")
+static const char DIGITS4[40001] = DIGITS_3("0") DIGITS_3("1") DIGITS_3("2") DIGITS_3("3")
+    DIGITS_3("4") DIGITS_3("5") DIGITS_3("6") DIGITS_3("7") DIGITS_3("8") DIGITS_3("9");
+
+/* A digit word: 8 bytes of text from its least significant byte up. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the CSV formatter's digit words need a little-endian machine"
+#endif
 
 /* The low 64 bits of a b; the high 64 in *hi. */
 static uint64_t mul64(uint64_t a, uint64_t b, uint64_t *hi)
@@ -282,19 +292,24 @@ static uint64_t mul64(uint64_t a, uint64_t b, uint64_t *hi)
 #endif
 }
 
-/* The 8 decimal digits of v < 10^8 at d. */
-static void put8(char *d, uint32_t v)
+/* The 8 digits of v < 10^8 as a digit word. */
+static uint64_t digits8(uint64_t v)
 {
-    uint32_t hi = v / 10000, lo = v % 10000;
-    memcpy(d, DIGIT_PAIRS + 2 * (hi / 100), 2);
-    memcpy(d + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
-    memcpy(d + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
-    memcpy(d + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
+    uint32_t hi, lo;
+    memcpy(&hi, DIGITS4 + 4 * (v / 10000), 4);
+    memcpy(&lo, DIGITS4 + 4 * (v % 10000), 4);
+    return hi | (uint64_t)lo << 32;
+}
+
+/* The mask of a word's n lowest bytes, n clamped to [0, 8]. */
+static uint64_t low_bytes(int n)
+{
+    return n <= 0 ? 0 : n >= 8 ? ~0ULL : (1ULL << 8 * n) - 1;
 }
 
 /* Writes x's field at w and returns its end, or NULL outside the fast range.
- * The digits go out in fixed-size copies, which may overwrite bytes past the
- * field's end up to w[FIELD_MAX - 2], short of its separator's room. */
+ * The digits go out in fixed-size stores, which may write past the field's
+ * end up to w[FIELD_MAX - 2], short of its separator's room. */
 static char *format_field(double x, char *w)
 {
     uint64_t bits;
@@ -332,20 +347,29 @@ static char *format_field(double x, char *w)
         m <<= 1 - s;
         s = 1;
     }
-    /* p = m 10^j, below 2^(58+187) */
-    uint64_t p[P10_LIMBS + 1], hi, carry;
-    p[0] = mul64(m, P10[j][0], &carry);
-    for (int i = 1; i < P10_LIMBS; i++) {
-        p[i] = mul64(m, P10[j][i], &hi) + carry;
-        carry = hi + (p[i] < carry);
+    /* q = floor(m 10^j / 2^s) < 10^18; half is bit s - 1 of the product, sticky
+     * any bit below it */
+    uint64_t q, half, sticky;
+    if (j <= 19) {
+        /* 10^j is one limb and est >= -3 keeps s <= 61: the product is hi:lo */
+        uint64_t hi, lo = mul64(m, P10[j][0], &hi);
+        q = hi << (64 - s) | lo >> s;
+        half = lo >> (s - 1) & 1;
+        sticky = (lo & ((1ULL << (s - 1)) - 1)) != 0;
+    } else {
+        /* p = m 10^j, below 2^(58+187) */
+        uint64_t p[P10_LIMBS + 1], hi, carry;
+        p[0] = mul64(m, P10[j][0], &carry);
+        for (int i = 1; i < P10_LIMBS; i++) {
+            p[i] = mul64(m, P10[j][i], &hi) + carry;
+            carry = hi + (p[i] < carry);
+        }
+        p[P10_LIMBS] = carry;
+        int limb = s >> 6, off = s & 63, hb = (s - 1) & 63, hl = (s - 1) >> 6;
+        q = p[limb] >> off | p[limb + 1] << 1 << (63 - off);
+        half = p[hl] >> hb & 1;
+        sticky = ((p[hl] & ((1ULL << hb) - 1)) | (hl > 0 ? p[0] : 0) | (hl > 1 ? p[1] : 0)) != 0;
     }
-    p[P10_LIMBS] = carry;
-    /* q = floor(p / 2^s) < 10^18; half is bit s - 1 of p, sticky any bit below it */
-    int limb = s >> 6, off = s & 63, hb = (s - 1) & 63, hl = (s - 1) >> 6;
-    uint64_t q = p[limb] >> off | p[limb + 1] << 1 << (63 - off);
-    uint64_t half = p[hl] >> hb & 1;
-    uint64_t below = (p[hl] & ((1ULL << hb) - 1)) | (hl > 0 ? p[0] : 0) | (hl > 1 ? p[1] : 0);
-    uint64_t sticky = below != 0;
     /* X = est + 1 leaves 18 digits: the last, with the bits below it, decides
      * the rounding of the first 17 */
     int over = q >= E17;
@@ -360,62 +384,69 @@ static char *format_field(double x, char *w)
         q = E16;
         exp10++;
     }
-    /* the 17 digits, and room for the fixed-size copies below to read past them */
-    char d[40];
-    uint64_t top = q / 100000000; /* the first 9 digits */
-    d[0] = (char)('0' + top / 100000000);
-    put8(d + 1, (uint32_t)(top % 100000000));
-    put8(d + 9, (uint32_t)(q - top * 100000000));
-    int nd = 17;
-    while (d[nd - 1] == '0')
-        nd--;
+    /* the 17 digits: the first, then digits 2-9 and 10-17 as digit words.  nd
+     * counts them up to the last that is not 0: bit 8 i + 7 of nz is set where
+     * byte i of the word is not '0' (clz is a builtin of GCC and Clang, whose
+     * flags the build passes) */
+    uint64_t top = q / 100000000, first = top / 100000000;
+    uint64_t lo = digits8(top - first * 100000000), hi = digits8(q - top * 100000000);
+    uint64_t nz_lo = (lo + 0x4f4f4f4f4f4f4f4fULL) & 0x8080808080808080ULL;
+    uint64_t nz_hi = (hi + 0x4f4f4f4f4f4f4f4fULL) & 0x8080808080808080ULL;
+    int nd = nz_hi ? 17 - __builtin_clzll(nz_hi) / 8 : nz_lo ? 9 - __builtin_clzll(nz_lo) / 8 : 1;
+    char head = (char)('0' + first);
     if (exp10 < -4 || exp10 >= 17) {
-        /* d.ddde-XX: at most 22 bytes written and kept */
-        w[0] = d[0];
+        /* d.ddde-XX: 18 bytes stored, then the exponent; at most 22 kept */
+        w[0] = head;
         w[1] = '.';
-        memcpy(w + 2, d + 1, 16);
+        memcpy(w + 2, &lo, 8);
+        memcpy(w + 10, &hi, 8);
         w += nd > 1 ? nd + 1 : 1;
         *w++ = 'e';
         *w++ = exp10 < 0 ? '-' : '+';
         int a = exp10 < 0 ? -exp10 : exp10;
-        memcpy(w, DIGIT_PAIRS + 2 * a, 2);
+        memcpy(w, DIGITS4 + 4 * a + 2, 2);
         return w + 2;
     }
     if (exp10 < 0) {
-        /* 0.000ddd: at most 22 bytes written and kept */
+        /* 0.000ddd: at most 22 bytes stored and kept */
         memcpy(w, "0.000", 5);
         w += 1 - exp10;
-        memcpy(w, d, 17);
+        w[0] = head;
+        memcpy(w + 1, &lo, 8);
+        memcpy(w + 9, &hi, 8);
         return w + nd;
     }
-    /* the integer part, then the point and the rest: d holds the integer's
-     * zeros past nd; 18 bytes written, at most 18 kept */
+    /* the point after digit k: byte i of the text is digit i + 1 before it and
+     * digit i after it; 18 bytes stored, at most 18 kept */
     int k = exp10 + 1;
-    char t[40];
-    memcpy(t, d, 17);
-    t[k] = '.';
-    memcpy(t + k + 1, d + k, 16);
-    memcpy(w, t, 18);
+    uint64_t at[3] = {(uint64_t)head | lo << 8, lo >> 56 | hi << 8, hi >> 56};
+    uint64_t after[3] = {at[0] << 8, lo >> 48 | hi << 16, hi >> 48};
+    uint64_t text[3];
+    for (int i = 0; i < 3; i++) {
+        uint64_t before = low_bytes(k - 8 * i), upto = low_bytes(k + 1 - 8 * i);
+        text[i] = (at[i] & before) | (after[i] & ~upto) | (0x2e2e2e2e2e2e2e2eULL & upto & ~before);
+    }
+    memcpy(w, text, 18);
     return w + (nd > k ? nd + 1 : k);
 }
 
-/* Formats rows 0 .. rows - 1 of cols columns as CSV lines into out, which
+/* Formats rows start .. stop - 1 of cols columns as CSV lines into out, which
  * holds cap bytes; column c's value in row i is columns[c][i * strides[c]].
  * A row holding a value outside the fast range is left out: pair k of
- * skipped (2 rows entries) receives the k-th such row's index and the offset
- * in out where its line belongs.  Returns the number of bytes written and
- * stores the number of rows left out in *n_skipped; returns -1, writing
- * nothing, when cap is below rows * cols * FIELD_MAX.
+ * skipped (2 (stop - start) entries) receives the k-th such row's index and
+ * the offset in out where its line belongs.  Returns the number of bytes
+ * written and stores the number of rows left out in *n_skipped; returns -1,
+ * writing nothing, when cap is below (stop - start) cols FIELD_MAX.
  */
-int64_t toroboris_format_rows(int64_t rows, int64_t cols, const double *const *columns,
-                              const int64_t *strides, char *out, int64_t cap, int64_t *skipped,
-                              int64_t *n_skipped)
+int64_t toroboris_format_rows(int64_t start, int64_t stop, int64_t cols,
+                              const double *const *columns, const int64_t *strides, char *out,
+                              int64_t cap, int64_t *skipped, int64_t *n_skipped)
 {
-    if (cap < rows * cols * FIELD_MAX)
+    if (stop < start || cap < (stop - start) * cols * FIELD_MAX)
         return -1;
     char *w = out;
     int64_t k = 0;
-    for (int64_t r = 0; r < rows; r++) {
+    for (int64_t r = start; r < stop; r++) {
         char *line = w;
         for (int64_t c = 0; c < cols && w; c++) {
             if ((w = format_field(columns[c][r * strides[c]], w)))

@@ -13,9 +13,10 @@ the library (``_kernel.c``) holds three functions:
   the columns in place.  It formats zeros, infinities, NaN and the normal
   values of decimal exponent -40 to 16 (1e-40 <= |x| < 1e17); the rows
   holding any other value (a subnormal, anything smaller or from 1e17 on)
-  go to the Python formatter instead, in one call.  The wrapper formats the
-  rows it is given and returns bytes; cli._columns_csv hands it one chunk of
-  rows at a time.
+  go to the Python formatter instead, in one call.  The wrapper checks the
+  columns and takes their addresses once per CSV, and returns a function of
+  a row range that formats it in one C call and returns bytes;
+  cli._columns_csv asks it for one chunk of rows at a time.
 
 The Python code stays the single definition of each; tests pin each C
 function to its Python twin bitwise.  A loop's wrapper takes its twin's
@@ -148,7 +149,7 @@ def _bind(path: str) -> Kernel:
     )
     # raw addresses: the wrapper checks the columns itself
     rows_fn.restype = ctypes.c_int64
-    rows_fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3 + [
+    rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
 
     def two_step_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, model, out_x, out_v):
@@ -175,12 +176,16 @@ def _bind(path: str) -> Kernel:
             raise DomainError(bad.value)
 
     def format_rows(columns, fallback):
-        """CSV lines of %.17g fields, one per value of the float64 columns, as bytes.
+        """A function lines(start, stop): rows start to stop - 1 as CSV lines of
+        %.17g fields, one per value of the float64 columns, as bytes.
 
-        Line i holds row i: the i-th value of each 1-D column, read in place at
-        any stride.  One C call writes every line but those of the rows holding
-        a value outside its range; fallback(block) writes those rows, given as
-        one (rows, cols) block, as bytes, and they are spliced in.
+        Row i holds the i-th value of each 1-D column, read in place at any
+        stride; stop is clipped to the row count.  The columns are checked,
+        and their addresses taken, once here.  Each call of lines is one C
+        call, into a buffer kept for the next call, which writes every line
+        but those of the rows holding a value outside its range;
+        fallback(block) writes those rows, given as one (rows, cols) block, as
+        bytes, and they are spliced in.
         """
         if not columns:
             raise ValueError("no columns")
@@ -195,20 +200,30 @@ def _bind(path: str) -> Kernel:
         cols = len(columns)
         pointers = (ctypes.c_void_p * cols)(*[c.ctypes.data for c in columns])
         strides = (ctypes.c_int64 * cols)(*[c.strides[0] // c.itemsize for c in columns])
-        out = np.empty(rows * cols * _FIELD_BYTES, dtype=np.uint8)
-        skipped = np.empty((rows, 2), dtype=np.int64)
         n_skipped = ctypes.c_int64(0)
-        written = rows_fn(rows, cols, pointers, strides, out.ctypes.data, len(out),
-                          skipped.ctypes.data, n_skipped)
-        text, parts, end = out.data, [], 0
-        if n_skipped.value:
-            left = skipped[:n_skipped.value]
-            block = np.column_stack([c[left[:, 0]] for c in columns])
-            for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
-                                strict=True):
-                parts += (text[end:at], line)
-                end = at
-        return b"".join([*parts, text[end:written]])
+        out = skipped = buffers = None  # sized by the longest range asked for so far
+
+        def lines(start, stop):
+            nonlocal out, skipped, buffers
+            stop = min(stop, rows)
+            if not 0 <= start <= stop:
+                raise ValueError(f"bad row range {start}:{stop} of {rows} rows")
+            if out is None or len(skipped) < stop - start:
+                out = np.empty((stop - start) * cols * _FIELD_BYTES, dtype=np.uint8)
+                skipped = np.empty((stop - start, 2), dtype=np.int64)
+                buffers = (out.ctypes.data, len(out), skipped.ctypes.data)
+            written = rows_fn(start, stop, cols, pointers, strides, *buffers, n_skipped)
+            text, parts, end = out.data, [], 0
+            if n_skipped.value:
+                left = skipped[:n_skipped.value]
+                block = np.column_stack([c[left[:, 0]] for c in columns])
+                for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
+                                    strict=True):
+                    parts += (text[end:at], line)
+                    end = at
+            return b"".join([*parts, text[end:written]])
+
+        return lines  # which holds the columns, so the addresses stay theirs
 
     return Kernel(two_step_loop, drift_rk4, format_rows)
 

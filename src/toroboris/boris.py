@@ -19,7 +19,7 @@ drift motion be resolved with steps h far above the gyroperiod.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -117,12 +117,24 @@ def magnetic_moment(x, v, field_model) -> float:
     """Magnetic moment |v x B|^2 / (2 |B|^3) = |v_perp|^2 / (2 |B|): mu0's definition.
 
     Takes one point and velocity (3,).  observables computes the CSV's mu.
+    Where the first form overflows, or |B|**3 underflows to 0, the value is
+    |v x e|^2 / (2 |B|), e = B / |B|.
     """
     B, absB = field_model.strength(x)
-    w = cross3(np.asarray(v, dtype=float), B)
-    # a Python float: |B|**3 is libm pow (np.power rounds differently) and
-    # overflows to OverflowError, as the scalar expression always has
-    return 0.5 * float(dot3(w, w)) / absB**3
+    v = np.asarray(v, dtype=float)
+    # a Python float: |B|**3 is libm pow (np.power rounds differently), which
+    # raises OverflowError past |B| ~ 5.6e102 and is 0 below ~1e-108; the
+    # matmul overflows past ~1.3e154
+    try:
+        with np.errstate(over="raise"):
+            w = cross3(v, B)
+            mu = 0.5 * float(dot3(w, w)) / absB**3
+    except (OverflowError, FloatingPointError, ZeroDivisionError):
+        mu = inf
+    if isfinite(mu):
+        return mu
+    u = cross3(v, B / absB)
+    return 0.5 * float(dot3(u, u)) / absB
 
 
 def _along_B(B, absB, v: np.ndarray) -> np.ndarray:

@@ -299,17 +299,18 @@ def _columns_csv(header: str, *columns) -> Iterator[bytes]:
     """The CSV as bytes chunks: the header line, then _CHUNK_ROWS lines at a time.
 
     Line i holds sample i, one field per column.  Each chunk is formatted
-    when it is asked for: by the C kernel when it is available, by
-    _python_rows otherwise and for the rows the C formatter leaves to it.
+    when it is asked for: by the C kernel when it is available (its columns
+    set up once per CSV), by _python_rows otherwise and for the rows the C
+    formatter leaves to it.
     """
     kernel = _kernels.compiled_kernel()
     yield header.encode() + b"\n"
+    lines = kernel.format_rows(columns, _python_rows) if kernel else None
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
-        if kernel is None:
-            yield _python_rows(np.column_stack(chunk))
+        if lines:
+            yield lines(start, start + _CHUNK_ROWS)
         else:
-            yield kernel.format_rows(chunk, _python_rows)
+            yield _python_rows(np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns]))
 
 
 def trajectory_csv(traj: Trajectory) -> Iterator[bytes]:

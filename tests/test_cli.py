@@ -236,25 +236,19 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
         assert diag == {"error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
                         "tag": "sanity_guard"}
     # simulate aborts too, after the t = 0 row: its mu, |v x e|^2 / |B| / 2, is
-    # representable where |B|^3 is not.  The modified run's mu0 keeps the scalar
-    # 0.5 |v x B|^2 / |B|**3, which overflows before the run starts: libm pow past
-    # |B| ~ 5.6e102, the matmul past ~1.3e154.  No CSV is written then.
+    # representable where |B|^3 is not.  So is the modified run's mu0, which
+    # takes the form |v x e|^2 / (2 |B|) where 0.5 |v x B|^2 / |B|**3 overflows
+    # (libm pow past |B| ~ 5.6e102, the matmul past ~1.3e154).
     out = tmp_path / "out.csv"
-    for eps, mu0_error in ((1e-104, "OverflowError"), (1e-160, "FloatingPointError"),
-                           (1e-300, "FloatingPointError")):
-        out.unlink(missing_ok=True)
-        cfg = base_config(tmp_path, variant="standard", t_final=0.4, epsilon=eps)
-        assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
-            "tag": "sanity_guard", "steps": 0}
-        assert len(out.read_text().splitlines()) == 2
-        out.unlink()
-        cfg["variant"] = "modified"
-        assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and json.loads(err[0])["error"] == mu0_error
-        assert not out.exists()
+    for eps in (1e-104, 1e-160, 1e-300):
+        for variant in boris.VARIANTS:
+            out.unlink(missing_ok=True)
+            cfg = base_config(tmp_path, variant=variant, t_final=0.4, epsilon=eps)
+            assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "RuntimeDomainError", "message": "run aborted: sanity_guard",
+                "tag": "sanity_guard", "steps": 0}, (eps, variant)
+            assert len(out.read_text().splitlines()) == 2
     # from |B| ~ 9e307 on 2 |B| overflows, so the CSV's mu halves last: here |B|
     # is about 1.66e308 and the t = 0 row's mu subnormal
     cfg = base_config(tmp_path, variant="standard", t_final=0.4, epsilon=1.5e-308,

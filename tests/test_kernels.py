@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -278,7 +279,7 @@ def c_rows(values, cols=1, fallback=cli._python_rows, kernel=None):
     """values as rows of cols fields through the C formatter, read as columns in place."""
     block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     kernel = kernel or _kernels.compiled_kernel()
-    return kernel.format_rows(tuple(block.T), fallback)
+    return kernel.format_rows(tuple(block.T), fallback)(0, len(block))
 
 
 def python_rows(values, cols=1):
@@ -319,6 +320,67 @@ def edge_values() -> list:
         odd = range(first, min(first + 40, -(-(10**18) // 5**n), 2**53), 2)
         values += [m / 2**n for m in odd]
     return values + [-x for x in values]
+
+
+def significant(x) -> tuple:
+    """(count of significant digits, decimal exponent) of x's %.17g field."""
+    digits = Decimal(f"{x:.17g}").normalize().as_tuple()
+    return len(digits.digits), len(digits.digits) - 1 + digits.exponent
+
+
+def layout_values() -> list:
+    """Doubles whose %.17g field has n significant digits at decimal exponent X,
+    two (or the one there is) for each n of 1 to 17 and X of -6 to 17: every
+    position of the point, the 0.000ddd forms, and both switches to
+    e-notation (below 1e-4 in C, from 1e17 in the fallback).  The C formatter
+    counts the digits from a mask, in each layout."""
+    rng = np.random.default_rng(2029)
+    values, missing = [], []
+    for X in range(-6, 18):
+        for n in range(1, 18):
+            # n = 1 has nine decimals in all: try each
+            tries = ((str(d) for d in range(1, 10)) if n == 1 else
+                     ("".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, n - 2),
+                                        rng.integers(1, 10)])) for _ in range(300)))
+            hits = (x for x in (float(f"{t}e{X - n + 1}") for t in tries)
+                    if significant(x) == (n, X))
+            found = list(itertools.islice(hits, 2))
+            values += found
+            missing += [] if found else [(X, n)]
+    # no double's field is a single digit at 1e-6 or 1e-5, the nearest to 1e-5 is
+    # 1.0000000000000001e-05; 1e-14 is one (it carries, see power_values)
+    assert missing == [(-6, 1), (-5, 1)]
+    return values + [1e-14]
+
+
+def power_values() -> list:
+    """The doubles nearest each power of ten from 1e-45 to 1e20, and their neighbours.
+
+    A field whose 17 digits round up to 10^17 carries into the exponent.  Of
+    these only 1e-14 does: it lies 1.2e-18 of its value below 10^-14, closer
+    than half a unit in the 17th digit, and no other double is that close
+    below a power of ten in this range."""
+    values = []
+    for k in range(-45, 21):
+        x = float(f"1e{k}")
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    return values
+
+
+def limb_boundary_values() -> list:
+    """Values either side of the one-limb product: 10^j fits one limb for j <= 19,
+    which is |x| >= 2^-9 (decimal estimate -3), and takes three below it."""
+    rng = np.random.default_rng(2030)
+    edge = 2.0**-9
+    values = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+    for e in (-12, -11, -10, -9, -8):
+        values += (rng.uniform(1.0, 2.0, 200) * 2.0**e).tolist()
+    return values
+
+
+def branch_values() -> np.ndarray:
+    values = np.array(layout_values() + power_values() + limb_boundary_values())
+    return np.concatenate([values, -values])
 
 
 @needs_cc
@@ -430,7 +492,20 @@ def test_compiled_formatter_reads_columns_at_any_stride():
     block = np.arange(60.0).reshape(5, 12) / 7.0
     columns = (block[:, 0], block.T[3], block[::-1, 5], np.asfortranarray(block)[:, 11])
     want = python_rows(np.column_stack(columns), cols=4)
-    assert _kernels.compiled_kernel().format_rows(columns, no_fallback) == want
+    assert _kernels.compiled_kernel().format_rows(columns, no_fallback)(0, 5) == want
+
+
+@needs_cc
+def test_compiled_formatter_formats_any_row_range():
+    # the columns are set up once; each range is one C call, clipped to the rows
+    block = np.concatenate([edge_values(), random_patterns(600, 2031)])[:600].reshape(200, 3)
+    lines = _kernels.compiled_kernel().format_rows(tuple(block.T), cli._python_rows)
+    for start, stop in [(0, 200), (3, 7), (150, 1000), (0, 1), (199, 200), (0, 200)]:
+        assert lines(start, stop) == python_rows(block[start:stop], cols=3), (start, stop)
+    assert lines(5, 5) == lines(200, 200) == b""
+    for start, stop in [(-1, 2), (3, 2), (201, 300)]:
+        with pytest.raises(ValueError):
+            lines(start, stop)
 
 
 @needs_cc
@@ -450,22 +525,72 @@ def test_compiled_formatter_rejects_bad_columns():
 
 
 @needs_cc
+def test_c_formatter_matches_python_in_every_layout():
+    values = branch_values()
+    assert_same_text(c_rows(values), python_rows(values))
+    inside = values[in_fast_range(values)]
+    assert_same_text(c_rows(inside, fallback=no_fallback), python_rows(inside))
+    # the carry: the double 1e-14 lies below 10^-14 and its 17 nines round up
+    assert Decimal(1e-14) < Decimal("1e-14") and f"{1e-14:.17g}" == "1e-14"
+    assert c_rows([1e-14, -1e-14], fallback=no_fallback) == b"1e-14\n-1e-14\n"
+
+
+@needs_cc
 def test_formatter_without_int128_writes_the_same_bytes(tmp_path):
     # the 32-bit-halves product, for compilers without unsigned __int128
     lib = tmp_path / "no_int128.so"
     subprocess.run([_kernels._CC, *_kernels._CFLAGS, "-U__SIZEOF_INT128__", "-o", str(lib),
                     _kernels._SOURCE, "-lm"], check=True)
     kernel = _kernels._bind(str(lib))
-    values = np.concatenate([edge_values(), random_patterns(100_000, 2027)])
+    values = np.concatenate([edge_values(), branch_values(), random_patterns(100_000, 2027)])
     assert_same_text(c_rows(values, fallback=marker, kernel=kernel),
                      c_rows(values, fallback=marker))
+    assert_same_text(c_rows(values, kernel=kernel), python_rows(values))
+
+
+@needs_cc
+def test_c_formatter_stays_in_its_24_bytes_a_field(tmp_path):
+    # the C call itself, given exactly rows * cols * FIELD_MAX bytes: the
+    # longest field twice, then a field of each layout that stores furthest
+    lib = tmp_path / "room.so"
+    subprocess.run([_kernels._CC, *_kernels._CFLAGS, "-o", str(lib), _kernels._SOURCE, "-lm"],
+                   check=True)
+    fn = ctypes.CDLL(str(lib)).toroboris_format_rows
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
+        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+    longest = -1.2345678901234567e-40
+    worst = [longest, -9.8765432109876543e-05,  # d.ddde-XX, with 17 and with 1 digit
+             -1e-14, -0.00012345678901234567, -0.012345678901234567]  # 0.000ddd, 0.0ddd
+    worst += [-float(f"1234567890123456.7e{k - 16}") for k in range(1, 18)]  # k digits, point
+    assert len(f"{longest:.17g}") == _kernels._FIELD_BYTES - 1
+    assert all(significant(x)[0] in (1, 17) for x in worst)
+    guard = 64
+    for x in worst:
+        # one row per call, so the last field has exactly its 24 bytes before cap
+        block = np.array([[longest, longest, x]])
+        rows, cols = block.shape
+        cap = rows * cols * _kernels._FIELD_BYTES
+        out = np.full(cap + guard, 0xAB, dtype=np.uint8)
+        skipped, n_skipped = np.empty((rows, 2), dtype=np.int64), ctypes.c_int64(-1)
+        columns = (ctypes.c_void_p * cols)(*[block[:, c].ctypes.data for c in range(cols)])
+        strides = (ctypes.c_int64 * cols)(*[cols] * cols)
+        args = (columns, strides, out.ctypes.data, cap, skipped.ctypes.data, n_skipped)
+        written = fn(0, rows, cols, *args)
+        assert n_skipped.value == 0 and (out[cap:] == 0xAB).all(), x
+        assert out[:written].tobytes() == python_rows(block, cols=cols)
+        # a smaller cap is refused before anything is written
+        out[:] = 0xAB
+        assert fn(0, rows, cols, *args[:3], cap - 1, *args[4:]) == -1
+        assert (out == 0xAB).all()
 
 
 def sanitizer_rows() -> np.ndarray:
-    """Every +-2^e with its neighbours, the edge values and 200k random bit patterns."""
+    """Every +-2^e with its neighbours, the edge and branch values and 200k random bit patterns."""
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    return np.concatenate([values, -values, edge_values(), random_patterns(200_000, 2028)])
+    return np.concatenate([values, -values, edge_values(), branch_values(),
+                           random_patterns(200_000, 2028)])
 
 
 def sanitizer_runs() -> str:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import glob
+import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +19,10 @@ from toroboris import cli
 from toroboris.errors import AxisSingularity, DomainError
 
 from conftest import X0, V0
+from test_seeded_family import DRAWS, orbit
 from uniform_model import UniformFieldModel
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def bits(a) -> bytes:
@@ -207,14 +214,50 @@ def test_the_two_forms_of_mu_agree_on_the_uniform_field(variant):
     assert mu_forms_apart_in_ulps(traj) <= 8
 
 
-def test_mu_overflow_raises_like_the_scalar_expression():
-    # |B|^3 overflows from |B| > 5.6e102: the libm pow error, on every path
-    model = tb.ToroidalFieldModel(1e-104)
-    with pytest.raises(OverflowError) as scalar:
-        oracle.magnetic_moment(X0, V0, model)
-    with pytest.raises(OverflowError) as package:
-        tb.magnetic_moment(X0, V0, model)
-    assert package.value.args == scalar.value.args
+def test_mu0_past_the_overflow_takes_the_overflow_free_form():
+    # 0.5 |v x B|^2 / |B|**3 overflows from |B| > 5.6e102 (libm pow) and from
+    # ~1.3e154 in |v x B|^2 (the matmul), and divides by 0 where |B|**3
+    # underflows (b = 1e-120 here): mu0 is then |v x e|^2 / (2 |B|)
+    for model, error in [(tb.ToroidalFieldModel(1e-104), OverflowError),
+                         (tb.ToroidalFieldModel(1e-160), OverflowError),
+                         (tb.ToroidalFieldModel(1e-300), OverflowError),
+                         (tb.ToroidalFieldModel(1e-3, a0=1e-120, a1=0.0, a2=0.0),
+                          ZeroDivisionError)]:
+        with np.errstate(over="ignore"), pytest.raises(error):
+            oracle.magnetic_moment(X0, V0, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = tb.magnetic_moment(X0, V0, model)
+        B, absB, *_ = oracle.field_sample(model, X0)
+        e = B / absB
+        u = np.cross(np.asarray(V0, dtype=float), e)
+        assert bits(mu) == bits(0.5 * float(u @ u) / absB), model
+    # short of the overflow the scalar form is kept
+    model = tb.ToroidalFieldModel(1e-102)
+    assert bits(tb.magnetic_moment(X0, V0, model)) == bits(oracle.magnetic_moment(X0, V0, model))
+
+
+def shipped_orbits() -> list:
+    """(model, x0, v0) of every epsilon of the shipped configs that run an orbit."""
+    orbits = []
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.json"))):
+        with open(path) as f:
+            cfg = json.load(f)
+        if "x0" not in cfg:
+            continue
+        field = {k: v for k, v in cfg["field"].items() if k != "preset"}
+        epsilons = ([cfg["epsilon"]] if "epsilon" in cfg
+                    else cfg.get("eps_list") or [eps for eps, _ in cfg["pairs"]])
+        orbits += [(tb.ToroidalFieldModel(eps, **field), cfg["x0"], cfg["v0"]) for eps in epsilons]
+    return orbits
+
+
+def test_mu0_keeps_the_oracle_bits_on_the_family_and_the_shipped_configs():
+    orbits = [orbit(i, eps) for i in range(len(DRAWS)) for eps in (1e-2, 1e-3, 2.5e-4)]
+    orbits += shipped_orbits()
+    assert len(orbits) == 3 * len(DRAWS) + 5
+    for model, x0, v0 in orbits:
+        assert bits(tb.magnetic_moment(x0, v0, model)) == bits(oracle.magnetic_moment(x0, v0, model))
 
 
 # ---------------------------------------------------------------------------
