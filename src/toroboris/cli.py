@@ -57,6 +57,31 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def _shared_file(inputs: list, outputs: list):
+    """The first output that would overwrite an input or an earlier output, or None.
+
+    inputs and outputs hold (label, path) pairs, the outputs in write order; a
+    None path writes no file.  Files are told apart by os.path.realpath, so a
+    relative path or a symlink to a file is that file.  Two inputs may share
+    one.  The result is (label, path, the label of the file it would overwrite).
+    """
+    seen = {os.path.realpath(path): label for label, path in inputs}
+    for label, path in outputs:
+        if path is not None:
+            earlier = seen.setdefault(os.path.realpath(path), label)
+            if earlier != label:
+                return label, path, earlier
+    return None
+
+
+def _refuse_shared_files(config: str, outputs: list) -> None:
+    """Before a config's run: a SchemaError at the first output key that writes a taken file."""
+    shared = _shared_file([("--config", config)], outputs)
+    if shared:
+        label, path, earlier = shared
+        raise SchemaError(label, f"writes {path}, the file of {earlier}")
+
+
 def _diag(name: str, message: str, **extra) -> None:
     payload = {"error": name, "message": message}
     payload.update(extra)
@@ -364,6 +389,7 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
 
 def _cmd_simulate(args) -> int:
     config = parse_config(_read(args.config))
+    _refuse_shared_files(args.config, [("/output/path", config["output"]["path"])])
     traj = run_trajectory(_run_spec(config))
     _atomic_write(config["output"]["path"], trajectory_csv(traj))
     if traj.error is not None:
@@ -375,6 +401,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_drift(args) -> int:
     config = parse_config(_read(args.config))
+    _refuse_shared_files(args.config, [("/output/path", config["output"]["path"])])
     traj = run_drift(_run_spec(config))
     columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
     _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
@@ -399,6 +426,11 @@ def _cmd_compare(args) -> int:
         if not (args.csv_a and args.csv_b and args.out):
             _diag("ConfigError", "CSV mode needs --csv-a, --csv-b and --out")
             return EXIT_CONFIG
+        shared = _shared_file([("--csv-a", args.csv_a), ("--csv-b", args.csv_b)],
+                              [("--out", args.out), ("--summary", args.summary)])
+        if shared:
+            _diag("ConfigError", "{} writes {}, the file of {}".format(*shared))
+            return EXIT_CONFIG
         cols = ("t", "r", "z", "vpar")
         a, b = (_SlowSeries(**read_series_csv(path, cols)) for path in (args.csv_a, args.csv_b))
         err = _error_series(a, b)
@@ -408,6 +440,9 @@ def _cmd_compare(args) -> int:
         _diag("ConfigError", "compare needs either --config or --csv-a/--csv-b/--out")
         return EXIT_CONFIG
     config = parse_config(_read(args.config))
+    output = config["output"]
+    _refuse_shared_files(args.config, [("/output/path", output["path"]),
+                                       ("/output/summary_path", output["summary_path"])])
     spec, against = _run_spec(config), config["against"]
     try:
         traj, err = compare(spec, against)
@@ -427,23 +462,31 @@ def _cmd_compare(args) -> int:
         "sigma_min": sigma_min,
         "warnings": warnings,
     }
-    output = config["output"]
     return _report_compare(err, summary, output["path"], output["summary_path"])
 
 
-def _run_study(output: dict, path: str, entries: list, study, message: str, key: str) -> int:
+def _run_study(config: str, output: dict, path: str, entries: list, study, message: str,
+               key: str) -> int:
     """Run study(), write its error CSVs (when csv_dir is set) and report; exit 4 on a failed gate.
 
     Entry i, (epsilon[, h]), names its CSV in {:g}'s 6 digits.  With csv_dir set, a name
     that an earlier, different entry gives is a SchemaError at path/<i> before any run;
-    a repeated entry is the study's to refuse.
+    a repeated entry is the study's to refuse.  So is a report that would overwrite the
+    config or an error CSV, at /output/path.
     """
     csv_dir = output["csv_dir"]
     names = ["errors_" + "_".join(f"{k}{v:g}" for k, v in zip(("eps", "h"), entry)) + ".csv"
              for entry in entries]
-    for i, name in enumerate(names):
-        if csv_dir is not None and entries[names.index(name)] != entries[i]:
-            raise SchemaError(f"{path}/{i}", f"its error CSV name {name} is an earlier entry's")
+    csvs = [] if csv_dir is None else [
+        (f"{path}/{i}", os.path.join(csv_dir, name))
+        for i, name in enumerate(names) if entries.index(entries[i]) == i
+    ]
+    shared = _shared_file([("--config", config)], csvs + [("/output/path", output["path"])])
+    if shared:
+        label, file, earlier = shared
+        two_csvs = label != "/output/path" and earlier != "--config"
+        message = f"its error CSV name {os.path.basename(file)} is an earlier entry's"
+        raise SchemaError(label, message if two_csvs else f"writes {file}, the file of {earlier}")
     report, series = study()
     if csv_dir is not None:
         os.makedirs(csv_dir, exist_ok=True)
@@ -473,7 +516,7 @@ def _cmd_converge(args) -> int:
         budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
     )
     return _run_study(
-        cfg["output"], "/pairs" if scaled else "/h_list", pairs,
+        args.config, cfg["output"], "/pairs" if scaled else "/h_list", pairs,
         lambda: convergence_study(base_spec, cfg["mode"], h_list=cfg["h_list"],
                                   pairs=cfg["pairs"], order_band=cfg["order_band"]),
         "convergence order gate failed", "slopes",
@@ -483,7 +526,7 @@ def _cmd_converge(args) -> int:
 def _cmd_theorem1(args) -> int:
     cfg = _decode(_read(args.config), _THEOREM1)
     return _run_study(
-        cfg["output"], "/eps_list", [(eps,) for eps in cfg["eps_list"]],
+        args.config, cfg["output"], "/eps_list", [(eps,) for eps in cfg["eps_list"]],
         lambda: theorem1_suite(
             _model(cfg["field"], cfg["eps_list"][0]), cfg["eps_list"], cfg["c"], cfg["x0"],
             cfg["v0"], dt_out=cfg["stride"], budget_steps=cfg["budget_steps"], dtau=cfg["dtau"],
@@ -494,14 +537,16 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_check_field(args) -> int:
     cfg = _decode(_read(args.config), _CHECK_FIELD)
+    output = cfg["output"]
+    _refuse_shared_files(args.config, [("/output/path", output and output["path"])])
     probes = dict(cfg["probes"])
     points = toroidal_probes(probes.pop("count"), **probes)
     model = _model(cfg["field"], cfg["epsilon"], r_min=cfg["r_min"])
     text = json.dumps(check_field(model, points, delta=cfg["delta"]), indent=2) + "\n"
-    if cfg["output"] is None:
+    if output is None:
         print(text, end="")
     else:
-        _atomic_write(cfg["output"]["path"], [text.encode()])
+        _atomic_write(output["path"], [text.encode()])
     return EXIT_OK
 
 

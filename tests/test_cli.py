@@ -766,6 +766,68 @@ def test_a_study_refuses_error_csv_names_that_collide(tmp_path, capsys, monkeypa
     assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def assert_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, diag):
+    """argv exits 2 with diag alone on stderr, no integrate call and every file as it was."""
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == diag
+    assert calls == [] and {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# The outputs are relative to the run's directory and link.json is a symlink to
+# config.json: files are compared by where they resolve, not by their spelling.
+# Each run exited 0 with the earlier file replaced.
+OVERWRITES = {
+    "simulate-over-its-config": (
+        "simulate", {"/output/path": "config.json"},
+        "/output/path", "writes config.json, the file of --config"),
+    "drift-over-its-config": (
+        "drift", {"/output/path": "link.json"},
+        "/output/path", "writes link.json, the file of --config"),
+    "compare-summary-over-its-errors": (
+        "compare", {"/output/summary_path": "out.csv"},
+        "/output/summary_path", "writes out.csv, the file of /output/path"),
+    "theorem1-report-over-an-error-csv": (
+        "theorem1", {"/output/path": "runs/errors_eps0.01.csv", "/output/csv_dir": "runs"},
+        "/output/path", "writes runs/errors_eps0.01.csv, the file of /eps_list/0"),
+    "converge-report-over-its-config": (
+        "converge", {"/output/path": "link.json"},
+        "/output/path", "writes link.json, the file of --config"),
+    "check-field-over-its-config": (
+        "check-field", {"/output": {"path": "config.json"}},
+        "/output/path", "writes config.json, the file of --config"),
+}
+
+
+@pytest.mark.parametrize("command, patch, path, message", OVERWRITES.values(), ids=OVERWRITES)
+def test_a_config_whose_outputs_overwrite_a_file_exits_2(monkeypatch, tmp_path, capsys, command,
+                                                         patch, path, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to("config.json")
+    cfg = patched(study_config(command, tmp_path), patch)
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, {
+        "error": "SchemaError", "path": path, "message": f"{path}: {message}"})
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--csv-a", "a.csv", "--csv-b", "a.csv", "--out", "x", "--summary", "x"],
+     "--summary writes x, the file of --out"),
+    (["--csv-a", "a.csv", "--csv-b", "b.csv", "--out", "b.csv"],
+     "--out writes b.csv, the file of --csv-b"),
+], ids=["summary-over-out", "out-over-an-input"])
+def test_compare_csv_mode_refuses_outputs_that_overwrite_a_file(monkeypatch, tmp_path, capsys,
+                                                               flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text(CSV)
+    (tmp_path / "b.csv").write_text(CSV)
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, ["compare", *flags],
+                                   {"error": "ConfigError", "message": message})
+
+
 def test_theorem1_fails_its_gate_on_a_zero_maximum(tmp_path, capsys):
     # an orbit at rest with no electric field: every error is 0, and the ratio
     # 0 / 0 used to raise ZeroDivisionError, exiting 3 with no report
@@ -998,6 +1060,17 @@ def study_config(command, tmp_path):
     return base_config(tmp_path)
 
 
+def patched(cfg, patch):
+    """cfg with each {"/pointer": value} of patch set in place."""
+    for pointer, value in patch.items():
+        *parents, key = pointer.strip("/").split("/")
+        node = cfg
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(key) if isinstance(node, list) else key] = value
+    return cfg
+
+
 CSV = "t,r,z,vpar\n0,0.5,0.5,1\n0.5,0.5,0.5,1\n"
 
 INPUT_HOLES = [
@@ -1055,13 +1128,7 @@ def test_input_holes_exit_2_with_schema_path(tmp_path, capsys, command, patch, p
         argv = ["compare", "--csv-a", str(csv_a), "--csv-b", str(csv_b),
                 "--out", str(tmp_path / "err.csv")]
     else:
-        cfg = study_config(command, tmp_path)
-        for pointer, value in patch.items():
-            *parents, key = pointer.strip("/").split("/")
-            node = cfg
-            for part in parents:
-                node = node[int(part)] if isinstance(node, list) else node[part]
-            node[int(key) if isinstance(node, list) else key] = value
+        cfg = patched(study_config(command, tmp_path), patch)
         argv = [command, "--config", write_config(tmp_path, cfg)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
