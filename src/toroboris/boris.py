@@ -206,16 +206,9 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     return seed, v0
 
 
-_AXES = np.eye(3)
-
-
-def _perp_basis(e: np.ndarray):
-    """Orthonormal u1, u2 spanning the planes orthogonal to unit vectors e (..., 3)."""
-    a = np.where(np.abs(e[..., :1]) <= 0.9, _AXES[0], _AXES[1])
-    u1 = a - dot3(a, e)[..., None] * e
-    u1 = u1 / np.sqrt(dot3(u1, u1))[..., None]
-    u2 = cross3(e, u1)
-    return u1, u2
+def _sum3(a, b):
+    """a . b along the last axis, summed left to right, with no BLAS rounding."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def nondegeneracy_sigma(x, v, h: float, field_model):
@@ -225,16 +218,22 @@ def nondegeneracy_sigma(x, v, h: float, field_model):
     that the large-step nondegeneracy assumption fails at (x, v).  Takes a
     point and velocity (3,), or arrays (..., 3) of them, and returns a float
     or an array of shape (...).
+
+    The direction e = B / |B| of every field here is constant across that
+    plane (e_par for ToroidalFieldModel), so there B'z = e (grad|B| . z) and
+    the map is I + k (v x e) g^T, k = h^2/4, g = grad|B| in the plane.  With
+    s = (v x e) . grad|B| and c = v . grad|B| - (v . e)(e . grad|B|), its
+    determinant is 1 + k s and its singular values sum to hypot(2 + k s, k c)
+    and differ by hypot(k s, k c): sigma is |det| over the larger one.
     """
     s = eval_field(field_model, x)
     v = np.asarray(v, dtype=float)
     e = s.B / np.asarray(s.absB)[..., None]
-    u1, u2 = _perp_basis(e)
-    quarter_h2 = 0.25 * h * h
-    w1, w2 = (u + quarter_h2 * cross3(v, (s.jacB @ u[..., None])[..., 0]) for u in (u1, u2))
-    # rows (u1, u2), columns (w1, w2): the 2x2 matrix of the map in the basis
-    a = np.stack([dot3(u1, w1), dot3(u1, w2), dot3(u2, w1), dot3(u2, w2)], axis=-1)
-    sigma = np.linalg.svd(a.reshape(a.shape[:-1] + (2, 2)), compute_uv=False)[..., -1]
+    g = s.gradAbsB
+    k = 0.25 * h * h
+    ks = k * _sum3(cross3(v, e), g)
+    kc = k * (_sum3(v, g) - _sum3(v, e) * _sum3(e, g))
+    sigma = 2.0 * np.abs(1.0 + ks) / (np.hypot(2.0 + ks, kc) + np.hypot(ks, kc))
     return _scalar(sigma)
 
 

@@ -472,9 +472,14 @@ def _run_study(config: str, output: dict, path: str, entries: list, study, messa
     Entry i, (epsilon[, h]), names its CSV in {:g}'s 6 digits.  With csv_dir set, a name
     that an earlier, different entry gives is a SchemaError at path/<i> before any run;
     a repeated entry is the study's to refuse.  So is a report that would overwrite the
-    config or an error CSV, at /output/path.
+    config or an error CSV, at /output/path, and a csv_dir that is or lies under a file, at
+    /output/csv_dir.
     """
-    csv_dir = output["csv_dir"]
+    csv_dir = head = output["csv_dir"]
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise SchemaError("/output/csv_dir", f"{head} exists and is not a directory")
     names = ["errors_" + "_".join(f"{k}{v:g}" for k, v in zip(("eps", "h"), entry)) + ".csv"
              for entry in entries]
     csvs = [] if csv_dir is None else [

@@ -95,23 +95,22 @@ def _frame(x: np.ndarray, r) -> CylindricalFrame:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Field quantities B, |B|, grad|B|, E and the Jacobian of B.
+    """Field quantities B, |B|, grad|B| and E.
 
     At a single point absB is a float; at points of shape (..., 3) it has
-    shape (...) and jacB has shape (..., 3, 3).
+    shape (...).
     """
 
     B: np.ndarray
     absB: float | np.ndarray
     gradAbsB: np.ndarray
     E: np.ndarray
-    jacB: np.ndarray
 
 
 def _as_floats():
     """IEEE arithmetic for the model's own values: overflow gives inf, inf - inf NaN.
 
-    The profile functions, |B| = b / epsilon and b / r saturate silently, as
+    The profile functions and |B| = b / epsilon saturate silently, as
     on Python floats and in the compiled loops; only the arithmetic that
     combines them with the frame raises under np.errstate(..., "raise").
     """
@@ -193,7 +192,7 @@ class ToroidalFieldModel:
         return (-scale * er2, scale * er1, 0.0, em_r * er1, em_r * er2, em_z)
 
     def _checked(self, x: np.ndarray):
-        """r, z, the frame, B, |B| and b / r at points, checked in order as sample says."""
+        """r, z, the frame, B and |B| at points, checked in order as sample says."""
         r, z = _radius(x), x[..., 2]
         with _as_floats():
             b = self.b(r, z)
@@ -206,23 +205,22 @@ class ToroidalFieldModel:
             raise DomainError(float(np.ravel(b)[bad[0]]))
         with _as_floats():
             absB = b * (1.0 / self.epsilon)
-            b_over_r = b / r
         fr = _frame(x, r)
         B = _column(absB) * fr.e_par
-        return r, z, fr, B, absB, b_over_r
+        return r, z, fr, B, absB
 
     def strength(self, x):
         """B and |B| at a point or at points (..., 3), checked as in sample."""
-        _, _, _, B, absB, _ = self._checked(np.asarray(x, dtype=float))
+        _, _, _, B, absB = self._checked(np.asarray(x, dtype=float))
         return B, _scalar(absB)
 
     def sample(self, x) -> FieldSample:
-        """Full field sample (B, |B|, grad|B|, E, B') at a point or at points (..., 3).
+        """Full field sample (B, |B|, grad|B|, E) at a point or at points (..., 3).
 
         Points are checked in order, so the first one on the axis or off the
         domain raises, as it would if the points were sampled one by one.
         """
-        r, z, fr, B, absB, b_over_r = self._checked(np.asarray(x, dtype=float))
+        r, z, fr, B, absB = self._checked(np.asarray(x, dtype=float))
         inv_eps = 1.0 / self.epsilon
         with _as_floats():
             db_dr, db_dz = self.db_dr(r, z), self.db_dz(r, z)
@@ -231,12 +229,7 @@ class ToroidalFieldModel:
         grad_b = grad_b + _column(db_dz) * fr.e_z
         gradAbsB = grad_b * inv_eps
         E = _column(E_r) * fr.e_r + _column(E_z) * fr.e_z
-        outer_r_par = fr.e_r[..., :, None] * fr.e_par[..., None, :]
-        jacB = inv_eps * (
-            fr.e_par[..., :, None] * grad_b[..., None, :]
-            - np.asarray(b_over_r)[..., None, None] * outer_r_par
-        )
-        return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E, jacB=jacB)
+        return FieldSample(B=B, absB=_scalar(absB), gradAbsB=gradAbsB, E=E)
 
 
 def frame(x, r_min: float = ToroidalFieldModel.r_min) -> CylindricalFrame:

@@ -55,6 +55,9 @@ CASES = [
     # the slow-compare grid: 1000 whole RK4 steps per interval, whose summed tau falls short
     Case("compare_slow_grid", SIM, ("compare",),
          {"/against": "drift", "/t_final": 100.0, "/dtau": 1e-5, "/output/stride": 10.0}),
+    # large standard steps: the summary's eight nondegeneracy warnings of test_cli.py
+    Case("compare_warnings", SIM, ("compare",), {"/against": "drift", "/variant": "standard",
+         "/t_final": 20.0, "/output/stride": 0.04}),
     # 10001 rows: ten chunks of the CSV writer, where the shipped config writes three
     Case("simulate_dense", SIM, ("simulate", "drift"), {"/t_final": 400.0, "/output/stride": 0.04}),
     # leaves b > 0: simulate stops at step 2831 and drift in its RK4, each C loop's domain branch
@@ -67,6 +70,9 @@ CASES = [
     # two entries whose error CSVs would both be errors_eps0.01.csv, refused before any run
     Case("theorem1_colliding_names", T1, ("theorem1",), {"/eps_list": [0.01, 0.010000002500000937],
          "/c": 10.0, "/output/csv_dir": "runs"}, code=2),
+    # a csv_dir that is the config file itself, refused before any run
+    Case("theorem1_csv_dir_over_its_config", T1, ("theorem1",),
+         {"/c": 0.01, "/output/csv_dir": "../theorem1_csv_dir_over_its_config.json"}, code=2),
     # an orbit at rest: every maximum is 0, every ratio null, and the gate fails after the report
     Case("theorem1_at_rest", T1, ("theorem1",), {"/eps_list": [0.01, 0.005], "/c": 0.01,
          "/v0": [0, 0, 0], "/field/a0": 1, "/field/a1": 0, "/field/a2": 0, "/field/c": 0}, code=4),

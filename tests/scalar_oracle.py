@@ -4,10 +4,10 @@ These are the per-row loops that the array code in toroboris replaced,
 with their own scalar frame and field sample, as the oracle the array code
 must match to the last bit.  They read the models' profile methods and
 parameters and call nothing else in the package.  Each 3-vector dot is
-``a @ b``.  The moment has two definitions, as in the package:
-magnetic_moment, mu0's, is 0.5 |v x B|^2 / |B|**3 in Python floats, and the
-mu of observables is |v x e|^2 / |B| / 2 with e = B / |B|, its squares
-summed left to right.
+``a @ b``, except sigma's, summed left to right as in the package.  The
+moment has two definitions, as in the package: magnetic_moment, mu0's, is
+0.5 |v x B|^2 / |B|**3 in Python floats, and the mu of observables is
+|v x e|^2 / |B| / 2 with e = B / |B|, its squares summed left to right.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ def frame(x, r_min):
 
 
 def field_sample(model, x):
-    """(B, |B|, grad|B|, E, B') at one point."""
+    """(B, |B|, grad|B|, E) at one point."""
     if isinstance(model, UniformFieldModel):
         B = np.asarray(model.B0, float)
         E = np.asarray(model.E0, float)
-        return B, float(np.linalg.norm(B)), np.zeros(3), E, np.zeros((3, 3))
+        return B, float(np.linalg.norm(B)), np.zeros(3), E
     r, z, e_r, e_par, e_z = frame(x, model.r_min)
     bb = model.b(r, z)
     if bb <= 0.0:
@@ -47,8 +47,15 @@ def field_sample(model, x):
     B = absB * e_par
     grad_b = model.db_dr(r, z) * e_r + model.db_dz(r, z) * e_z
     E = model.E_r(r, z) * e_r + model.E_z(r, z) * e_z
-    jacB = inv_eps * (np.outer(e_par, grad_b) - (bb / r) * np.outer(e_r, e_par))
-    return B, absB, grad_b * inv_eps, E, jacB
+    return B, absB, grad_b * inv_eps, E
+
+
+def jacobian(model, x):
+    """B'(x) of a ToroidalFieldModel at one point, in closed form."""
+    r, z, e_r, e_par, e_z = frame(x, model.r_min)
+    grad_b = model.db_dr(r, z) * e_r + model.db_dz(r, z) * e_z
+    inv_eps = 1.0 / model.epsilon
+    return inv_eps * (np.outer(e_par, grad_b) - (model.b(r, z) / r) * np.outer(e_r, e_par))
 
 
 def potential(model, x):
@@ -62,26 +69,19 @@ def magnetic_moment(x, v, model) -> float:
     return 0.5 * float(w @ w) / absB**3
 
 
-def _perp_basis(e):
-    a = np.array([1.0, 0.0, 0.0]) if abs(e[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    u1 = a - (a @ e) * e
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(e, u1)
-    return u1, u2
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def nondegeneracy_sigma(x, v, h, model) -> float:
-    B, absB, _, _, jacB = field_sample(model, x)
+    """|det| / sigma_max of the rank-one map I + (h^2/4) (v x e) grad|B|^T on the plane."""
+    B, absB, grad, _ = field_sample(model, x)
     v = np.asarray(v, dtype=float)
     e = B / absB
-    u1, u2 = _perp_basis(e)
-    quarter_h2 = 0.25 * h * h
-    cols = []
-    for u in (u1, u2):
-        w = u + quarter_h2 * np.cross(v, jacB @ u)
-        cols.append((float(u1 @ w), float(u2 @ w)))
-    a = np.array(cols).T
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    k = 0.25 * h * h
+    ks = k * _dot(np.cross(v, e), grad)
+    kc = k * (_dot(v, grad) - _dot(v, e) * _dot(e, grad))
+    return float(2.0 * abs(1.0 + ks) / (np.hypot(2.0 + ks, kc) + np.hypot(ks, kc)))
 
 
 def monitor_nondegeneracy(traj):
@@ -133,14 +133,14 @@ def check_field(model, probes, delta):
         fd_dz = (model.b(r, z + delta) - model.b(r, z - delta)) / (2.0 * delta)
         for fd, an in ((fd_dr, model.db_dr(r, z)), (fd_dz, model.db_dz(r, z))):
             worst_grad = max(worst_grad, abs(fd - an) / max(1.0, abs(an)))
-        _, absB, _, E, _ = field_sample(model, p)
+        _, absB, _, E = field_sample(model, p)
         worst_epar_e = max(worst_epar_e, abs(float(e_par @ E)))
         # central differences of E and B along the coordinate axes
         dE = np.empty((3, 3))
         dB = np.empty((3, 3))
         for k in range(3):
-            Bp, _, _, Ep, _ = field_sample(model, p + delta * eye[k])
-            Bm, _, _, Em, _ = field_sample(model, p - delta * eye[k])
+            Bp, _, _, Ep = field_sample(model, p + delta * eye[k])
+            Bm, _, _, Em = field_sample(model, p - delta * eye[k])
             dE[k] = (Ep - Em) / (2.0 * delta)
             dB[k] = (Bp - Bm) / (2.0 * delta)
         curl = np.array([dE[1][2] - dE[2][1], dE[2][0] - dE[0][2], dE[0][1] - dE[1][0]])

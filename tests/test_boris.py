@@ -17,7 +17,9 @@ import toroboris as tb
 from toroboris import _kernels
 from toroboris.errors import AxisSingularity, DomainError
 
+import scalar_oracle as oracle
 from conftest import X0, V0, python_backend
+from test_seeded_family import DRAWS, orbit
 from uniform_model import UniformFieldModel
 
 
@@ -324,13 +326,14 @@ def test_energy_drift_fine_steps(model_1e3):
 
 
 def dense_sigma_oracle(x, v, h, model):
+    """sigma from the 3x3 projected map with the full Jacobian of B: no rank-one form."""
     s = tb.eval_field(model, x)
     v = np.asarray(v, dtype=float)
     e = s.B / s.absB
     p_par = np.outer(e, e)
     p_perp = np.eye(3) - p_par
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0.0]])
-    m3 = p_perp @ (np.eye(3) + 0.25 * h * h * vx @ s.jacB) @ p_perp
+    m3 = p_perp @ (np.eye(3) + 0.25 * h * h * vx @ oracle.jacobian(model, x)) @ p_perp
     svs = np.linalg.svd(m3 + p_par, compute_uv=False)
     # drop the singular value contributed by the parallel block (exactly 1)
     drop = int(np.argmin(np.abs(svs - 1.0)))
@@ -355,6 +358,16 @@ def test_sigma_matches_dense_oracle(model_1e3):
     want = dense_sigma_oracle(X0, V0, 0.04, model_1e3)
     assert abs(got - want) <= 1e-12
     assert abs(got - 0.6561965033804869) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.01, 0.04, 0.1, 0.3])
+@pytest.mark.parametrize("i", range(len(DRAWS)))
+def test_sigma_matches_dense_oracle_on_the_seeded_family(i, h):
+    # the rank-one form against the full B', on fields with a1 and a2 away from 1
+    model, x0, v0 = orbit(i, 1e-3)
+    got = tb.nondegeneracy_sigma(x0, v0, h, model)
+    want = dense_sigma_oracle(x0, v0, h, model)
+    assert abs(got - want) <= 1e-12 * max(want, 1e-3)
 
 
 def test_sigma_parallel_velocity_is_one(model_1e3):

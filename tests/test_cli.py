@@ -813,6 +813,19 @@ def test_a_config_whose_outputs_overwrite_a_file_exits_2(monkeypatch, tmp_path, 
         "error": "SchemaError", "path": path, "message": f"{path}: {message}"})
 
 
+@pytest.mark.parametrize("csv_dir", ["config.json", "config.json/runs"])
+@pytest.mark.parametrize("command", ["converge", "theorem1"])
+def test_a_study_refuses_a_csv_dir_that_is_a_file_before_any_run(monkeypatch, tmp_path, capsys,
+                                                                 command, csv_dir):
+    # os.makedirs used to refuse it, after every run of the study
+    monkeypatch.chdir(tmp_path)
+    cfg = patched(study_config(command, tmp_path), {"/output/csv_dir": csv_dir})
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, {
+        "error": "SchemaError", "path": "/output/csv_dir",
+        "message": "/output/csv_dir: config.json exists and is not a directory"})
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--csv-a", "a.csv", "--csv-b", "a.csv", "--out", "x", "--summary", "x"],
      "--summary writes x, the file of --out"),

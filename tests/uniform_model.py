@@ -46,7 +46,6 @@ class UniformFieldModel:
             absB=_scalar(np.full(shape, float(np.linalg.norm(B)))),
             gradAbsB=np.zeros(shape + (3,)),
             E=np.broadcast_to(np.asarray(self.E0, float), shape + (3,)).copy(),
-            jacB=np.zeros(shape + (3, 3)),
         )
 
     def strength(self, x):
