@@ -432,33 +432,28 @@ static char *format_field(double x, char *w)
 
 /* Formats rows start .. stop - 1 of cols columns as CSV lines into out, which
  * holds cap bytes; column c's value in row i is columns[c][i * strides[c]].
- * A row holding a value outside the fast range is left out: pair k of
- * skipped (2 (stop - start) entries) receives the k-th such row's index and
- * the offset in out where its line belongs.  Returns the number of bytes
- * written and stores the number of rows left out in *n_skipped; returns -1,
+ * Returns the number of bytes written; -2 when a value of the range lies
+ * outside the fast range, so that the caller formats the range itself; -1,
  * writing nothing, when cap is below (stop - start) cols FIELD_MAX.
  */
 int64_t toroboris_format_rows(int64_t start, int64_t stop, int64_t cols,
                               const double *const *columns, const int64_t *strides, char *out,
-                              int64_t cap, int64_t *skipped, int64_t *n_skipped)
+                              int64_t cap)
 {
     if (stop < start || cap < (stop - start) * cols * FIELD_MAX)
         return -1;
     char *w = out;
-    int64_t k = 0;
-    for (int64_t r = start; r < stop; r++) {
+    int64_t r = start;
+    for (; r < stop; r++) {
         char *line = w;
         for (int64_t c = 0; c < cols && w; c++) {
             if ((w = format_field(columns[c][r * strides[c]], w)))
                 *w++ = c + 1 < cols ? ',' : '\n';
         }
         if (!w) {
-            skipped[2 * k] = r;
-            skipped[2 * k + 1] = line - out;
-            k++;
             w = line;
+            break;
         }
     }
-    *n_skipped = k;
-    return w - out;
+    return r < stop ? -2 : w - out;
 }

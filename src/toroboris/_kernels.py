@@ -11,12 +11,14 @@ the library (``_kernel.c``) holds three functions:
 - ``format_rows`` writes CSV rows of ``"%.17g" % x`` fields, the bytes of
   cli._python_rows, in exact integer arithmetic on 64-bit limbs, reading
   the columns in place.  It formats zeros, infinities, NaN and the normal
-  values of decimal exponent -40 to 16 (1e-40 <= |x| < 1e17); the rows
-  holding any other value (a subnormal, anything smaller or from 1e17 on)
-  go to the Python formatter instead, in one call.  The wrapper checks the
-  columns and takes their addresses once per CSV, and returns a function of
-  a row range that formats it in one C call and returns bytes;
-  cli._columns_csv asks it for one chunk of rows at a time.
+  values of decimal exponent -40 to 16 (1e-40 <= |x| < 1e17), and refuses
+  whole a row range holding any other value (a subnormal, anything smaller
+  or from 1e17 on).  The wrapper checks the columns and takes their
+  addresses once per CSV, and returns a function of a row range that
+  formats it in one C call: bytes, or None when refused.  cli._columns_csv
+  asks it for one chunk of rows at a time, and formats a refused chunk in
+  Python: on 2 cores, a 5001x12 trajectory CSV took 7.2-8.0 ms with one
+  stray value and 1.9-2.1 ms with none, 5000x12 with one in every row 31-35 ms.
 
 The Python code stays the single definition of each; tests pin each C
 function to its Python twin bitwise.  A loop's wrapper takes its twin's
@@ -149,8 +151,7 @@ def _bind(path: str) -> Kernel:
     )
     # raw addresses: the wrapper checks the columns itself
     rows_fn.restype = ctypes.c_int64
-    rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+    rows_fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
 
     def two_step_loop(n, sample_every, h, mu0, v_max, x_arr, d_arr, model, out_x, out_v):
         """Run the C loop; same arguments and (status, steps) as boris._generic_loop."""
@@ -175,17 +176,17 @@ def _bind(path: str) -> Kernel:
         if status == STATUS_DOMAIN:
             raise DomainError(bad.value)
 
-    def format_rows(columns, fallback):
+    def format_rows(columns):
         """A function lines(start, stop): rows start to stop - 1 as CSV lines of
-        %.17g fields, one per value of the float64 columns, as bytes.
+        %.17g fields, one per value of the float64 columns, as bytes, or None
+        when a value of those rows lies outside the C formatter's range.
 
         Row i holds the i-th value of each 1-D column, read in place at any
         stride; stop is clipped to the row count.  The columns are checked,
         and their addresses taken, once here.  Each call of lines is one C
-        call, into a buffer kept for the next call, which writes every line
-        but those of the rows holding a value outside its range;
-        fallback(block) writes those rows, given as one (rows, cols) block, as
-        bytes, and they are spliced in.
+        call, into a buffer kept for the next call.  A refused range is left
+        whole to the caller; a buffer too small for it, which C reports
+        apart, raises RuntimeError.
         """
         if not columns:
             raise ValueError("no columns")
@@ -200,28 +201,23 @@ def _bind(path: str) -> Kernel:
         cols = len(columns)
         pointers = (ctypes.c_void_p * cols)(*[c.ctypes.data for c in columns])
         strides = (ctypes.c_int64 * cols)(*[c.strides[0] // c.itemsize for c in columns])
-        n_skipped = ctypes.c_int64(0)
-        out = skipped = buffers = None  # sized by the longest range asked for so far
+        out = buffer = None  # sized by the longest range asked for so far
 
         def lines(start, stop):
-            nonlocal out, skipped, buffers
+            nonlocal out, buffer
             stop = min(stop, rows)
             if not 0 <= start <= stop:
                 raise ValueError(f"bad row range {start}:{stop} of {rows} rows")
-            if out is None or len(skipped) < stop - start:
-                out = np.empty((stop - start) * cols * _FIELD_BYTES, dtype=np.uint8)
-                skipped = np.empty((stop - start, 2), dtype=np.int64)
-                buffers = (out.ctypes.data, len(out), skipped.ctypes.data)
-            written = rows_fn(start, stop, cols, pointers, strides, *buffers, n_skipped)
-            text, parts, end = out.data, [], 0
-            if n_skipped.value:
-                left = skipped[:n_skipped.value]
-                block = np.column_stack([c[left[:, 0]] for c in columns])
-                for at, line in zip(left[:, 1].tolist(), fallback(block).splitlines(True),
-                                    strict=True):
-                    parts += (text[end:at], line)
-                    end = at
-            return b"".join([*parts, text[end:written]])
+            room = (stop - start) * cols * _FIELD_BYTES
+            if out is None or len(out) < room:
+                out = np.empty(room, dtype=np.uint8)
+                buffer = (out.ctypes.data, room)
+            written = rows_fn(start, stop, cols, pointers, strides, *buffer)
+            if written == -2:  # a value outside the fast range
+                return None
+            if written < 0:
+                raise RuntimeError(f"no room to format rows {start}:{stop} in {len(out)} bytes")
+            return out.data[:written].tobytes()
 
         return lines  # which holds the columns, so the addresses stay theirs
 

@@ -826,6 +826,43 @@ def test_a_study_refuses_a_csv_dir_that_is_a_file_before_any_run(monkeypatch, tm
         "message": "/output/csv_dir: config.json exists and is not a directory"})
 
 
+# An empty path passed the schema: summary_path "" printed the summary to stdout,
+# and the others failed when they wrote, after the whole run.
+EMPTY_PATHS = {
+    "simulate-path": ("simulate", "/output/path"),
+    "compare-summary-path": ("compare", "/output/summary_path"),
+    "converge-path": ("converge", "/output/path"),
+    "theorem1-csv-dir": ("theorem1", "/output/csv_dir"),
+    "check-field-path": ("check-field", "/output/path"),
+}
+
+
+@pytest.mark.parametrize("command, path", EMPTY_PATHS.values(), ids=EMPTY_PATHS)
+def test_an_empty_output_path_exits_2_before_any_run(monkeypatch, tmp_path, capsys, command,
+                                                     path):
+    cfg = patched(study_config(command, tmp_path), {"/output": {"path": "report.json"}}
+                  if command == "check-field" else {})
+    argv = [command, "--config", write_config(tmp_path, patched(cfg, {path: ""}))]
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, {
+        "error": "SchemaError", "path": path, "message": f"{path}: must not be empty"})
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--csv-a", "a.csv", "--csv-b", "a.csv", "--out", "x", "--summary", ""],
+     "--summary must not be empty: leave it out to print the summary"),
+    # --config writes the config's own outputs, and ignored the empty flag
+    (["--config", "config.json", "--summary", ""],
+     "--config writes the config's outputs: it takes no --csv-a, --csv-b, --out or --summary"),
+], ids=["csv-mode", "config-mode"])
+def test_compare_refuses_an_empty_summary_flag(monkeypatch, tmp_path, capsys, flags, message):
+    # in CSV mode it printed the summary to stdout, as if --summary were left out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text(CSV)
+    write_config(tmp_path, base_config(tmp_path))
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, ["compare", *flags],
+                                   {"error": "ConfigError", "message": message})
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--csv-a", "a.csv", "--csv-b", "a.csv", "--out", "x", "--summary", "x"],
      "--summary writes x, the file of --out"),

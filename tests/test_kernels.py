@@ -14,6 +14,7 @@ import sys
 import tempfile
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,19 +276,21 @@ def test_compiled_drift_rejects_bad_buffers():
 # CSV rows: the C formatter against cli._python_rows, byte for byte
 
 
-def c_rows(values, cols=1, fallback=cli._python_rows, kernel=None):
-    """values as rows of cols fields through the C formatter, read as columns in place."""
+def c_rows(values, cols=1, kernel=None):
+    """values as rows of cols fields in one C call, read as columns in place: their
+    lines, or None when the C formatter refuses the range."""
     block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     kernel = kernel or _kernels.compiled_kernel()
-    return kernel.format_rows(tuple(block.T), fallback)(0, len(block))
+    return kernel.format_rows(tuple(block.T))(0, len(block))
 
 
 def python_rows(values, cols=1):
     return cli._python_rows(np.asarray(values, dtype=np.float64).reshape(-1, cols))
 
 
-def assert_same_text(got: bytes, want: bytes):
+def assert_same_text(got: bytes | None, want: bytes):
     """got == want, reporting the first line that differs: a diff of long texts is slow."""
+    assert got is not None, "the C formatter refused the rows"
     if got != want:
         lines = zip(got.splitlines(), want.splitlines())
         first = next(((i, g, w) for i, (g, w) in enumerate(lines) if g != w), "a line count")
@@ -305,6 +308,22 @@ def in_fast_range(x):
     """Zeros, infinities, NaN, and values from 1e-40 up to below 1e17 in magnitude."""
     a = np.abs(x)
     return (a == 0.0) | ~np.isfinite(a) | ((a >= LEAST) & (a < 1e17))
+
+
+def assert_c_formats_its_range(values, cols=1, kernel=None):
+    """Per row of values (cols fields): the C formatter writes Python's line for each row
+    inside its fast range, all in one call, and refuses each other row in a call of its own.
+
+    One call writes a range only when it would write each of its rows, so lines(i, i + 1)
+    is None exactly when row i holds a value outside the range."""
+    block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    inside = in_fast_range(block).all(1)
+    if inside.any():
+        assert_same_text(c_rows(block[inside], cols, kernel), python_rows(block[inside], cols))
+    outside = block[~inside]
+    lines = (kernel or _kernels.compiled_kernel()).format_rows(tuple(outside.T))
+    written = [i for i in range(len(outside)) if lines(i, i + 1) is not None]
+    assert written == [], f"C wrote rows outside its range: {outside[written[:5]]}"
 
 
 def edge_values() -> list:
@@ -388,16 +407,10 @@ def branch_values() -> np.ndarray:
 @given(values=st.lists(st.floats(), min_size=1, max_size=60), cols=st.integers(1, 4))
 def test_c_formatter_matches_python_on_any_float(values, cols):
     values = values[: len(values) // cols * cols] or [0.0] * cols
-    assert c_rows(values, cols) == python_rows(values, cols)
-
-
-def no_fallback(block):
-    raise AssertionError(f"{block} fell back")
-
-
-def marker(block):
-    """A fallback that marks the rows it is given."""
-    return b"python\n" * len(block)
+    assert_c_formats_its_range(values, cols)
+    # a range is written whole or refused whole
+    whole = python_rows(values, cols) if in_fast_range(np.array(values)).all() else None
+    assert c_rows(values, cols) == whole
 
 
 def random_patterns(n, seed):
@@ -407,32 +420,100 @@ def random_patterns(n, seed):
 @needs_cc
 def test_c_formatter_matches_python_on_random_bit_patterns():
     # The C formatter writes every pattern inside its range, the same bytes as
-    # Python, and leaves the rest to the fallback.
+    # Python, and refuses each other pattern.
     patterns = random_patterns(1_000_000, 2024)
-    inside = in_fast_range(patterns)
-    assert_same_text(c_rows(patterns[inside], fallback=no_fallback), python_rows(patterns[inside]))
-    outside = patterns[~inside]
-    assert_same_text(c_rows(outside, fallback=marker), b"python\n" * len(outside))
-    assert_same_text(c_rows(patterns[:120_000], cols=12), python_rows(patterns[:120_000], cols=12))
+    assert_c_formats_its_range(patterns)
+    assert_c_formats_its_range(patterns[:120_000], cols=12)
+
+
+def count_python_rows(monkeypatch) -> list:
+    """Record the block of each cli._python_rows call that follows."""
+    blocks = []
+
+    def counted(block):
+        blocks.append(block)
+        return python_formatter(block)
+
+    python_formatter = cli._python_rows
+    monkeypatch.setattr(cli, "_python_rows", counted)
+    return blocks
 
 
 @needs_cc
 def test_c_formatter_falls_back_once_per_chunk(monkeypatch):
-    # most random patterns lie outside the fast range: each chunk's rows of
-    # them go to one fallback call and are spliced back in order
+    # most random patterns lie outside the fast range, so every chunk holds one
+    # and goes whole to one _python_rows call
     block = random_patterns(12 * (3 * cli._CHUNK_ROWS + 5), 2026).reshape(-1, 12)
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return python_formatter(rows)
-
-    python_formatter = cli._python_rows
-    monkeypatch.setattr(cli, "_python_rows", counted)
-    got = b"".join(cli._columns_csv("h", *block.T))
+    want = b"h\n" + cli._python_rows(block)
+    blocks = count_python_rows(monkeypatch)
+    assert_same_text(b"".join(cli._columns_csv("h", *block.T)), want)
     assert _kernels.BACKEND == "c"
-    assert_same_text(got, b"h\n" + python_formatter(block))
-    assert len(calls) == 4 and sum(calls) == np.sum(~in_fast_range(block).all(1))
+    assert [len(b) for b in blocks] == [cli._CHUNK_ROWS] * 3 + [5]
+
+
+# Outside the C formatter's fast range: subnormals, magnitudes below 1e-40, and from 1e17 on.
+STRAYS = [5e-324, -2.0**-1050, 1e-300, -1e-300, 1e17, -1e300]
+
+
+@st.composite
+def stray_rows(draw, n):
+    """Rows of an n-row CSV to hold a stray: any few, the first and last rows of
+    drawn chunks, the last row of one chunk and the first of the next, or every row."""
+    chunks = range(0, n, cli._CHUNK_ROWS)
+    ends = [row for start in chunks for row in (start, min(start + cli._CHUNK_ROWS, n) - 1)]
+    kinds = ["any", "ends", "every"] + (["adjacent"] if len(chunks) > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "any":
+        return draw(st.lists(st.integers(0, n - 1), max_size=5))
+    if kind == "ends":
+        return draw(st.lists(st.sampled_from(ends), min_size=1, max_size=4))
+    if kind == "adjacent":
+        boundary = draw(st.sampled_from(chunks[1:]))
+        return [boundary - 1, boundary]
+    return list(range(n))
+
+
+@needs_cc
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3 * cli._CHUNK_ROWS + 2), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_each_chunk_holding_a_stray_goes_whole_to_python(data, n, cols, seed):
+    # in-range columns (zeros, infinities and NaN among them) with strays at drawn rows
+    rng = np.random.default_rng(seed)
+    block = rng.choice([-1.0, 1.0], (n, cols)) * rng.uniform(1.0, 10.0, (n, cols))
+    block *= 10.0 ** rng.integers(-39, 17, (n, cols))
+    block[rng.random((n, cols)) < 0.01] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan])
+    rows = data.draw(stray_rows(n))
+    block[rows, rng.integers(0, cols, len(rows))] = rng.choice(STRAYS, len(rows))
+    want = b"h\n" + cli._python_rows(block)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = count_python_rows(mp)
+        got = b"".join(cli._columns_csv("h", *block.T))
+    assert_same_text(got, want)
+    starts = sorted({row - row % cli._CHUNK_ROWS for row in rows})
+    assert [b.tobytes() for b in blocks] == [
+        block[start:start + cli._CHUNK_ROWS].tobytes() for start in starts]
+
+
+@needs_cc
+def test_shipped_configs_write_every_csv_row_in_c(monkeypatch, tmp_path):
+    # a C formatter whose range narrowed would keep every byte, and so pass
+    # every byte-identity test: the shipped runs must not reach _python_rows
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    runs = [("simulate", "simulate_eps1e-3_h0.04", {}), ("drift", "simulate_eps1e-3_h0.04", {}),
+            ("compare", "simulate_eps1e-3_h0.04", {"against": "reference"}),
+            ("compare", "simulate_eps1e-3_h0.04", {"against": "drift"}),
+            ("converge", "converge_scaled_pairs", {})]
+    monkeypatch.chdir(tmp_path)
+    blocks = count_python_rows(monkeypatch)
+    for command, name, edits in runs:
+        cfg = json.loads((configs / f"{name}.json").read_text())
+        Path("config.json").write_text(json.dumps({**cfg, **edits}))
+        assert cli.cli_main([command, "--config", "config.json"]) == 0, (command, edits)
+    assert _kernels.BACKEND == "c"
+    written = sorted(p.name for p in tmp_path.rglob("*.csv"))
+    assert written == ["errors_eps0.00025_h0.02.csv", "errors_eps0.001_h0.04.csv",
+                       "trajectory.csv"] and blocks == []
 
 
 @needs_cc
@@ -442,9 +523,7 @@ def test_c_formatter_matches_python_at_every_binary_exponent():
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
     values = np.concatenate([values, -values])
-    assert_same_text(c_rows(values), python_rows(values))
-    marked = c_rows(values, fallback=marker).splitlines()
-    assert [line != b"python" for line in marked] == in_fast_range(values).tolist()
+    assert_c_formats_its_range(values)
 
 
 @needs_cc
@@ -456,17 +535,13 @@ def test_c_formatter_matches_python_inside_its_range():
                              np.round(rng.uniform(-1e16, 1e16, size=50_000)),
                              np.arange(-25_000, 25_000) + 0.5])
     values *= rng.choice([-1.0, 1.0], size=len(values))
-    assert_same_text(c_rows(values, cols=4, fallback=no_fallback), python_rows(values, cols=4))
+    assert_same_text(c_rows(values, cols=4), python_rows(values, cols=4))
 
 
 @needs_cc
 def test_c_formatter_matches_python_on_edge_values():
-    values = edge_values()
-    assert_same_text(c_rows(values), python_rows(values))
-    # each value is a row: C writes exactly the documented range and leaves the rest
-    marked = c_rows(values, fallback=marker).splitlines()
-    inside = in_fast_range(values).tolist()
-    assert [x for x, line, i in zip(values, marked, inside) if (line != b"python") != i] == []
+    # each value is a row: C writes exactly the documented range and refuses the rest
+    assert_c_formats_its_range(edge_values())
 
 
 CHUNKS = [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 3, 2 * cli._CHUNK_ROWS + 1]
@@ -492,20 +567,35 @@ def test_compiled_formatter_reads_columns_at_any_stride():
     block = np.arange(60.0).reshape(5, 12) / 7.0
     columns = (block[:, 0], block.T[3], block[::-1, 5], np.asfortranarray(block)[:, 11])
     want = python_rows(np.column_stack(columns), cols=4)
-    assert _kernels.compiled_kernel().format_rows(columns, no_fallback)(0, 5) == want
+    assert _kernels.compiled_kernel().format_rows(columns)(0, 5) == want
 
 
 @needs_cc
 def test_compiled_formatter_formats_any_row_range():
-    # the columns are set up once; each range is one C call, clipped to the rows
-    block = np.concatenate([edge_values(), random_patterns(600, 2031)])[:600].reshape(200, 3)
-    lines = _kernels.compiled_kernel().format_rows(tuple(block.T), cli._python_rows)
-    for start, stop in [(0, 200), (3, 7), (150, 1000), (0, 1), (199, 200), (0, 200)]:
-        assert lines(start, stop) == python_rows(block[start:stop], cols=3), (start, stop)
+    # the columns are set up once; each range is one C call, clipped to the rows,
+    # and a range holding row 150's 1e300 is refused whole
+    values = np.array(edge_values())
+    block = values[in_fast_range(values)][:600].reshape(200, 3)
+    block[150, 1] = 1e300
+    lines = _kernels.compiled_kernel().format_rows(tuple(block.T))
+    for start, stop in [(0, 200), (3, 7), (150, 1000), (151, 1000), (0, 1), (199, 200),
+                        (0, 150), (150, 151), (0, 200), (100, 160)]:
+        want = None if start <= 150 < stop else python_rows(block[start:stop], cols=3)
+        assert lines(start, stop) == want, (start, stop)
     assert lines(5, 5) == lines(200, 200) == b""
     for start, stop in [(-1, 2), (3, 2), (201, 300)]:
         with pytest.raises(ValueError):
             lines(start, stop)
+
+
+@needs_cc
+def test_compiled_formatter_reports_a_buffer_below_the_rows_room(monkeypatch):
+    # C refuses such a buffer (-1) apart from a range it leaves to Python (-2):
+    # the wrapper raises, it does not return None
+    monkeypatch.setattr(_kernels, "_FIELD_BYTES", _kernels._FIELD_BYTES - 1)
+    lines = _kernels.compiled_kernel().format_rows((np.zeros(3),))
+    with pytest.raises(RuntimeError, match="no room to format rows 0:3"):
+        lines(0, 3)
 
 
 @needs_cc
@@ -521,18 +611,15 @@ def test_compiled_formatter_rejects_bad_columns():
         (),  # no columns
     ]:
         with pytest.raises(ValueError):
-            format_rows(columns, cli._python_rows)
+            format_rows(columns)
 
 
 @needs_cc
 def test_c_formatter_matches_python_in_every_layout():
-    values = branch_values()
-    assert_same_text(c_rows(values), python_rows(values))
-    inside = values[in_fast_range(values)]
-    assert_same_text(c_rows(inside, fallback=no_fallback), python_rows(inside))
+    assert_c_formats_its_range(branch_values())
     # the carry: the double 1e-14 lies below 10^-14 and its 17 nines round up
     assert Decimal(1e-14) < Decimal("1e-14") and f"{1e-14:.17g}" == "1e-14"
-    assert c_rows([1e-14, -1e-14], fallback=no_fallback) == b"1e-14\n-1e-14\n"
+    assert c_rows([1e-14, -1e-14]) == b"1e-14\n-1e-14\n"
 
 
 @needs_cc
@@ -543,22 +630,20 @@ def test_formatter_without_int128_writes_the_same_bytes(tmp_path):
                     _kernels._SOURCE, "-lm"], check=True)
     kernel = _kernels._bind(str(lib))
     values = np.concatenate([edge_values(), branch_values(), random_patterns(100_000, 2027)])
-    assert_same_text(c_rows(values, fallback=marker, kernel=kernel),
-                     c_rows(values, fallback=marker))
-    assert_same_text(c_rows(values, kernel=kernel), python_rows(values))
+    assert_c_formats_its_range(values, kernel=kernel)
 
 
 @needs_cc
 def test_c_formatter_stays_in_its_24_bytes_a_field(tmp_path):
     # the C call itself, given exactly rows * cols * FIELD_MAX bytes: the
-    # longest field twice, then a field of each layout that stores furthest
+    # longest field twice, then a field of each layout that stores furthest;
+    # and the same fields before a value outside the fast range, a refused row
     lib = tmp_path / "room.so"
     subprocess.run([_kernels._CC, *_kernels._CFLAGS, "-o", str(lib), _kernels._SOURCE, "-lm"],
                    check=True)
     fn = ctypes.CDLL(str(lib)).toroboris_format_rows
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 3 + [ctypes.c_int64]
     longest = -1.2345678901234567e-40
     worst = [longest, -9.8765432109876543e-05,  # d.ddde-XX, with 17 and with 1 digit
              -1e-14, -0.00012345678901234567, -0.012345678901234567]  # 0.000ddd, 0.0ddd
@@ -566,22 +651,24 @@ def test_c_formatter_stays_in_its_24_bytes_a_field(tmp_path):
     assert len(f"{longest:.17g}") == _kernels._FIELD_BYTES - 1
     assert all(significant(x)[0] in (1, 17) for x in worst)
     guard = 64
-    for x in worst:
+    for x, refused in itertools.product(worst, (False, True)):
         # one row per call, so the last field has exactly its 24 bytes before cap
-        block = np.array([[longest, longest, x]])
+        block = np.array([[longest, x, 1e300] if refused else [longest, longest, x]])
         rows, cols = block.shape
         cap = rows * cols * _kernels._FIELD_BYTES
         out = np.full(cap + guard, 0xAB, dtype=np.uint8)
-        skipped, n_skipped = np.empty((rows, 2), dtype=np.int64), ctypes.c_int64(-1)
         columns = (ctypes.c_void_p * cols)(*[block[:, c].ctypes.data for c in range(cols)])
         strides = (ctypes.c_int64 * cols)(*[cols] * cols)
-        args = (columns, strides, out.ctypes.data, cap, skipped.ctypes.data, n_skipped)
-        written = fn(0, rows, cols, *args)
-        assert n_skipped.value == 0 and (out[cap:] == 0xAB).all(), x
-        assert out[:written].tobytes() == python_rows(block, cols=cols)
+        args = (columns, strides, out.ctypes.data)
+        written = fn(0, rows, cols, *args, cap)
+        assert (out[cap:] == 0xAB).all(), block
+        if refused:
+            assert written == -2, block
+        else:
+            assert out[:written].tobytes() == python_rows(block, cols=cols)
         # a smaller cap is refused before anything is written
         out[:] = 0xAB
-        assert fn(0, rows, cols, *args[:3], cap - 1, *args[4:]) == -1
+        assert fn(0, rows, cols, *args, cap - 1) == -1
         assert (out == 0xAB).all()
 
 
@@ -621,7 +708,11 @@ import sys
 import test_kernels as tk
 from toroboris import _kernels
 _kernels._kernel, _kernels.BACKEND = _kernels._bind(sys.argv[1]), "c"
-sys.stdout.write(tk.c_rows(tk.sanitizer_rows()).decode() + "\\0" + tk.sanitizer_runs())
+rows = tk.sanitizer_rows()
+tk.assert_c_formats_its_range(rows)
+# refused at its last row, after every other row was written
+assert tk.c_rows(tk.np.append(rows[tk.in_fast_range(rows)], 1e300)) is None
+sys.stdout.write(tk.sanitizer_runs())
 """
 
 
@@ -640,10 +731,8 @@ def test_kernel_runs_clean_under_ubsan(tmp_path):
     run = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib)], capture_output=True,
                          text=True, env=env)
     assert run.returncode == 0 and "runtime error" not in run.stderr, run.stderr[-2000:]
-    rows, runs = run.stdout.split("\0")
-    assert_same_text(rows.encode(), python_rows(sanitizer_rows()))
     with python_backend():
-        assert runs == sanitizer_runs()
+        assert run.stdout == sanitizer_runs()
 
 
 # ---------------------------------------------------------------------------
