@@ -57,29 +57,50 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _shared_file(inputs: list, outputs: list):
-    """The first output that would overwrite an input or an earlier output, or None.
+_CSV_DIR = "/output/csv_dir"  # the output that names a directory
 
-    inputs and outputs hold (label, path) pairs, the outputs in write order; a
-    None path writes no file.  Files are told apart by os.path.realpath, so a
-    relative path or a symlink to a file is that file.  Two inputs may share
-    one.  The result is (label, path, the label of the file it would overwrite).
+
+def _check_outputs(inputs: list, outputs: list) -> None:
+    """Before any run: refuse the first output that would overwrite a file or has no directory.
+
+    inputs and outputs hold (label, path) pairs, the outputs in write order; a None path is
+    stdout.  Refused: an output whose directory is or lies under a file, or is missing and
+    made by no earlier output, and one that is an input or an earlier output, told apart by
+    os.path.realpath (a symlink to a file is that file; two inputs may share one).  The
+    refusal is a SchemaError at a config key label ("/..."), a ValueError naming a flag.
     """
     seen = {os.path.realpath(path): label for label, path in inputs}
+    made = set()  # the directories that the _CSV_DIR output creates
     for label, path in outputs:
-        if path is not None:
-            earlier = seen.setdefault(os.path.realpath(path), label)
-            if earlier != label:
-                return label, path, earlier
-    return None
+        if path is None:
+            continue
+        head = folder = path if label == _CSV_DIR else os.path.dirname(path)
+        while head and not os.path.lexists(head):
+            if label == _CSV_DIR:
+                made.add(os.path.realpath(head))
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            problem = f"{head} exists and is not a directory"
+        elif head != folder and os.path.realpath(folder) not in made:
+            problem = f"{folder} does not exist"
+        elif (real := os.path.realpath(path)) in seen:
+            problem = f"writes {path}, the file of {seen[real]}"
+        else:
+            seen[real] = label
+            continue
+        raise SchemaError(label, problem) if label[0] == "/" else ValueError(f"{label} {problem}")
 
 
-def _refuse_shared_files(config: str, outputs: list) -> None:
-    """Before a config's run: a SchemaError at the first output key that writes a taken file."""
-    shared = _shared_file([("--config", config)], outputs)
-    if shared:
-        label, path, earlier = shared
-        raise SchemaError(label, f"writes {path}, the file of {earlier}")
+def _write_outputs(outputs: list, contents: list) -> None:
+    """Write each output's bytes chunks in order: a file through _atomic_write, a None path
+    to stdout.  The _CSV_DIR output, whose content is None, is made with its parents."""
+    for (label, path), chunks in zip(outputs, contents, strict=True):
+        if path is None:
+            sys.stdout.write(b"".join(chunks).decode())
+        elif label == _CSV_DIR:
+            os.makedirs(path, exist_ok=True)
+        else:
+            _atomic_write(path, chunks)
 
 
 def _diag(name: str, message: str, **extra) -> None:
@@ -392,9 +413,10 @@ def read_series_csv(path: str, columns: tuple[str, ...]):
 
 def _cmd_simulate(args) -> int:
     config = parse_config(_read(args.config))
-    _refuse_shared_files(args.config, [("/output/path", config["output"]["path"])])
+    outputs = [("/output/path", config["output"]["path"])]
+    _check_outputs([("--config", args.config)], outputs)
     traj = run_trajectory(_run_spec(config))
-    _atomic_write(config["output"]["path"], trajectory_csv(traj))
+    _write_outputs(outputs, [trajectory_csv(traj)])
     if traj.error is not None:
         _diag("RuntimeDomainError", f"run aborted: {traj.error}", tag=traj.error,
               steps=traj.steps_completed)
@@ -404,71 +426,57 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_drift(args) -> int:
     config = parse_config(_read(args.config))
-    _refuse_shared_files(args.config, [("/output/path", config["output"]["path"])])
+    outputs = [("/output/path", config["output"]["path"])]
+    _check_outputs([("--config", args.config)], outputs)
     traj = run_drift(_run_spec(config))
     columns = (traj.t, traj.r, traj.z, traj.vpar, traj.rv_invariant)
-    _atomic_write(config["output"]["path"], _columns_csv(DRIFT_HEADER, *columns))
-    return EXIT_OK
-
-
-def _report_compare(err: ErrorSeries, summary: dict, path: str, summary_path) -> int:
-    _atomic_write(path, error_csv(err))
-    if summary_path:
-        _atomic_write(summary_path, [(json.dumps(summary, indent=2) + "\n").encode()])
-    else:
-        print(json.dumps(summary))
+    _write_outputs(outputs, [_columns_csv(DRIFT_HEADER, *columns)])
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     if args.config and (args.csv_a, args.csv_b, args.out, args.summary) != (None,) * 4:
-        _diag("ConfigError", "--config writes the config's outputs: it takes no --csv-a, "
-              "--csv-b, --out or --summary")
-        return EXIT_CONFIG
+        raise ValueError("--config writes the config's outputs: it takes no --csv-a, --csv-b, "
+                         "--out or --summary")
     if args.csv_a or args.csv_b:
         if not (args.csv_a and args.csv_b and args.out):
-            _diag("ConfigError", "CSV mode needs --csv-a, --csv-b and --out")
-            return EXIT_CONFIG
+            raise ValueError("CSV mode needs --csv-a, --csv-b and --out")
         if args.summary == "":
-            _diag("ConfigError", "--summary must not be empty: leave it out to print the summary")
-            return EXIT_CONFIG
-        shared = _shared_file([("--csv-a", args.csv_a), ("--csv-b", args.csv_b)],
-                              [("--out", args.out), ("--summary", args.summary)])
-        if shared:
-            _diag("ConfigError", "{} writes {}, the file of {}".format(*shared))
-            return EXIT_CONFIG
+            raise ValueError("--summary must not be empty: leave it out to print the summary")
+        outputs = [("--out", args.out), ("--summary", args.summary)]
+        _check_outputs([("--csv-a", args.csv_a), ("--csv-b", args.csv_b)], outputs)
         cols = ("t", "r", "z", "vpar")
         a, b = (_SlowSeries(**read_series_csv(path, cols)) for path in (args.csv_a, args.csv_b))
         err = _error_series(a, b)
         summary = {"max_err": err.max_by_component(), "n_samples": len(err.t)}
-        return _report_compare(err, summary, args.out, args.summary)
-    if not args.config:
-        _diag("ConfigError", "compare needs either --config or --csv-a/--csv-b/--out")
-        return EXIT_CONFIG
-    config = parse_config(_read(args.config))
-    output = config["output"]
-    _refuse_shared_files(args.config, [("/output/path", output["path"]),
-                                       ("/output/summary_path", output["summary_path"])])
-    spec, against = _run_spec(config), config["against"]
-    try:
-        traj, err = compare(spec, against)
-    except RunAborted as e:
-        _diag("RuntimeDomainError", str(e), tag=e.tag)
-        return EXIT_RUNTIME
-    sigma_min, warnings = monitor_nondegeneracy(traj)
-    summary = {
-        "max_err": err.max_by_component(),
-        "n_samples": len(err.t),
-        "against": against,
-        "epsilon": config["epsilon"],
-        "h": config["h"],
-        "variant": config["variant"],
-        "steps": {"run": traj.steps_completed,
-                  "reference": spec.reference_steps if against == "reference" else None},
-        "sigma_min": sigma_min,
-        "warnings": warnings,
-    }
-    return _report_compare(err, summary, output["path"], output["summary_path"])
+    elif not args.config:
+        raise ValueError("compare needs either --config or --csv-a/--csv-b/--out")
+    else:
+        config = parse_config(_read(args.config))
+        outputs = [(f"/output/{key}", config["output"][key]) for key in ("path", "summary_path")]
+        _check_outputs([("--config", args.config)], outputs)
+        spec, against = _run_spec(config), config["against"]
+        try:
+            traj, err = compare(spec, against)
+        except RunAborted as e:
+            _diag("RuntimeDomainError", str(e), tag=e.tag)
+            return EXIT_RUNTIME
+        sigma_min, warnings = monitor_nondegeneracy(traj)
+        summary = {
+            "max_err": err.max_by_component(),
+            "n_samples": len(err.t),
+            "against": against,
+            "epsilon": config["epsilon"],
+            "h": config["h"],
+            "variant": config["variant"],
+            "steps": {"run": traj.steps_completed,
+                      "reference": spec.reference_steps if against == "reference" else None},
+            "sigma_min": sigma_min,
+            "warnings": warnings,
+        }
+    text = json.dumps(summary, indent=2 if outputs[1][1] else None) + "\n"
+    _write_outputs(outputs, [error_csv(err), [text.encode()]])
+    return EXIT_OK
 
 
 def _run_study(config: str, output: dict, path: str, entries: list, study, message: str,
@@ -476,34 +484,27 @@ def _run_study(config: str, output: dict, path: str, entries: list, study, messa
     """Run study(), write its error CSVs (when csv_dir is set) and report; exit 4 on a failed gate.
 
     Entry i, (epsilon[, h]), names its CSV in {:g}'s 6 digits.  With csv_dir set, a name
-    that an earlier, different entry gives is a SchemaError at path/<i> before any run;
-    a repeated entry is the study's to refuse.  So is a report that would overwrite the
-    config or an error CSV, at /output/path, and a csv_dir that is or lies under a file, at
-    /output/csv_dir.
+    that an earlier, different entry gives is a SchemaError at path/<i> before any run; a
+    repeated entry is the study's to refuse.  The outputs, in write order, are csv_dir, the
+    CSV of each entry at path/<i> and the report at /output/path.
     """
-    csv_dir = head = output["csv_dir"]
-    while head and not os.path.lexists(head):
-        head = os.path.dirname(head)
-    if head and not os.path.isdir(head):
-        raise SchemaError("/output/csv_dir", f"{head} exists and is not a directory")
-    names = ["errors_" + "_".join(f"{k}{v:g}" for k, v in zip(("eps", "h"), entry)) + ".csv"
-             for entry in entries]
-    csvs = [] if csv_dir is None else [
-        (f"{path}/{i}", os.path.join(csv_dir, name))
-        for i, name in enumerate(names) if entries.index(entries[i]) == i
-    ]
-    shared = _shared_file([("--config", config)], csvs + [("/output/path", output["path"])])
-    if shared:
-        label, file, earlier = shared
-        two_csvs = label != "/output/path" and earlier != "--config"
-        message = f"its error CSV name {os.path.basename(file)} is an earlier entry's"
-        raise SchemaError(label, message if two_csvs else f"writes {file}, the file of {earlier}")
-    report, series = study()
+    csv_dir = output["csv_dir"]
+    outputs = []
     if csv_dir is not None:
-        os.makedirs(csv_dir, exist_ok=True)
-        for name, err in zip(names, series):
-            _atomic_write(os.path.join(csv_dir, name), error_csv(err))
-    _atomic_write(output["path"], [(json.dumps(report, indent=2) + "\n").encode()])
+        outputs.append((_CSV_DIR, csv_dir))
+        names = ["errors_" + "_".join(f"{k}{v:g}" for k, v in zip(("eps", "h"), entry)) + ".csv"
+                 for entry in entries]
+        for i, (entry, name) in enumerate(zip(entries, names)):
+            first = names.index(name)
+            if entries[first] != entry:
+                raise SchemaError(f"{path}/{i}", f"its error CSV name {name} is an earlier entry's")
+            if first == i:
+                outputs.append((f"{path}/{i}", os.path.join(csv_dir, name)))
+    outputs.append(("/output/path", output["path"]))
+    _check_outputs([("--config", config)], outputs)
+    report, series = study()
+    csvs = [None, *map(error_csv, series)] if csv_dir is not None else []
+    _write_outputs(outputs, [*csvs, [(json.dumps(report, indent=2) + "\n").encode()]])
     if not report["passed"]:
         _diag("GateFailure", message, **{key: report[key]})
         return EXIT_GATE
@@ -548,16 +549,13 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_check_field(args) -> int:
     cfg = _decode(_read(args.config), _CHECK_FIELD)
-    output = cfg["output"]
-    _refuse_shared_files(args.config, [("/output/path", output and output["path"])])
+    outputs = [("/output/path", cfg["output"] and cfg["output"]["path"])]
+    _check_outputs([("--config", args.config)], outputs)
     probes = dict(cfg["probes"])
     points = toroidal_probes(probes.pop("count"), **probes)
     model = _model(cfg["field"], cfg["epsilon"], r_min=cfg["r_min"])
     text = json.dumps(check_field(model, points, delta=cfg["delta"]), indent=2) + "\n"
-    if output is None:
-        print(text, end="")
-    else:
-        _atomic_write(output["path"], [text.encode()])
+    _write_outputs(outputs, [[text.encode()]])
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ class DomainError(ToroborisError):
 
     def __init__(self, b: float):
         self.b = b
-        super().__init__(f"field profile b={b:.6g} is not above b_min=0")
+        super().__init__(f"field profile b={b:.6g} is not positive")
 
 
 def _count(n) -> str:

@@ -79,6 +79,9 @@ CASES = [
     # a CSV that would replace the run's own config, refused before any run
     Case("simulate_over_its_config", SIM, ("simulate",),
          {"/output/path": "../simulate_over_its_config.json"}, code=2),
+    # a report in a directory that nothing makes, refused before any run
+    Case("converge_report_in_a_missing_dir", CONV, ("converge",),
+         {"/output/path": "nodir/report.json"}, code=2),
     # a summary that would replace the error CSV, refused before any run
     Case("compare_summary_over_errors", SIM, ("compare",),
          {"/against": "drift", "/output/summary_path": "trajectory.csv"}, code=2),

@@ -878,6 +878,67 @@ def test_compare_csv_mode_refuses_outputs_that_overwrite_a_file(monkeypatch, tmp
                                    {"error": "ConfigError", "message": message})
 
 
+# Each run ran first and failed when it wrote, at the rename or with the temp file's
+# name and the process id in its message; a study left its error CSVs behind.
+NO_DIRECTORY = {
+    "simulate-path-in-a-missing-dir": (
+        "simulate", {"/output/path": "nodir/out.csv"}, "/output/path", "nodir does not exist"),
+    "drift-path-under-a-file": (
+        "drift", {"/output/path": "config.json/out.csv"},
+        "/output/path", "config.json exists and is not a directory"),
+    "compare-path-in-a-missing-dir": (
+        "compare", {"/output/path": "a/b/out.csv"}, "/output/path", "a/b does not exist"),
+    "compare-summary-path-under-a-file": (
+        "compare", {"/output/summary_path": "config.json/sub/s.json"},
+        "/output/summary_path", "config.json exists and is not a directory"),
+    "converge-path-in-a-missing-dir": (
+        "converge", {"/output/path": "nodir/report.json", "/output/csv_dir": "runs"},
+        "/output/path", "nodir does not exist"),
+    "theorem1-path-under-a-file": (
+        "theorem1", {"/output/path": "config.json/report.json"},
+        "/output/path", "config.json exists and is not a directory"),
+    # csv_dir makes runs, not runs/sub
+    "theorem1-path-below-the-csv-dir": (
+        "theorem1", {"/output/csv_dir": "runs", "/output/path": "runs/sub/report.json"},
+        "/output/path", "runs/sub does not exist"),
+    "check-field-path-in-a-missing-dir": (
+        "check-field", {"/output": {"path": "nodir/report.json"}},
+        "/output/path", "nodir does not exist"),
+    "compare-out-in-a-missing-dir": (
+        "compare", ["--out", "nodir/x.csv"], "--out", "nodir does not exist"),
+    "compare-summary-under-a-file": (
+        "compare", ["--out", "x.csv", "--summary", "a.csv/s.json"],
+        "--summary", "a.csv exists and is not a directory"),
+}
+
+
+@pytest.mark.parametrize("command, edit, key, message", NO_DIRECTORY.values(), ids=NO_DIRECTORY)
+def test_an_output_with_no_directory_exits_2_before_any_run(monkeypatch, tmp_path, capsys,
+                                                            command, edit, key, message):
+    # a config key gives a SchemaError at it, a flag of CSV mode a ConfigError
+    monkeypatch.chdir(tmp_path)
+    if isinstance(edit, list):
+        (tmp_path / "a.csv").write_text(CSV)
+        argv = [command, "--csv-a", "a.csv", "--csv-b", "a.csv", *edit]
+        diag = {"error": "ConfigError", "message": f"{key} {message}"}
+    else:
+        cfg = patched(study_config(command, tmp_path), edit)
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+        diag = {"error": "SchemaError", "path": key, "message": f"{key}: {message}"}
+    assert_refused_before_any_work(monkeypatch, tmp_path, capsys, argv, diag)
+
+
+def test_an_output_may_go_where_an_earlier_output_makes_its_directory(monkeypatch, tmp_path):
+    # csv_dir is made with its parents before the files that follow it are written
+    monkeypatch.chdir(tmp_path)
+    outputs = [("/output/csv_dir", "a/runs"), ("/pairs/0", "a/runs/e.csv"),
+               ("/output/path", "a/report.json")]
+    cli._check_outputs([("--config", "config.json")], outputs)
+    cli._write_outputs(outputs, [None, [b"e\n"], [b"{}", b"\n"]])
+    assert (tmp_path / "a/runs/e.csv").read_bytes() == b"e\n"
+    assert (tmp_path / "a/report.json").read_bytes() == b"{}\n"
+
+
 def test_theorem1_fails_its_gate_on_a_zero_maximum(tmp_path, capsys):
     # an orbit at rest with no electric field: every error is 0, and the ratio
     # 0 / 0 used to raise ZeroDivisionError, exiting 3 with no report
@@ -1003,7 +1064,7 @@ def test_domain_error_exits_3_with_one_line(tmp_path, capsys, python):
             assert cli.cli_main([command, "--config", write_config(tmp_path, config)]) == 3
             out, err = capsys.readouterr()
             assert out == "" and err == ('{"error": "DomainError", "message": "field profile '
-                                         f'b={b} is not above b_min=0"}}\n')
+                                         f'b={b} is not positive"}}\n')
     assert os.listdir(tmp_path) == ["config.json"]
 
 
