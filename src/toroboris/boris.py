@@ -123,8 +123,8 @@ def magnetic_moment(x, v, field_model) -> float:
     B, absB = field_model.strength(x)
     v = np.asarray(v, dtype=float)
     # a Python float: |B|**3 is libm pow (np.power rounds differently), which
-    # raises OverflowError past |B| ~ 5.6e102 and is 0 below ~1e-108; the
-    # matmul overflows past ~1.3e154
+    # raises OverflowError past |B| ~ 5.6e102 and is 0 below ~1e-108; a square
+    # in |w|^2 raises FloatingPointError past ~1.3e154
     try:
         with np.errstate(over="raise"):
             w = cross3(v, B)
@@ -140,7 +140,7 @@ def magnetic_moment(x, v, field_model) -> float:
 def _along_B(B, absB, v: np.ndarray) -> np.ndarray:
     """The projection of v onto the direction of B, whose norm is absB."""
     e = B / absB
-    return float(e @ v) * e
+    return float(dot3(e, v)) * e
 
 
 def _emod(sample, mu0: float) -> np.ndarray:
@@ -206,11 +206,6 @@ def initialize(x0, v0_raw, field_model, config: PusherConfig):
     return seed, v0
 
 
-def _sum3(a, b):
-    """a . b along the last axis, summed left to right, with no BLAS rounding."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 def nondegeneracy_sigma(x, v, h: float, field_model):
     """Smaller singular value of z -> z + (h^2/4) P_perp (v x B'(x) z).
 
@@ -231,8 +226,8 @@ def nondegeneracy_sigma(x, v, h: float, field_model):
     e = s.B / np.asarray(s.absB)[..., None]
     g = s.gradAbsB
     k = 0.25 * h * h
-    ks = k * _sum3(cross3(v, e), g)
-    kc = k * (_sum3(v, g) - _sum3(v, e) * _sum3(e, g))
+    ks = k * dot3(cross3(v, e), g)
+    kc = k * (dot3(v, g) - dot3(v, e) * dot3(e, g))
     sigma = 2.0 * np.abs(1.0 + ks) / (np.hypot(2.0 + ks, kc) + np.hypot(ks, kc))
     return _scalar(sigma)
 
@@ -343,7 +338,7 @@ def integrate(
         raise ValueError("sample_every must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     seed, v0 = initialize(x0, v0_raw, field_model, config)
-    v_max = 10.0 * (float(np.linalg.norm(v0)) + 1.0)
+    v_max = 10.0 * (sqrt(float(dot3(v0, v0))) + 1.0)
 
     rows = n // sample_every + 1
     out_x = np.empty((rows, 3))

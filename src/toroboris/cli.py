@@ -65,9 +65,10 @@ def _check_outputs(inputs: list, outputs: list) -> None:
 
     inputs and outputs hold (label, path) pairs, the outputs in write order; a None path is
     stdout.  Refused: an output whose directory is or lies under a file, or is missing and
-    made by no earlier output, and one that is an input or an earlier output, told apart by
-    os.path.realpath (a symlink to a file is that file; two inputs may share one).  The
-    refusal is a SchemaError at a config key label ("/..."), a ValueError naming a flag.
+    made by no earlier output, a file output that is a directory, and one that is an input
+    or an earlier output, told apart by os.path.realpath (a symlink to a file is that file;
+    two inputs may share one).  The refusal is a SchemaError at a config key label ("/..."),
+    a ValueError naming a flag.
     """
     seen = {os.path.realpath(path): label for label, path in inputs}
     made = set()  # the directories that the _CSV_DIR output creates
@@ -83,6 +84,8 @@ def _check_outputs(inputs: list, outputs: list) -> None:
             problem = f"{head} exists and is not a directory"
         elif head != folder and os.path.realpath(folder) not in made:
             problem = f"{folder} does not exist"
+        elif label != _CSV_DIR and os.path.isdir(path):
+            problem = f"{path} is a directory"
         elif (real := os.path.realpath(path)) in seen:
             problem = f"writes {path}, the file of {seen[real]}"
         else:

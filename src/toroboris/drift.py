@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .boris import _near_whole
 from .errors import AxisSingularity, DomainError
-from .geometry import ToroidalFieldModel, frame
+from .geometry import ToroidalFieldModel, dot3, frame
 
 # dtau spans at least 2**k ulps of the largest slow time, k = _DTAU_ULPS_LOG2.
 # Each tau += step rounds by at most half an ulp, so the steps leave at most
@@ -125,7 +125,7 @@ def drift_init(x0, v0_raw, field_model: ToroidalFieldModel) -> DriftState:
     """
     fr = frame(x0, field_model.r_min)
     v0 = np.asarray(v0_raw, dtype=float)
-    return DriftState(r_t=fr.r, z_t=float(fr.z), v_t=float(fr.e_par @ v0))
+    return DriftState(r_t=fr.r, z_t=float(fr.z), v_t=float(dot3(fr.e_par, v0)))
 
 
 def _rk4_loop(times, counts, eps, dtau, model, muhat, out):

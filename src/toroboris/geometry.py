@@ -53,13 +53,13 @@ def _radius(x: np.ndarray):
 
 
 def dot3(a, b) -> np.ndarray:
-    """Dot products of 3-vectors along the last axis of a and b.
+    """Dot products of 3-vectors along the last axis of arrays a and b: the package's one dot.
 
-    Each is a (1, 3) @ (3, 1) matmul, the BLAS dot that ``a @ b`` runs on
-    one pair of vectors, so every element has the bits of ``a @ b``; a sum
-    of products, or einsum, rounds differently.
+    a0 b0 + a1 b1 + a2 b2, each product rounded and summed left to right, so IEEE
+    arithmetic alone decides its bits.  A BLAS dot (``a @ b``, np.dot, einsum) picks
+    its order and its fused multiply-adds per CPU and numpy build.
     """
-    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def cross3(a, b) -> np.ndarray:

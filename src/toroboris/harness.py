@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from dataclasses import field as dataclass_field
 from functools import cached_property
-from math import ceil, isqrt
+from math import ceil, fsum, isqrt, log
 
 import numpy as np
 
@@ -225,7 +225,7 @@ def observables(traj: Trajectory) -> ObservableSeries:
     # first: strength raises for the first sample off the domain, in order
     B, absB = model.strength(traj.x)
     w = cross3(traj.v, B / absB[:, None])
-    mu = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) / absB * 0.5
+    mu = dot3(w, w) / absB * 0.5
     s = _slow_series(traj)
     with _as_floats():
         phi = model.phi(s.r, s.z)
@@ -316,13 +316,14 @@ def _compare(spec: ExperimentSpec, against: str, references: dict):
 
 
 def fit_loglog_slope(hs, errs) -> float:
-    """Least-squares slope of log(err) against log(h) over all points."""
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    lx = np.log(hs)
-    ly = np.log(errs)
-    lx = lx - lx.mean()
-    return float((lx @ (ly - ly.mean())) / (lx @ lx))
+    """Least-squares slope of log(err) against log(h): libm logs and math.fsum sums, so no
+    SIMD loop, BLAS kernel or Python version decides its bits."""
+    if bad := [v for v in (*hs, *errs) if not v > 0.0]:
+        raise ValueError(f"a log-log fit needs positive values, got {float(bad[0])!r}")
+    lx, ly = ([log(v) for v in vs] for vs in (hs, errs))
+    mx, my = fsum(lx) / len(lx), fsum(ly) / len(ly)
+    lx = [x - mx for x in lx]
+    return fsum(x * (y - my) for x, y in zip(lx, ly)) / fsum(x * x for x in lx)
 
 
 def _convergence_report(mode: str, points: list, order_band) -> dict:

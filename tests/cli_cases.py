@@ -82,6 +82,8 @@ CASES = [
     # a report in a directory that nothing makes, refused before any run
     Case("converge_report_in_a_missing_dir", CONV, ("converge",),
          {"/output/path": "nodir/report.json"}, code=2),
+    # a CSV path that is the run's directory, refused before any run
+    Case("simulate_path_is_a_directory", SIM, ("simulate",), {"/output/path": "."}, code=2),
     # a summary that would replace the error CSV, refused before any run
     Case("compare_summary_over_errors", SIM, ("compare",),
          {"/against": "drift", "/output/summary_path": "trajectory.csv"}, code=2),

@@ -3,11 +3,11 @@
 These are the per-row loops that the array code in toroboris replaced,
 with their own scalar frame and field sample, as the oracle the array code
 must match to the last bit.  They read the models' profile methods and
-parameters and call nothing else in the package.  Each 3-vector dot is
-``a @ b``, except sigma's, summed left to right as in the package.  The
+parameters and call nothing else in the package.  Every 3-vector dot is
+_dot, a0 b0 + a1 b1 + a2 b2 summed left to right as in the package.  The
 moment has two definitions, as in the package: magnetic_moment, mu0's, is
 0.5 |v x B|^2 / |B|**3 in Python floats, and the mu of observables is
-|v x e|^2 / |B| / 2 with e = B / |B|, its squares summed left to right.
+|v x e|^2 / |B| / 2 with e = B / |B|.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ def potential(model, x):
     return model.phi(r, z)
 
 
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def magnetic_moment(x, v, model) -> float:
     B, absB, *_ = field_sample(model, x)
     w = np.cross(np.asarray(v, dtype=float), B)
-    return 0.5 * float(w @ w) / absB**3
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return 0.5 * float(_dot(w, w)) / absB**3
 
 
 def nondegeneracy_sigma(x, v, h, model) -> float:
@@ -105,11 +105,11 @@ def observables(traj):
         x = traj.x[i]
         v = traj.v[i]
         r[i], z[i], _, e_par, _ = frame(x, model.r_min)
-        vpar[i] = float(e_par @ v)
+        vpar[i] = float(_dot(e_par, v))
         B, absB, *_ = field_sample(model, x)
         w = np.cross(v, B / absB)
-        mu[i] = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) / absB * 0.5
-        energy[i] = 0.5 * float(v @ v) + potential(model, x)
+        mu[i] = _dot(w, w) / absB * 0.5
+        energy[i] = 0.5 * float(_dot(v, v)) + potential(model, x)
     return r, z, vpar, mu, energy
 
 
@@ -134,7 +134,7 @@ def check_field(model, probes, delta):
         for fd, an in ((fd_dr, model.db_dr(r, z)), (fd_dz, model.db_dz(r, z))):
             worst_grad = max(worst_grad, abs(fd - an) / max(1.0, abs(an)))
         _, absB, _, E = field_sample(model, p)
-        worst_epar_e = max(worst_epar_e, abs(float(e_par @ E)))
+        worst_epar_e = max(worst_epar_e, abs(float(_dot(e_par, E))))
         # central differences of E and B along the coordinate axes
         dE = np.empty((3, 3))
         dB = np.empty((3, 3))

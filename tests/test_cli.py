@@ -238,7 +238,7 @@ def test_non_finite_step_aborts_as_runaway(tmp_path, capsys):
     # simulate aborts too, after the t = 0 row: its mu, |v x e|^2 / |B| / 2, is
     # representable where |B|^3 is not.  So is the modified run's mu0, which
     # takes the form |v x e|^2 / (2 |B|) where 0.5 |v x B|^2 / |B|**3 overflows
-    # (libm pow past |B| ~ 5.6e102, the matmul past ~1.3e154).
+    # (libm pow past |B| ~ 5.6e102, a square in |v x B|^2 past ~1.3e154).
     out = tmp_path / "out.csv"
     for eps in (1e-104, 1e-160, 1e-300):
         for variant in boris.VARIANTS:
@@ -284,14 +284,17 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert cli.cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
-    # the trajectory is written, then the rename onto a directory fails
+def test_failed_rename_leaves_no_temp_file(monkeypatch, tmp_path, capsys):
+    # the trajectory is written, then the rename fails
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
     out = tmp_path / "out.csv"
-    out.mkdir()
     cfg = base_config(tmp_path, t_final=4.0)
     assert cli.cli_main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-    assert out.is_dir() and list(out.iterdir()) == []
+    assert not out.exists()
     assert list(tmp_path.glob("*.tmp-*")) == []
 
 
@@ -879,7 +882,8 @@ def test_compare_csv_mode_refuses_outputs_that_overwrite_a_file(monkeypatch, tmp
 
 
 # Each run ran first and failed when it wrote, at the rename or with the temp file's
-# name and the process id in its message; a study left its error CSVs behind.
+# name and the process id in its message; a study left its error CSVs behind, and
+# compare its error CSV when the summary was a directory.
 NO_DIRECTORY = {
     "simulate-path-in-a-missing-dir": (
         "simulate", {"/output/path": "nodir/out.csv"}, "/output/path", "nodir does not exist"),
@@ -909,6 +913,13 @@ NO_DIRECTORY = {
     "compare-summary-under-a-file": (
         "compare", ["--out", "x.csv", "--summary", "a.csv/s.json"],
         "--summary", "a.csv exists and is not a directory"),
+    # "." is the run's directory, and ".." its parent
+    "simulate-path-is-a-directory": (
+        "simulate", {"/output/path": "."}, "/output/path", ". is a directory"),
+    "compare-summary-path-is-a-directory": (
+        "compare", {"/output/summary_path": ".."}, "/output/summary_path", ".. is a directory"),
+    "compare-summary-is-a-directory": (
+        "compare", ["--out", "x.csv", "--summary", "."], "--summary", ". is a directory"),
 }
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,41 @@ def test_cross3_has_the_bits_of_np_cross():
         assert same_bits(got[1], want[1]) if got[0] == "ok" else got[1] is want[1]
     got, want = raising_outcome(tb.geometry.cross3, a, b), raising_outcome(np.cross, a, b)
     assert got[0] == want[0] == "raised" and got[1] is want[1]
+
+
+def test_dot3_is_the_left_to_right_sum():
+    # a batched matmul, the BLAS dot, rounds differently on a third of these on a CPU with FMA
+    def python_sum(a, b):
+        a, b = [float(c) for c in a], [float(c) for c in b]
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    rng = np.random.default_rng(7)
+    for a, b in ((rng.normal(size=(3000, 3)), rng.normal(size=(3000, 3))),
+                 (edge_vectors(400, seed=3), edge_vectors(400, seed=4))):
+        want = [python_sum(p, q) for p, q in zip(a, b)]
+        with np.errstate(all="ignore"):
+            assert same_bits(tb.geometry.dot3(a, b), want)
+            # IEEE leaves a NaN's sign and payload open: numpy's scalars and Python's differ
+            got = [tb.geometry.dot3(p, q) for p, q in zip(a, b)]
+            assert all(same_bits(g, w) or np.isnan(g) and np.isnan(w) for g, w in zip(got, want))
+
+
+def test_the_package_has_no_blas_dot_and_no_simd_log():
+    # a BLAS dot or numpy's SIMD log picks its bits per CPU and numpy build; the tree is
+    # searched, not the text, since docstrings name ``a @ b``
+    banned = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg",
+              "log", "log2", "log10", "log1p"}
+    found = []
+    for path in sorted(Path(tb.geometry.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.MatMult):
+                found.append((path.name, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in banned and (
+                    node.attr == "dot" or isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name in banned]
+    assert found == []
 
 
 def stacked_frame(x, r):

@@ -325,6 +325,15 @@ def test_slope_fit_exact_power_law():
     assert tb.fit_loglog_slope(hs, errs) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("hs, errs, bad", [([0.04, 0.02], [3e-3, 0.0], "0.0"),
+                                           ([0.04, -0.02], [3e-3, 1e-3], "-0.02"),
+                                           ([0.04, 0.02], [np.nan, 1e-3], "nan")])
+def test_slope_fit_names_a_value_that_is_not_positive(hs, errs, bad):
+    # math.log alone would say "math domain error", or return nan
+    with pytest.raises(ValueError, match=f"^a log-log fit needs positive values, got {bad}$"):
+        tb.fit_loglog_slope(hs, errs)
+
+
 def test_order_gate_rejects_first_order_method():
     # forward-Euler on the slow system: a genuine first-order control
     m = tb.ToroidalFieldModel(1e-3)

@@ -101,7 +101,7 @@ def test_callable_model_matches_the_oracle(phi, variant):
     assert_monitor_matches(traj)
     if not phi:
         obs = tb.observables(traj)
-        assert bits(obs.energy) == bits([0.5 * float(v @ v) for v in traj.v])
+        assert bits(obs.energy) == bits([0.5 * oracle._dot(v, v) for v in traj.v])
 
 
 def test_uniform_field_matches_the_oracle():
@@ -216,7 +216,7 @@ def test_the_two_forms_of_mu_agree_on_the_uniform_field(variant):
 
 def test_mu0_past_the_overflow_takes_the_overflow_free_form():
     # 0.5 |v x B|^2 / |B|**3 overflows from |B| > 5.6e102 (libm pow) and from
-    # ~1.3e154 in |v x B|^2 (the matmul), and divides by 0 where |B|**3
+    # ~1.3e154 in |v x B|^2 (a square), and divides by 0 where |B|**3
     # underflows (b = 1e-120 here): mu0 is then |v x e|^2 / (2 |B|)
     for model, error in [(tb.ToroidalFieldModel(1e-104), OverflowError),
                          (tb.ToroidalFieldModel(1e-160), OverflowError),
@@ -231,7 +231,7 @@ def test_mu0_past_the_overflow_takes_the_overflow_free_form():
         B, absB, *_ = oracle.field_sample(model, X0)
         e = B / absB
         u = np.cross(np.asarray(V0, dtype=float), e)
-        assert bits(mu) == bits(0.5 * float(u @ u) / absB), model
+        assert bits(mu) == bits(0.5 * float(oracle._dot(u, u)) / absB), model
     # short of the overflow the scalar form is kept
     model = tb.ToroidalFieldModel(1e-102)
     assert bits(tb.magnetic_moment(X0, V0, model)) == bits(oracle.magnetic_moment(X0, V0, model))
